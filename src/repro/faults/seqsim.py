@@ -1,24 +1,28 @@
 """Fault-parallel sequential fault simulation.
 
-Packs one *fault machine* per pattern bit (bit 0 is the fault-free
-machine) and steps all machines through the input sequence together; a
-stuck net is pinned via per-bit forcing masks, so faulty state evolves
-naturally through the flip-flops.  A fault is detected the first cycle any
-primary output bit differs from the good machine's bit.
+Grades every target fault in one pass: each net value packs one machine
+per bit (a *lane*) — bit 0 is the fault-free machine, bit ``k + 1`` the
+machine carrying target fault *k*.  All lanes step through the input
+sequence together on one compiled forcing kernel
+(:class:`~repro.logic.compiled.CompiledForcingKernel`) whose per-net
+masks pin each stuck net in its own lane, so faulty state evolves
+naturally through the flip-flops.  A fault is detected the first cycle
+any primary output bit of its lane differs from the good machine's.
 
-This is the reference-quality (exact) simulator used for small netlists —
-the simple Fig. 1 datapath, individual components, and cross-validation of
-the hierarchical core simulator.
+This is the exact flat grader: the simple Fig. 1 datapath, individual
+components, the whole gate-level DSP core, and the cross-validation of
+the hierarchical core simulator all run through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import obs
+from repro.logic.compiled import CompiledForcingKernel
 from repro.logic.netlist import Netlist
-from repro.logic.sequential import SequentialSimulator
-from repro.faults.model import Fault, FaultList, collapse_faults
+from repro.faults.model import Fault, FaultList, _fault_sites, collapse_faults
 from repro.runtime.errors import ConfigError
 
 
@@ -39,31 +43,63 @@ class SeqFaultResult:
 
 
 class SeqFaultSimulator:
-    """Grades stuck-at faults of a sequential netlist against a stimulus."""
+    """Grades stuck-at faults of a sequential netlist against a stimulus.
+
+    The forcing kernel compiles on the first :meth:`run_sequence`, not at
+    construction, and later calls on the same instance reuse it (E5's
+    random phase re-grades a shrinking survivor set this way).
+    """
 
     def __init__(self, netlist: Netlist,
-                 fault_list: Optional[FaultList] = None,
-                 machines_per_pass: int = 63):
+                 fault_list: Optional[FaultList] = None):
         self.netlist = netlist
         self.fault_list = fault_list or collapse_faults(netlist)
-        if machines_per_pass < 1:
-            raise ConfigError("machines_per_pass must be >= 1")
-        self.machines_per_pass = machines_per_pass
+        self._kernel: Optional[CompiledForcingKernel] = None
 
-    def _force_masks(self, chunk: Sequence[Fault],
-                     n_patterns: int) -> Dict[int, Tuple[int, int]]:
-        """Build per-net (and_mask, or_mask) pinning fault *k* to bit *k+1*."""
-        full = (1 << n_patterns) - 1
-        masks: Dict[int, Tuple[int, int]] = {}
-        for k, fault in enumerate(chunk):
-            bit = 1 << (k + 1)  # bit 0 is the good machine
-            and_mask, or_mask = masks.get(fault.net, (full, 0))
-            if fault.stuck_at:
-                or_mask |= bit
-            else:
-                and_mask &= ~bit
-            masks[fault.net] = (and_mask, or_mask)
-        return masks
+    def _check_stimulus(self, bus_sequences: Mapping[str, Sequence[int]]) -> int:
+        """Validate the stimulus against the netlist; returns its length."""
+        netlist = self.netlist
+        if not bus_sequences:
+            raise ConfigError(
+                f"empty stimulus for netlist {netlist.name!r}: "
+                f"no input sequences given"
+            )
+        primary_inputs = set(netlist.inputs)
+        driven = set()
+        for name in bus_sequences:
+            nets = netlist.buses.get(name)
+            if nets is None:
+                raise ConfigError(
+                    f"unknown bus {name!r} in netlist {netlist.name!r}")
+            for net in nets:
+                if net not in primary_inputs:
+                    raise ConfigError(
+                        f"bus {name!r} is not made of primary inputs: "
+                        f"net {netlist.net_names[net]!r} is not one"
+                    )
+            driven.update(nets)
+        for net in netlist.inputs:
+            if net not in driven:
+                raise ConfigError(
+                    f"primary input {netlist.net_names[net]!r} of netlist "
+                    f"{netlist.name!r} is driven by no bus"
+                )
+        lengths = {len(seq) for seq in bus_sequences.values()}
+        if len(lengths) != 1:
+            raise ConfigError("all input sequences must have equal length")
+        return lengths.pop()
+
+    def _check_faults(self, targets: Sequence[Fault]) -> None:
+        netlist = self.netlist
+        sites = set(_fault_sites(netlist))
+        for fault in targets:
+            if fault.net not in sites:
+                name = netlist.net_names[fault.net] \
+                    if 0 <= fault.net < netlist.n_nets else f"#{fault.net}"
+                raise ConfigError(
+                    f"fault {name!r} sa{fault.stuck_at} is not on a primary "
+                    f"input, gate output or DFF Q of netlist {netlist.name!r}"
+                )
 
     def run_sequence(
         self,
@@ -71,40 +107,62 @@ class SeqFaultSimulator:
         faults: Optional[Sequence[Fault]] = None,
         stop_when_all_detected: bool = True,
     ) -> SeqFaultResult:
-        """Apply per-cycle word stimulus and grade ``faults`` against it."""
-        targets = list(faults if faults is not None else self.fault_list.faults)
-        lengths = {len(seq) for seq in bus_sequences.values()}
-        if len(lengths) != 1:
-            raise ConfigError("all input sequences must have equal length")
-        n_cycles = lengths.pop()
-        first_detect: Dict[Fault, Optional[int]] = {f: None for f in targets}
+        """Apply per-cycle word stimulus and grade ``faults`` against it.
 
-        for start in range(0, len(targets), self.machines_per_pass):
-            chunk = targets[start:start + self.machines_per_pass]
-            n_patterns = len(chunk) + 1
-            full = (1 << n_patterns) - 1
-            masks = self._force_masks(chunk, n_patterns)
-            sim = SequentialSimulator(self.netlist, n_patterns=n_patterns)
-            detected_bits = 0
-            all_bits = full & ~1
+        ``bus_sequences`` maps input bus names to one word per cycle; the
+        buses must consist of primary inputs and together drive all of
+        them.  ``faults`` defaults to the simulator's fault list.
+        """
+        netlist = self.netlist
+        targets = list(faults if faults is not None else self.fault_list.faults)
+        n_cycles = self._check_stimulus(bus_sequences)
+        self._check_faults(targets)
+        first_detect: Dict[Fault, Optional[int]] = {f: None for f in targets}
+        if not targets:
+            return SeqFaultResult(first_detect_cycle=first_detect,
+                                  n_cycles=n_cycles)
+        if self._kernel is None:
+            with obs.section("sim.seq.compile"):
+                self._kernel = CompiledForcingKernel(netlist)
+        kernel = self._kernel
+
+        cycles = 0
+        with obs.section("sim.seq.grade"):
+            full = (1 << (len(targets) + 1)) - 1
+            and_masks = [full] * netlist.n_nets
+            or_masks = [0] * netlist.n_nets
+            for k, fault in enumerate(targets):
+                lane = 2 << k  # bit 0 is the good machine
+                if fault.stuck_at:
+                    or_masks[fault.net] |= lane
+                else:
+                    and_masks[fault.net] &= ~lane
+            inputs = [(seq, list(enumerate(netlist.buses[name])))
+                      for name, seq in bus_sequences.items()]
+            values = kernel.reset(full)
+            all_lanes = full & ~1
+            detected = 0
             for t in range(n_cycles):
-                packed_inputs: Dict[int, int] = {}
-                for name, seq in bus_sequences.items():
+                for seq, nets in inputs:
                     word = seq[t]
-                    for i, net in enumerate(self.netlist.buses[name]):
-                        packed_inputs[net] = full if (word >> i) & 1 else 0
-                values = sim.step(packed_inputs, force_masks=masks)
+                    for i, net in nets:
+                        values[net] = full if (word >> i) & 1 else 0
+                kernel.step(values, and_masks, or_masks, full)
+                cycles += 1
                 diff = 0
-                for out in self.netlist.outputs:
+                for out in netlist.outputs:
                     v = values[out]
-                    good_broadcast = full if (v & 1) else 0
-                    diff |= v ^ good_broadcast
-                new = diff & all_bits & ~detected_bits
+                    diff |= v ^ (full if v & 1 else 0)
+                new = diff & ~detected
                 if new:
-                    for k, fault in enumerate(chunk):
-                        if new & (1 << (k + 1)):
-                            first_detect[fault] = t
-                    detected_bits |= new
-                    if stop_when_all_detected and detected_bits == all_bits:
+                    detected |= new
+                    while new:
+                        low = new & -new
+                        first_detect[targets[low.bit_length() - 2]] = t
+                        new ^= low
+                    if stop_when_all_detected and detected == all_lanes:
                         break
+                kernel.latch(values)
+        obs.incr("sim.seq.faults_graded", len(targets))
+        obs.incr("sim.seq.cycles", cycles)
         return SeqFaultResult(first_detect_cycle=first_detect, n_cycles=n_cycles)

@@ -2,17 +2,49 @@
 
 Interpreted gate-by-gate evaluation pays Python's per-gate dispatch cost on
 every call.  For hot paths (fault-simulation good machines, mixed-level
-propagation) this module compiles a netlist's levelised gate list into one
-straight-line Python function of array assignments — typically 5–10×
-faster — with results bit-identical to :class:`CombSimulator`.
+propagation, fault-parallel sequential grading) this module compiles a
+netlist's levelised gate list into straight-line Python functions of array
+assignments — typically 5–10× faster — with results bit-identical to
+:class:`CombSimulator`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
+
+#: Most statements one generated function may hold.  ``exec`` keeps a
+#: whole source's syntax tree and compiler state alive at once, so one
+#: function per netlist makes compile memory grow with the netlist:
+#: compiling the flat core's evaluator and forcing kernel unsplit peaks
+#: a grading process at ~56 MB, against ~34 MB in chunks of this size.
+#: Every component netlist (the largest, the shifter, has 565 gates)
+#: still compiles to a single function.
+MAX_STATEMENTS = 1000
+
+
+def compile_statements(params: str, statements: Sequence[str]) -> Callable:
+    """Compile straight-line ``statements`` into one function of ``params``.
+
+    Statements communicate only through the parameters (array slots), so
+    they may be split into chunks of at most :data:`MAX_STATEMENTS`, each
+    compiled on its own; a short generated function calls them in order.
+    A body that fits one chunk compiles to that chunk alone.
+    """
+    chunks = [statements[i:i + MAX_STATEMENTS]
+              for i in range(0, len(statements), MAX_STATEMENTS)] or [[]]
+    namespace: Dict = {}
+    for k, chunk in enumerate(chunks):
+        body = "\n    ".join(chunk) if chunk else "pass"
+        exec(f"def _c{k}({params}):\n    {body}",  # noqa: S102 - trusted codegen
+             namespace)
+    if len(chunks) == 1:
+        return namespace["_c0"]
+    calls = "\n    ".join(f"_c{k}({params})" for k in range(len(chunks)))
+    exec(f"def _run({params}):\n    {calls}", namespace)  # noqa: S102
+    return namespace["_run"]
 
 
 def _gate_expression(kind: GateType, operands: List[str]) -> str:
@@ -50,18 +82,13 @@ class CompiledEvaluator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        lines = ["def _eval(v, m):"]
-        order = netlist.levelize()
-        if not order:
-            lines.append("    pass")
-        for gate in order:
+        statements = []
+        for gate in netlist.levelize():
             operands = [f"v[{i}]" for i in gate.inputs]
-            lines.append(
-                f"    v[{gate.output}] = {_gate_expression(gate.kind, operands)}"
+            statements.append(
+                f"v[{gate.output}] = {_gate_expression(gate.kind, operands)}"
             )
-        namespace: Dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-        self._eval = namespace["_eval"]
+        self._eval = compile_statements("v, m", statements)
 
     def run(self, inputs: Dict[int, int], n_patterns: int = 1,
             state: Optional[Dict[int, int]] = None) -> List[int]:
@@ -76,6 +103,49 @@ class CompiledEvaluator:
             else:
                 values[dff.q] = width_mask if dff.init else 0
         self._eval(values, width_mask)
+        return values
+
+
+class CompiledForcingKernel:
+    """One clock cycle of a sequential netlist with per-lane forcing.
+
+    Values pack one independent machine per bit (a *lane*), as in
+    :class:`~repro.logic.sequential.SequentialSimulator`.  Every fault
+    site — primary input, gate output and DFF Q — is pinned as
+    ``(x & A[n]) | O[n]`` from the per-net mask lists ``A`` and ``O``, so
+    one compiled kernel serves any set of stuck-at faults: a stuck-at-0
+    lane clears its bit of ``A[net]``, a stuck-at-1 lane sets its bit of
+    ``O[net]``, and an unforced net has ``A[n] = m`` and ``O[n] = 0``.
+    DFF Qs are pinned at the start of every cycle, so a stuck state bit
+    stays stuck across clock edges.
+
+    The caller owns the value list (one slot per net, from
+    :meth:`reset`): it loads the primary inputs, calls ``step(v, A, O,
+    m)``, reads any net, then calls ``latch(v)`` to clock every DFF.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        sources = list(netlist.inputs) + [dff.q for dff in netlist.dffs]
+        statements = [f"v[{n}] = v[{n}] & A[{n}] | O[{n}]" for n in sources]
+        for gate in netlist.levelize():
+            expr = _gate_expression(gate.kind, [f"v[{i}]" for i in gate.inputs])
+            out = gate.output
+            statements.append(f"v[{out}] = ({expr}) & A[{out}] | O[{out}]")
+        self.step = compile_statements("v, A, O, m", statements)
+        # One tuple assignment: every D is read before any Q is written.
+        latch = []
+        if netlist.dffs:
+            qs = "".join(f"v[{dff.q}], " for dff in netlist.dffs)
+            ds = "".join(f"v[{dff.d}], " for dff in netlist.dffs)
+            latch.append(f"{qs}= {ds}")
+        self.latch = compile_statements("v", latch)
+
+    def reset(self, width_mask: int) -> List[int]:
+        """A fresh value list with every DFF at its ``init`` value."""
+        values = [0] * self.netlist.n_nets
+        for dff in self.netlist.dffs:
+            values[dff.q] = width_mask if dff.init else 0
         return values
 
 

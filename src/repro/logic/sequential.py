@@ -3,8 +3,10 @@
 Drives a netlist's combinational logic once per clock cycle and then
 advances every D flip-flop.  Values are pattern-parallel like the
 combinational simulator, which lets callers run several *independent
-sequences* side by side (one per packed bit) — the trick the fault-parallel
-sequential fault simulator in :mod:`repro.faults.seqsim` relies on.
+sequences* side by side (one per packed bit).  The fault-parallel grader in
+:mod:`repro.faults.seqsim` packs its fault machines the same way but steps
+them through :class:`~repro.logic.compiled.CompiledForcingKernel`; the
+``forced`` path here is its one-fault-at-a-time test reference.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.logic.netlist import Netlist
 from repro.logic.simulator import CombSimulator, pack_patterns, unpack_output
+from repro.runtime.errors import ConfigError
 
 
 class SequentialSimulator:
@@ -46,21 +49,16 @@ class SequentialSimulator:
         self,
         inputs: Mapping[int, int],
         forced: Optional[Mapping[int, int]] = None,
-        force_masks: Optional[Mapping[int, tuple]] = None,
     ) -> List[int]:
         """Run one clock cycle; returns all net values *before* the edge.
 
         ``forced`` pins nets for this cycle only (fault injection); forced
         DFF Q nets stay forced across the clock edge, i.e. a stuck state bit
-        remains stuck.  ``force_masks`` applies per-pattern-bit forcing
-        ``v = (v & and) | or`` (see :meth:`CombSimulator.run`), likewise
-        kept stuck across the edge for state nets.
+        remains stuck.
         """
-        if forced or force_masks:
-            values = self.comb.run(
-                inputs, self.n_patterns, state=self.state,
-                forced=forced, force_masks=force_masks,
-            )
+        if forced:
+            values = self.comb.run(inputs, self.n_patterns, state=self.state,
+                                   forced=forced)
         else:
             values = self._compiled.run(inputs, self.n_patterns,
                                         state=self.state)
@@ -68,9 +66,6 @@ class SequentialSimulator:
             new = values[dff.d]
             if forced and dff.q in forced:
                 new = forced[dff.q] & self._mask
-            if force_masks and dff.q in force_masks:
-                and_mask, or_mask = force_masks[dff.q]
-                new = (new & and_mask) | (or_mask & self._mask)
             self.state[dff.q] = new
         return values
 
@@ -99,7 +94,7 @@ class SequentialSimulator:
         """Apply per-cycle word inputs and collect one output bus per cycle."""
         lengths = {len(seq) for seq in bus_sequences.values()}
         if len(lengths) != 1:
-            raise ValueError("all input sequences must have equal length")
+            raise ConfigError("all input sequences must have equal length")
         n_cycles = lengths.pop()
         outputs: List[int] = []
         for t in range(n_cycles):

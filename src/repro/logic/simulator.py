@@ -63,7 +63,6 @@ class CombSimulator:
         n_patterns: int = 1,
         state: Optional[Mapping[int, int]] = None,
         forced: Optional[Mapping[int, int]] = None,
-        force_masks: Optional[Mapping[int, tuple]] = None,
     ) -> List[int]:
         """Evaluate all nets and return values indexed by net id.
 
@@ -71,9 +70,7 @@ class CombSimulator:
         ``state`` maps DFF Q net ids to packed values (defaults to each
         DFF's ``init`` replicated over all patterns); ``forced`` overrides
         the computed value of any net (applied to sources immediately and to
-        gate outputs as they are produced).  ``force_masks`` maps net id to
-        ``(and_mask, or_mask)`` pairs applied as ``v = (v & and) | or`` —
-        the per-pattern-bit forcing used by fault-parallel fault simulation.
+        gate outputs as they are produced).
         """
         width_mask = (1 << n_patterns) - 1
         values: List[int] = [0] * self.netlist.n_nets
@@ -87,22 +84,15 @@ class CombSimulator:
         if forced:
             for net, val in forced.items():
                 values[net] = val & width_mask
-        if force_masks:
-            for net, (and_mask, or_mask) in force_masks.items():
-                values[net] = (values[net] & and_mask) | (or_mask & width_mask)
         for gate in self.order:
             out = gate.output
             if forced and out in forced:
                 continue  # already pinned
-            value = eval_gate(
+            values[out] = eval_gate(
                 gate.kind,
                 [values[i] for i in gate.inputs],
                 width_mask,
             )
-            if force_masks and out in force_masks:
-                and_mask, or_mask = force_masks[out]
-                value = (value & and_mask) | (or_mask & width_mask)
-            values[out] = value
         return values
 
     def run_bus(

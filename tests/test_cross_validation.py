@@ -8,15 +8,20 @@ fault-parallel, the hierarchical simulator per component — and compares
 coverage per datapath region (the flat core's gates carry region
 provenance labels).
 
+The flat grade of that stream is also pinned fault by fault, by a
+digest of its per-fault first-detect map.
+
 The second half is a seeded differential sweep over structurally random
 netlists (:mod:`repro.logic.random_nets`): the interpreted simulator,
-the compiled evaluator and the sequential engine must agree
-bit-for-bit, pattern-parallel, across hundreds of seeds.  Any
-disagreeing netlist is dumped to ``tests/artifacts/`` as a JSON repro
-artifact (re-loadable via ``repro.lint.artifacts.netlist_from_doc``)
-before the assertion fires.
+the compiled evaluator, the sequential engine and the compiled forcing
+kernel must agree bit-for-bit, pattern-parallel, across hundreds of
+seeds, and the one-pass fault-parallel grader must reproduce a serial
+one-fault-at-a-time reference exactly.  Any disagreeing netlist is
+dumped to ``tests/artifacts/`` as a JSON repro artifact (re-loadable via
+``repro.lint.artifacts.netlist_from_doc``) before the assertion fires.
 """
 
+import hashlib
 import json
 import random
 from collections import defaultdict
@@ -28,9 +33,10 @@ from repro.bist.template import RandomLoad, TemplateArchitecture
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.dsp.isa import Instruction, Opcode
 from repro.faults.hierarchical import HierarchicalFaultSimulator
+from repro.faults.model import full_fault_list
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.lint.artifacts import netlist_from_doc
-from repro.logic.compiled import CompiledEvaluator
+from repro.logic.compiled import CompiledEvaluator, CompiledForcingKernel
 from repro.logic.random_nets import netlist_to_doc, random_netlist
 from repro.logic.sequential import SequentialSimulator
 from repro.logic.simulator import CombSimulator
@@ -60,11 +66,29 @@ def stream():
     return TemplateArchitecture(program).expand(8)
 
 
+#: Full-universe flat grade of :func:`stream`: cycles, faults, detected
+#: and the digest of the sorted ``(net, stuck_at, first-detect cycle or
+#: None)`` rows.  Recorded with the earlier grader, which simulated 63
+#: fault machines per pass through the interpreted simulator.
+FLAT_GOLDEN = (80, 4737, 1987, "9fdbbf8f1f50ec9e")
+
+
+def detect_map_digest(first_detect_cycle):
+    rows = sorted((f.net, f.stuck_at, c) for f, c in first_detect_cycle.items())
+    text = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
-def both_runs():
-    words = stream()
+def flat_run():
     flat = make_gatelevel_core()
-    flat_result = SeqFaultSimulator(flat).run_sequence({"instr": words})
+    return flat, SeqFaultSimulator(flat).run_sequence({"instr": stream()})
+
+
+@pytest.fixture(scope="module")
+def both_runs(flat_run):
+    words = stream()
+    flat, flat_result = flat_run
     flat_by_region = defaultdict(lambda: [0, 0])
     for fault, cycle in flat_result.first_detect_cycle.items():
         region = flat.net_regions.get(fault.net)
@@ -74,6 +98,13 @@ def both_runs():
         flat_by_region[region][0] += cycle is not None
     hier = HierarchicalFaultSimulator().run(words)
     return flat_by_region, hier.coverage_report().by_component
+
+
+def test_flat_grade_matches_golden_fault_by_fault(flat_run):
+    _, result = flat_run
+    got = (result.n_cycles, len(result.first_detect_cycle),
+           len(result.detected), detect_map_digest(result.first_detect_cycle))
+    assert got == FLAT_GOLDEN
 
 
 def test_per_component_coverage_agreement(both_runs):
@@ -166,16 +197,17 @@ def test_interpreted_vs_compiled_bit_for_bit(seed):
 
 @pytest.mark.parametrize("seed", range(N_SEQ_CASES))
 def test_sequential_engine_vs_reference_stepping(seed):
-    """The sequential engine (compiled fast path and the interpreted
-    forcing path) matches manual CombSimulator + DFF-update stepping."""
+    """The sequential engine and the forcing kernel (with identity
+    masks, which force no lane) match manual CombSimulator + DFF-update
+    stepping."""
     netlist = _seq_netlist(seed)
     n_cycles = 6
     mask = (1 << N_PATTERNS) - 1
     engine = SequentialSimulator(netlist, n_patterns=N_PATTERNS)
-    # Identity forcing on an input net pushes every cycle down the
-    # interpreted path without changing any value.
-    forced_engine = SequentialSimulator(netlist, n_patterns=N_PATTERNS)
-    identity = {netlist.inputs[0]: (mask, 0)}
+    kernel = CompiledForcingKernel(netlist)
+    keep_all = [mask] * netlist.n_nets
+    set_none = [0] * netlist.n_nets
+    kernel_values = kernel.reset(mask)
     reference = CombSimulator(netlist)
     state = {dff.q: (mask if dff.init else 0) for dff in netlist.dffs}
     per_cycle_inputs = []
@@ -183,15 +215,60 @@ def test_sequential_engine_vs_reference_stepping(seed):
         inputs = _stimulus(netlist, (seed, cycle))
         per_cycle_inputs.append({str(k): v for k, v in inputs.items()})
         got = engine.step(inputs)
-        got_forced = forced_engine.step(inputs, force_masks=identity)
+        for net, value in inputs.items():
+            kernel_values[net] = value
+        kernel.step(kernel_values, keep_all, set_none, mask)
         want = reference.run(inputs, N_PATTERNS, state=state)
-        if got != want or got_forced != want:
+        if got != want or kernel_values != want:
             path = _dump_failure(netlist, seed, engine="sequential",
                                  cycle=cycle, inputs=per_cycle_inputs)
             pytest.fail(f"seed {seed}: divergence at cycle {cycle}; "
                         f"repro dumped to {path}")
+        kernel.latch(kernel_values)
         state = {dff.q: want[dff.d] & mask for dff in netlist.dffs}
-    assert engine.state == state == forced_engine.state
+    assert engine.state == state \
+        == {dff.q: kernel_values[dff.q] for dff in netlist.dffs}
+
+
+def _serial_first_detect(netlist, words, faults):
+    """Reference grader: each fault alone, stepped with ``forced`` on the
+    sequential engine, compared against the good machine's outputs."""
+    bus = netlist.buses["in"]
+
+    def output_trace(forced):
+        sim = SequentialSimulator(netlist)
+        for word in words:
+            values = sim.step({net: (word >> i) & 1
+                               for i, net in enumerate(bus)}, forced=forced)
+            yield [values[o] for o in netlist.outputs]
+
+    good = list(output_trace(None))
+    return {
+        fault: next((t for t, outs in enumerate(
+            output_trace({fault.net: fault.stuck_at})) if outs != good[t]),
+            None)
+        for fault in faults
+    }
+
+
+@pytest.mark.parametrize("seed", range(N_SEQ_CASES))
+def test_one_pass_grader_vs_serial_reference(seed):
+    """Every fault in one lane set gives the same first-detect map as
+    grading each fault on its own."""
+    netlist = _seq_netlist(seed)
+    rng = random.Random(("grade", seed).__repr__())
+    words = [rng.randrange(1 << len(netlist.inputs)) for _ in range(12)]
+    faults = full_fault_list(netlist)
+    got = SeqFaultSimulator(netlist).run_sequence(
+        {"in": words}, faults=faults).first_detect_cycle
+    want = _serial_first_detect(netlist, words, faults)
+    if got != want:
+        bad = [f"{f.describe(netlist)}: {got[f]} vs {want[f]}"
+               for f in faults if got[f] != want[f]]
+        path = _dump_failure(netlist, seed, engine="seqsim", words=words,
+                             mismatched_faults=bad)
+        pytest.fail(f"seed {seed}: {len(bad)} fault(s) disagree "
+                    f"(first: {bad[:5]}); repro dumped to {path}")
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])

@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.logic.builder import NetlistBuilder
+from repro.logic.sequential import SequentialSimulator
 from repro.rtl.arith import make_addsub
 from repro.rtl.register import make_register
+from repro.runtime.errors import ConfigError
 
 
 def accumulator4():
@@ -89,20 +92,6 @@ def test_matches_combinational_on_pure_comb_netlist():
             assert cycle == first[fault], fault
 
 
-def test_chunking_many_passes():
-    """Results must be identical regardless of machines_per_pass."""
-    nl = accumulator4()
-    stimulus = {"in": [1, 2, 3, 4, 5, 6, 7, 8]}
-    wide = SeqFaultSimulator(nl, machines_per_pass=63).run_sequence(stimulus)
-    narrow = SeqFaultSimulator(nl, machines_per_pass=2).run_sequence(stimulus)
-    assert wide.first_detect_cycle == narrow.first_detect_cycle
-
-
-def test_bad_machines_per_pass():
-    with pytest.raises(ValueError):
-        SeqFaultSimulator(accumulator4(), machines_per_pass=0)
-
-
 def test_mismatched_sequence_lengths_rejected():
     sim = SeqFaultSimulator(make_register(2))
     with pytest.raises(ValueError):
@@ -117,3 +106,65 @@ def test_result_properties():
         sim.fault_list.faults
     )
     assert result.n_cycles == 2
+
+
+@pytest.mark.parametrize("stimulus, faults, offender", [
+    pytest.param({"d": [1], "en": [1], "bogus": [0]}, None, "'bogus'",
+                 id="unknown-bus"),
+    pytest.param({"d": [1], "en": [1], "q": [0]}, None, "'q'",
+                 id="bus-not-primary-inputs"),
+    pytest.param({"d": [1]}, None, "'en'", id="undriven-primary-input"),
+    pytest.param({}, None, "empty stimulus", id="empty-stimulus"),
+    pytest.param({"d": [1], "en": [1]}, [Fault(10_000, 0)], "'#10000'",
+                 id="fault-not-on-a-site"),
+])
+def test_bad_input_raises_one_config_error(stimulus, faults, offender):
+    sim = SeqFaultSimulator(make_register(2))
+    with pytest.raises(ConfigError, match=offender):
+        sim.run_sequence(stimulus, faults=faults)
+
+
+def test_sequential_simulator_length_mismatch_is_config_error():
+    sim = SequentialSimulator(make_register(2))
+    with pytest.raises(ConfigError, match="equal length"):
+        sim.run_sequence({"d": [1, 2], "en": [1]}, output_bus="q")
+
+
+def test_survivor_regrading_reuses_one_instance():
+    """Re-grading a shrinking survivor set on one instance (E5's random
+    phase) matches grading each subset on a fresh simulator."""
+    nl = accumulator4()
+    sim = SeqFaultSimulator(nl)
+    rng = random.Random(5)
+    survivors = list(sim.fault_list.faults)
+    for _ in range(3):
+        stimulus = {"in": [rng.randrange(16) for _ in range(3)]}
+        result = sim.run_sequence(stimulus, faults=survivors)
+        fresh = SeqFaultSimulator(nl).run_sequence(stimulus, faults=survivors)
+        assert result.first_detect_cycle == fresh.first_detect_cycle
+        survivors = result.undetected
+
+
+def test_observability_records_sections_and_counters():
+    """Armed obs records the grader's sections and counters; results are
+    identical with obs on and off, and nothing is recorded when off."""
+    nl = accumulator4()
+    stimulus = {"in": [1, 2, 3, 4, 5, 6, 7, 8]}
+    obs.disable()
+    off = SeqFaultSimulator(nl).run_sequence(stimulus,
+                                             stop_when_all_detected=False)
+    assert obs.profile_timings() == {}
+    with obs.enabled_session(trace=False) as session:
+        sim = SeqFaultSimulator(nl)
+        on = sim.run_sequence(stimulus, stop_when_all_detected=False)
+        assert on.undetected  # so the second call grades, for all 8 cycles
+        sim.run_sequence(stimulus, faults=on.undetected)
+    assert on.first_detect_cycle == off.first_detect_cycle
+    timings = session.profiler.timings()
+    assert timings["sim.seq.compile"]["calls"] == 1   # compiled once
+    assert timings["sim.seq.grade"]["calls"] == 2
+    counters = session.registry.counters
+    n_faults = len(sim.fault_list.faults)
+    assert counters["sim.seq.faults_graded"].value \
+        == n_faults + len(on.undetected)
+    assert counters["sim.seq.cycles"].value == 2 * len(stimulus["in"])

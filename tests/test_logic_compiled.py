@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.logic import compiled as compiled_module
 from repro.logic.compiled import CompiledEvaluator, CompiledEvaluator3
 from repro.logic.simulator import CombSimulator
 from repro.rtl.arith import make_addsub
@@ -32,6 +33,18 @@ def test_compiled_pattern_parallel():
     rng = random.Random(1)
     inputs = {net: rng.getrandbits(64) for net in nl.inputs}
     assert compiled.run(inputs, 64) == interp.run(inputs, 64)
+
+
+def test_chunked_compile_matches_interpreted(monkeypatch):
+    """A body longer than one chunk compiles to several functions that
+    still run in order."""
+    monkeypatch.setattr(compiled_module, "MAX_STATEMENTS", 7)
+    nl = make_multiplier(4, 8)
+    assert len(nl.gates) > 7 * 3
+    rng = random.Random(2)
+    inputs = {net: rng.getrandbits(64) for net in nl.inputs}
+    assert CompiledEvaluator(nl).run(inputs, 64) \
+        == CombSimulator(nl).run(inputs, 64)
 
 
 def test_compiled3_full_assignment_matches_binary():

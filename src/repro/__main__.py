@@ -17,15 +17,6 @@ Commands cover the everyday flows:
   and component netlists (see :mod:`repro.analysis.testability`);
 * ``chaos`` — seeded fault-injection soak of the campaign runtime
   itself (see :mod:`repro.runtime.chaos`);
-* ``serve`` / ``submit`` / ``status`` / ``cancel`` — the crash-safe
-  campaign service: a persistent job queue with lease-based workers
-  (see :mod:`repro.runtime.service`); ``serve --soak`` is the
-  scheduler-level chaos soak and ``serve --soak --distributed`` the
-  multi-worker transport soak (see :mod:`repro.runtime.worker`);
-* ``worker`` — a remote campaign worker: connects to a serving
-  scheduler over the length-prefixed frame transport
-  (:mod:`repro.runtime.transport`), leases jobs, streams heartbeats
-  and uploads results into the content-addressed artifact store;
 * ``export-verilog`` — write the flat gate-level core as Verilog.
 """
 
@@ -34,11 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-#: ``serve --soak --inject`` default; ``--distributed`` swaps in the
-#: transport-aware class list when the user did not pick their own.
-_SOAK_INJECT_DEFAULT = ("kill,scheduler_crash,lease_lost,"
-                        "heartbeat_delay,queue_torn_write")
 
 
 def _cmd_table1(args) -> int:
@@ -338,258 +324,11 @@ def _cmd_chaos(args) -> int:
                 print(f"VIOLATION campaign {campaign.index} "
                       f"(seed {campaign.seed}): {violation.describe()}",
                       file=sys.stderr)
+        for name in report.unfired():
+            print(f"UNFIRED: chaos class {name} never fired in "
+                  f"{len(report.campaigns)} campaigns, so the soak "
+                  "tested nothing for it", file=sys.stderr)
         return 1
-    return 0
-
-
-def _service_soak(args) -> int:
-    import json as _json
-    from repro.runtime.chaos import parse_classes
-    from repro.runtime.errors import ConfigError
-    from repro.runtime.service import run_service_soak
-
-    if args.seed is None:
-        raise ConfigError("serve --soak requires --seed")
-    classes = parse_classes(args.inject)
-    print(f"service soak: {args.campaigns} campaigns x {args.units} "
-          f"units, seed {args.seed}, injecting {','.join(classes)}")
-    report = run_service_soak(
-        seed=args.seed, campaigns=args.campaigns, n_units=args.units,
-        classes=classes, probability=args.probability,
-        max_per_class=args.max_per_class, scratch=args.scratch,
-        progress=print if args.verbose else None,
-    )
-    print(report.summary())
-    print(f"disruptions (crashes + reclaims): {report.n_disruptions}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            _json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote service soak report to {args.report}")
-    if not report.ok():
-        for violation in report.violations:
-            print(f"VIOLATION: {violation.describe()}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _distributed_soak(args) -> int:
-    import json as _json
-    from repro.runtime.chaos import DISTRIBUTED_SOAK_CLASSES, parse_classes
-    from repro.runtime.errors import ConfigError
-    from repro.runtime.worker import run_distributed_soak
-
-    if args.seed is None:
-        raise ConfigError("serve --soak requires --seed")
-    inject = args.inject
-    if inject == _SOAK_INJECT_DEFAULT:
-        inject = ",".join(DISTRIBUTED_SOAK_CLASSES)
-    classes = parse_classes(inject)
-    print(f"distributed soak: {args.campaigns} campaigns x "
-          f"{args.units} units over {args.workers} workers, "
-          f"seed {args.seed}, injecting {','.join(classes)}")
-    report = run_distributed_soak(
-        seed=args.seed, campaigns=args.campaigns, n_units=args.units,
-        workers=args.workers, classes=classes,
-        probability=args.probability, max_per_class=args.max_per_class,
-        scratch=args.scratch,
-        progress=print if args.verbose else None,
-    )
-    print(report.summary())
-    print(f"disruptions (scheduler crashes + host losses + reclaims): "
-          f"{report.n_disruptions}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            _json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote distributed soak report to {args.report}")
-    if not report.ok():
-        for violation in report.violations:
-            print(f"VIOLATION: {violation.describe()}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    import signal
-    from repro.runtime.errors import ConfigError
-    from repro.runtime.service import (
-        SchedulerService,
-        ServiceConfig,
-        serve_until_drained,
-    )
-
-    if args.soak:
-        if args.distributed:
-            return _distributed_soak(args)
-        return _service_soak(args)
-    if args.distributed:
-        raise ConfigError("--distributed only applies to serve --soak")
-    if not args.journal:
-        raise ConfigError("serve requires --journal (or --soak)")
-    if args.remote_only and not args.listen:
-        raise ConfigError("serve --remote-only requires --listen "
-                          "(a pure scheduler with no transport would "
-                          "never run anything)")
-
-    config = ServiceConfig(
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat_interval,
-        max_job_retries=args.max_job_retries,
-    )
-    service = SchedulerService(args.journal, config=config)
-    server = None
-    store = None
-    if args.listen:
-        from repro.runtime.artifacts import ArtifactStore
-        from repro.runtime.transport import (
-            SchedulerEndpoint,
-            TransportServer,
-        )
-        artifact_root = args.artifacts or args.journal + ".artifacts"
-        store = ArtifactStore(artifact_root)
-        endpoint = SchedulerEndpoint(service, artifacts=store)
-        server = TransportServer(endpoint, args.listen)
-
-    def on_sigterm(signum, frame):
-        # Only a flag flip here: journal appends from inside a signal
-        # handler could interleave with an append already in flight.
-        # serve_until_drained journals the drain AND pushes a drain
-        # frame to every connected remote worker.
-        service.request_drain()
-
-    previous = signal.signal(signal.SIGTERM, on_sigterm)
-    try:
-        print(f"serving {args.journal} (epoch {service.epoch}, "
-              f"{service.queue_depth()} jobs queued)")
-        if server is not None:
-            print(f"listening on {server.address} "
-                  f"(artifacts: {store.root})")
-        outcome = serve_until_drained(
-            service, poll_seconds=args.poll,
-            idle_exit=not args.no_idle_exit,
-            server=server,
-            local_worker=not args.remote_only,
-        )
-        rows = service.status_rows()
-        done = sum(1 for r in rows if r["status"] == "done")
-        print(f"serve: {outcome} ({done}/{len(rows)} jobs done)")
-        return 0
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        if server is not None:
-            server.stop()
-        if store is not None:
-            store.close()
-        service.close()
-
-
-def _cmd_worker(args) -> int:
-    from repro.runtime.transport import RetryPolicy
-    from repro.runtime.worker import run_worker
-
-    policy = RetryPolicy(
-        max_attempts=args.rpc_retries,
-        rpc_timeout=args.rpc_timeout,
-        deadline=args.rpc_deadline,
-    )
-    policy.validate()
-    outcome = run_worker(
-        args.connect,
-        worker_id=args.id,
-        policy=policy,
-        reconnect_seconds=args.reconnect,
-        max_idle=args.max_idle,
-        poll_seconds=args.poll,
-        seed=args.seed,
-        progress=print if args.verbose else None,
-    )
-    counts = outcome["outcomes"]
-    print(f"worker {outcome['worker']}: {outcome['status']} "
-          f"({sum(counts.values())} jobs: {counts})")
-    # "drained" and "idle" are orderly exits; losing the scheduler for
-    # longer than --reconnect is an error the supervisor should see.
-    return 0 if outcome["status"] in ("drained", "idle") else 1
-
-
-def _cmd_submit(args) -> int:
-    import os as _os
-    from repro.runtime.queue import JobJournal
-    from repro.runtime.service import JOB_KINDS, JobSpec
-
-    checkpoint = args.checkpoint
-    if checkpoint is None:
-        checkpoint = _os.path.join(args.journal + ".jobs",
-                                   f"{args.job}.jsonl")
-        _os.makedirs(_os.path.dirname(checkpoint), exist_ok=True)
-    params = {}
-    if args.unit_seconds:
-        params["unit_seconds"] = args.unit_seconds
-    spec = JobSpec(job_id=args.job, kind=args.kind, seed=args.seed,
-                   n_units=args.units, checkpoint=checkpoint,
-                   params=params)
-    if spec.kind not in JOB_KINDS:
-        from repro.runtime.errors import ConfigError
-        raise ConfigError(f"unknown job kind {spec.kind!r}")
-    path = JobJournal(args.journal).spool_request(
-        {"op": "submit", "spec": spec.to_json()}, name=f"{args.job}.json")
-    print(f"spooled submit of job {args.job!r} -> {path}")
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    from repro.runtime.queue import JobJournal
-    path = JobJournal(args.journal).spool_request(
-        {"op": "cancel", "job": args.job},
-        name=f"{args.job}.cancel.json")
-    print(f"spooled cancel of job {args.job!r} -> {path}")
-    return 0
-
-
-def _cmd_status(args) -> int:
-    import json as _json
-    from repro.harness.reporting import format_table
-    from repro.runtime.service import journal_status, verify_journal
-    from repro.runtime.transport import journal_worker_rows
-
-    rows = journal_status(args.journal)
-    worker_rows = journal_worker_rows(args.journal) \
-        if args.workers else []
-    violations = verify_journal(
-        args.journal, require_terminal=args.require_terminal) \
-        if args.verify else []
-    if args.json:
-        doc = {
-            "jobs": rows,
-            "violations": [v.to_json() for v in violations],
-        }
-        if args.workers:
-            doc["workers"] = worker_rows
-        print(_json.dumps(doc, indent=2))
-    else:
-        columns = ("job", "kind", "status", "attempts", "failures",
-                   "reclaims", "fenced", "units_ok", "units_degraded",
-                   "units_quarantined", "units_retried",
-                   "leaked_threads")
-        print(format_table(
-            columns, [tuple(r[c] for c in columns) for r in rows]))
-        terminal = sum(1 for r in rows if r["status"] in
-                       ("done", "quarantined", "cancelled"))
-        print(f"{len(rows)} jobs, {terminal} terminal")
-        if args.workers:
-            wcolumns = ("worker", "host", "pid", "registrations",
-                        "leases", "done", "failed", "released",
-                        "fenced", "reclaimed", "last_seen_age")
-            print(f"\n{len(worker_rows)} worker(s) seen:")
-            print(format_table(wcolumns, [
-                tuple(r[c] for c in wcolumns) for r in worker_rows]))
-    if args.verify:
-        for violation in violations:
-            print(f"VIOLATION: {violation.describe()}", file=sys.stderr)
-        if violations:
-            return 1
-        if not args.json:
-            print("service invariants: OK")
     return 0
 
 
@@ -905,158 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print one line per campaign")
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser("serve",
-                       help="run the crash-safe campaign scheduler over "
-                            "a persistent job journal (--soak: chaos-"
-                            "soak the scheduler itself)")
-    p.add_argument("--journal", metavar="FILE",
-                   help="the service's job journal (created if missing; "
-                        "an existing journal is replayed to recover)")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="lease time-to-live; an unrenewed lease is "
-                        "reclaimed after this long (default 30)")
-    p.add_argument("--heartbeat-interval", type=float, default=5.0,
-                   metavar="SECONDS",
-                   help="intended renewal cadence (default 5; must be "
-                        "well under --lease-ttl, see lint CMP005)")
-    p.add_argument("--max-job-retries", type=int, default=3, metavar="N",
-                   help="failed attempts before a job is quarantined "
-                        "as poison (default 3)")
-    p.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                   help="idle polling interval (default 0.2)")
-    p.add_argument("--no-idle-exit", action="store_true",
-                   help="keep serving after every job is terminal "
-                        "(wait for more submissions)")
-    p.add_argument("--listen", metavar="ADDR",
-                   help="also accept remote workers over the frame "
-                        "transport: HOST:PORT for TCP (port 0 picks a "
-                        "free one) or unix:/path for a UNIX socket")
-    p.add_argument("--artifacts", metavar="DIR",
-                   help="content-addressed result store for remote "
-                        "uploads (default: <journal>.artifacts)")
-    p.add_argument("--remote-only", action="store_true",
-                   help="run no local worker; remote workers (repro "
-                        "worker --connect) do all the work "
-                        "(requires --listen)")
-    p.add_argument("--soak", action="store_true",
-                   help="run the scheduler chaos soak instead of a "
-                        "real service (deterministic, virtual-clock)")
-    p.add_argument("--distributed", action="store_true",
-                   help="soak: soak the multi-worker transport tier "
-                        "instead (partitions, duplicated/reordered "
-                        "frames, worker host losses, golden-twin "
-                        "audit of every campaign)")
-    p.add_argument("--workers", type=int, default=3, metavar="N",
-                   help="distributed soak: remote workers (default 3)")
-    p.add_argument("--seed", type=int,
-                   help="soak: master seed for the failure schedule")
-    p.add_argument("--campaigns", type=int, default=25, metavar="K",
-                   help="soak: service campaigns to run (default 25)")
-    p.add_argument("--units", type=int, default=8, metavar="N",
-                   help="soak: work units per campaign (default 8)")
-    p.add_argument("--inject",
-                   default=_SOAK_INJECT_DEFAULT,
-                   metavar="CLASSES",
-                   help="soak: comma-separated failure classes "
-                        "(--distributed defaults to the transport-"
-                        "aware class list)")
-    p.add_argument("--probability", type=float, default=0.4,
-                   help="soak: repeat-injection probability in [0, 1)")
-    p.add_argument("--max-per-class", type=int, default=None,
-                   metavar="N",
-                   help="soak: injection budget per class (default: "
-                        "scales with --campaigns)")
-    p.add_argument("--scratch", metavar="DIR",
-                   help="soak: scratch directory (default: private "
-                        "temp dir, removed after)")
-    p.add_argument("--report", metavar="FILE",
-                   help="soak: write the JSON soak report here")
-    p.add_argument("--verbose", action="store_true",
-                   help="soak: print per-event progress")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("worker",
-                       help="connect to a serving scheduler over the "
-                            "frame transport and run leased jobs "
-                            "until drained")
-    p.add_argument("--connect", required=True, metavar="ADDR",
-                   help="scheduler address: HOST:PORT or unix:/path "
-                        "(must match the scheduler's --listen)")
-    p.add_argument("--id", metavar="NAME",
-                   help="stable worker id (default: <hostname>-<pid>)")
-    p.add_argument("--reconnect", type=float, default=60.0,
-                   metavar="SECONDS",
-                   help="keep retrying a dead scheduler this long "
-                        "before giving up (default 60; rides out a "
-                        "kill -9 + restart)")
-    p.add_argument("--max-idle", type=int, default=None, metavar="N",
-                   help="exit after N consecutive empty lease polls "
-                        "(default: wait forever for work)")
-    p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                   help="idle/reconnect polling interval (default 0.5)")
-    p.add_argument("--rpc-timeout", type=float, default=5.0,
-                   metavar="SECONDS",
-                   help="per-RPC socket timeout (default 5)")
-    p.add_argument("--rpc-retries", type=int, default=5, metavar="N",
-                   help="attempts per RPC before the call fails "
-                        "(default 5, exponential backoff + jitter)")
-    p.add_argument("--rpc-deadline", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="overall deadline across one RPC's retries "
-                        "(default 30)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for retry jitter (deterministic tests)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-job progress lines")
-    p.set_defaults(func=_cmd_worker)
-
-    p = sub.add_parser("submit",
-                       help="spool one campaign job for a running (or "
-                            "future) scheduler to ingest")
-    p.add_argument("--journal", required=True, metavar="FILE",
-                   help="the target service's job journal path")
-    p.add_argument("--job", required=True, metavar="ID",
-                   help="job id (submission is idempotent per id)")
-    p.add_argument("--kind", default="soak",
-                   choices=("soak", "grade"),
-                   help="workload kind (default soak)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--units", type=int, default=8, metavar="N",
-                   help="work units in the campaign (default 8)")
-    p.add_argument("--checkpoint", metavar="FILE",
-                   help="campaign checkpoint path (default: "
-                        "<journal>.jobs/<job>.jsonl)")
-    p.add_argument("--unit-seconds", type=float, default=0.0,
-                   metavar="S",
-                   help="sleep per unit (lets tests kill the scheduler "
-                        "mid-campaign)")
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("status",
-                       help="per-job service status (read-only; safe "
-                            "while a scheduler is live)")
-    p.add_argument("--journal", required=True, metavar="FILE")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output")
-    p.add_argument("--verify", action="store_true",
-                   help="also audit the journal's scheduler invariants "
-                        "(exit 1 on any violation)")
-    p.add_argument("--require-terminal", action="store_true",
-                   help="with --verify: a non-terminal job is a "
-                        "violation (for finished soaks)")
-    p.add_argument("--workers", action="store_true",
-                   help="also print per-worker transport health "
-                        "(registrations, leases, fenced writes, "
-                        "last-heartbeat age) replayed from the journal")
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser("cancel",
-                       help="spool a cancellation for one job")
-    p.add_argument("--journal", required=True, metavar="FILE")
-    p.add_argument("--job", required=True, metavar="ID")
-    p.set_defaults(func=_cmd_cancel)
 
     p = sub.add_parser("constraints",
                        help="control-bit constraint study (Phase 3)")

@@ -19,17 +19,8 @@ Rules:
   create (missing parent directory, ``.tmp`` / ``.shard-`` suffixes used
   by atomic replace and the process-pool shards);
 * ``CMP004`` — unusable chaos-injection policies (probability ≥ 1.0,
-  missing seed, a checkpoint inside the chaos scratch directory that
-  the soak deletes on exit);
-* ``CMP005`` — scheduler-service policies that defeat the service's
-  own crash-safety (a lease TTL the heartbeat cadence cannot keep
-  renewed, a zero job-retry budget, a job journal inside the chaos
-  scratch directory);
-* ``CMP006`` — transport/worker policies that defeat the distributed
-  tier's fault tolerance (an RPC timeout at or above the heartbeat
-  cadence, a zero transport retry budget, a retry deadline shorter
-  than one RPC attempt, an artifact store inside the chaos scratch
-  directory).
+  missing seed, unknown failure class names, a checkpoint inside the
+  chaos scratch directory that the soak deletes on exit).
 """
 
 from __future__ import annotations
@@ -58,14 +49,6 @@ class CampaignConfig:
     #: The ``"chaos"`` block of the campaign entry, when present — the
     #: injection policy :mod:`repro.runtime.chaos` would run with.
     chaos: Optional[Any] = None
-    #: The ``"service"`` block, when present — the scheduler policy
-    #: (:class:`repro.runtime.service.ServiceConfig`) the campaign
-    #: would be submitted under.
-    service: Optional[Any] = None
-    #: The ``"transport"`` block, when present — the remote-worker RPC
-    #: policy (:class:`repro.runtime.transport.RetryPolicy` plus the
-    #: artifact-store path) the campaign's workers would connect with.
-    transport: Optional[Any] = None
 
     @classmethod
     def from_adapter(cls, name: str, campaign: Any) -> "CampaignConfig":
@@ -92,8 +75,6 @@ class CampaignConfig:
             jobs=int(doc.get("jobs", 1)),
             max_retries=int(doc.get("max_retries", 2)),
             chaos=doc.get("chaos"),
-            service=doc.get("service"),
-            transport=doc.get("transport"),
         )
 
 
@@ -247,6 +228,20 @@ def check_chaos_policy(
                 hint="set an integer seed (the soak derives per-campaign "
                      "seeds from it)",
             )
+        classes = doc.get("classes")
+        if isinstance(classes, list):
+            from repro.runtime.chaos import CLASS_POINTS
+            unknown = [name for name in classes
+                       if not isinstance(name, str)
+                       or name not in CLASS_POINTS]
+            if unknown:
+                yield finding(
+                    "CMP004", _loc(config, "chaos.classes"),
+                    f"unknown chaos class(es) "
+                    f"{', '.join(map(str, unknown))}: the soak rejects "
+                    "this config before injecting anything",
+                    hint=f"use classes from {', '.join(CLASS_POINTS)}",
+                )
         scratch = doc.get("scratch")
         if scratch and config.checkpoint:
             checkpoint = os.path.abspath(config.checkpoint)
@@ -259,171 +254,6 @@ def check_chaos_policy(
                     "deletes on exit — the campaign's durable state is "
                     "destroyed with the chaos debris",
                     hint="point the checkpoint outside the scratch "
-                         "directory",
-                )
-
-
-# ----------------------------------------------------------------------
-# CMP005 — self-defeating scheduler-service policies
-# ----------------------------------------------------------------------
-@rule("CMP005", "campaign", Severity.ERROR,
-      "scheduler-service policy defeats its own crash-safety")
-def check_service_policy(
-    configs: Sequence[CampaignConfig],
-) -> Iterator[Finding]:
-    for config in configs:
-        doc = config.service
-        if doc is None:
-            continue
-        if not isinstance(doc, dict):
-            yield finding(
-                "CMP005", _loc(config, "service"),
-                f"service block must be an object, got "
-                f"{type(doc).__name__}",
-                hint="use {\"lease_ttl\": ..., "
-                     "\"heartbeat_interval\": ..., ...}",
-            )
-            continue
-        ttl = doc.get("lease_ttl")
-        heartbeat = doc.get("heartbeat_interval")
-        for field_name, value in (("lease_ttl", ttl),
-                                  ("heartbeat_interval", heartbeat)):
-            if isinstance(value, (int, float)) and value <= 0:
-                yield finding(
-                    "CMP005", _loc(config, f"service.{field_name}"),
-                    f"{field_name}={value!r}: a non-positive interval "
-                    "makes every lease instantly reclaimable (or never "
-                    "renewed), so jobs thrash between workers forever",
-                    hint="both intervals must be positive seconds",
-                )
-        if isinstance(ttl, (int, float)) and ttl > 0 \
-                and isinstance(heartbeat, (int, float)) \
-                and heartbeat > 0 and ttl <= heartbeat:
-            yield finding(
-                "CMP005", _loc(config, "service.lease_ttl"),
-                f"lease_ttl={ttl!r} <= heartbeat_interval={heartbeat!r}: "
-                "every lease expires before its first renewal arrives, "
-                "so healthy workers are perpetually fenced off and the "
-                "job is reclaimed mid-run on every attempt",
-                hint="keep the TTL several heartbeats long (e.g. "
-                     "ttl >= 3 * heartbeat_interval)",
-            )
-        retries = doc.get("max_job_retries")
-        if isinstance(retries, int) and retries == 0:
-            yield finding(
-                "CMP005", _loc(config, "service.max_job_retries"),
-                "max_job_retries=0: the first failed attempt quarantines "
-                "the job, so one transient infrastructure error "
-                "permanently poisons a healthy campaign",
-                hint="budget at least one retry; reclaims are free but "
-                     "failures are not",
-                severity=Severity.WARNING,
-            )
-        journal = doc.get("journal")
-        chaos_doc = config.chaos if isinstance(config.chaos, dict) else {}
-        scratch = chaos_doc.get("scratch")
-        if journal and scratch:
-            journal_abs = os.path.abspath(journal)
-            root = os.path.abspath(scratch)
-            if os.path.commonpath([journal_abs, root]) == root:
-                yield finding(
-                    "CMP005", _loc(config, "service.journal"),
-                    f"job journal {journal!r} lives inside the chaos "
-                    f"scratch directory {scratch!r}, which the soak "
-                    "deletes on exit — the whole queue's durable state "
-                    "(every job, lease and retry counter) is destroyed "
-                    "with the chaos debris",
-                    hint="point the journal outside the scratch directory",
-                )
-
-
-# ----------------------------------------------------------------------
-# CMP006 — self-defeating transport/worker policies
-# ----------------------------------------------------------------------
-@rule("CMP006", "campaign", Severity.ERROR,
-      "transport/worker policy defeats the distributed tier's "
-      "fault tolerance")
-def check_transport_policy(
-    configs: Sequence[CampaignConfig],
-) -> Iterator[Finding]:
-    for config in configs:
-        doc = config.transport
-        if doc is None:
-            continue
-        if not isinstance(doc, dict):
-            yield finding(
-                "CMP006", _loc(config, "transport"),
-                f"transport block must be an object, got "
-                f"{type(doc).__name__}",
-                hint="use {\"rpc_timeout\": ..., \"max_attempts\": ..., "
-                     "\"deadline\": ..., \"artifacts\": ...}",
-            )
-            continue
-        rpc_timeout = doc.get("rpc_timeout")
-        service_doc = config.service \
-            if isinstance(config.service, dict) else {}
-        heartbeat = service_doc.get("heartbeat_interval")
-        if isinstance(rpc_timeout, (int, float)) and rpc_timeout <= 0:
-            yield finding(
-                "CMP006", _loc(config, "transport.rpc_timeout"),
-                f"rpc_timeout={rpc_timeout!r}: every RPC gives up "
-                "before the scheduler can answer, so no worker ever "
-                "registers",
-                hint="the per-attempt socket timeout must be positive",
-            )
-        elif isinstance(rpc_timeout, (int, float)) \
-                and isinstance(heartbeat, (int, float)) \
-                and heartbeat > 0 and rpc_timeout >= heartbeat:
-            yield finding(
-                "CMP006", _loc(config, "transport.rpc_timeout"),
-                f"rpc_timeout={rpc_timeout!r} >= "
-                f"heartbeat_interval={heartbeat!r}: one stalled "
-                "heartbeat RPC blocks past its own cadence, renewals "
-                "fall behind and the lease expires under a perfectly "
-                "healthy worker — the scheduler then reclaims and "
-                "re-runs work that was never lost",
-                hint="keep the RPC timeout well under one heartbeat "
-                     "interval so a stall skips at most one renewal",
-            )
-        attempts = doc.get("max_attempts")
-        if isinstance(attempts, int) and attempts < 1:
-            yield finding(
-                "CMP006", _loc(config, "transport.max_attempts"),
-                f"max_attempts={attempts!r}: a zero transport retry "
-                "budget turns every dropped frame into a lost lease — "
-                "the whole point of the retry/idempotency layer is "
-                "that one partition blip is survivable",
-                hint="budget at least 2 attempts (retries are "
-                     "idempotent on the journal)",
-            )
-        deadline = doc.get("deadline")
-        if isinstance(deadline, (int, float)) \
-                and isinstance(rpc_timeout, (int, float)) \
-                and rpc_timeout > 0 and deadline < rpc_timeout:
-            yield finding(
-                "CMP006", _loc(config, "transport.deadline"),
-                f"deadline={deadline!r} < rpc_timeout={rpc_timeout!r}: "
-                "the overall retry deadline expires before a single "
-                "attempt is allowed to finish, so the configured "
-                "retries can never happen",
-                hint="give the deadline room for at least two full "
-                     "attempts plus backoff",
-            )
-        artifacts = doc.get("artifacts")
-        chaos_doc = config.chaos if isinstance(config.chaos, dict) else {}
-        scratch = chaos_doc.get("scratch")
-        if artifacts and scratch:
-            artifacts_abs = os.path.abspath(artifacts)
-            root = os.path.abspath(scratch)
-            if os.path.commonpath([artifacts_abs, root]) == root:
-                yield finding(
-                    "CMP006", _loc(config, "transport.artifacts"),
-                    f"artifact store {artifacts!r} lives inside the "
-                    f"chaos scratch directory {scratch!r}, which the "
-                    "soak deletes on exit — every uploaded result "
-                    "blob and the hash-chained manifest are destroyed "
-                    "with the chaos debris",
-                    hint="point the artifact store outside the scratch "
                          "directory",
                 )
 

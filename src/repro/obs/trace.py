@@ -93,6 +93,9 @@ class Tracer:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.root_id = _derive_id(seed, "", "root", "")
+        #: Parent of spans opened on an empty stack: the root, or in a
+        #: pool worker the span that was open when the worker forked.
+        self._base_id = self.root_id
         self._records: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -107,7 +110,7 @@ class Tracer:
 
     def current_id(self) -> str:
         stack = self._stack()
-        return stack[-1].span_id if stack else self.root_id
+        return stack[-1].span_id if stack else self._base_id
 
     def depth(self) -> int:
         return len(self._stack())
@@ -171,7 +174,11 @@ class Tracer:
             return list(self._records)
 
     def reset_after_fork(self) -> None:
-        """Drop records inherited copy-on-write from the parent process."""
+        """Drop records inherited copy-on-write from the parent process.
+
+        The worker's spans hang off the span open in the forking thread
+        (the campaign), so a unit keeps the id it has serially."""
+        self._base_id = self.current_id()
         self._records = []
         self._lock = threading.Lock()
         self._local = threading.local()

@@ -12,12 +12,6 @@ Campaigns scale across cores through the process-pool backend
 compiled evaluators and good-machine traces through the
 content-addressed caches in :mod:`repro.runtime.cache`.
 
-Populations of campaigns run under the crash-safe scheduler service
-(:mod:`repro.runtime.service`): a persistent hash-chained job journal
-(:mod:`repro.runtime.queue`), time-bounded fenced leases
-(:mod:`repro.runtime.lease`), heartbeat renewal and reclamation, retry
-with backoff and poison-job quarantine — ``repro serve`` on the CLI.
-
 The package also owns the structured exception hierarchy
 (:class:`ReproError` and friends) used across the whole reproduction.
 """
@@ -29,14 +23,10 @@ from repro.runtime.errors import (
     CampaignError,
     CheckpointCorruptError,
     ConfigError,
-    DrainRequested,
-    LeaseLostError,
     ReproError,
     SimulationError,
     UnitTimeout,
 )
-from repro.runtime.lease import Lease, LeaseError, LeaseTable
-from repro.runtime.queue import JobJournal, JournalDefect
 from repro.runtime.rng import derive_rng, rng_factory
 from repro.runtime.runner import (
     CampaignReport,
@@ -44,14 +34,6 @@ from repro.runtime.runner import (
     UnitResult,
     WorkUnit,
     call_with_timeout,
-)
-from repro.runtime.service import (
-    JobSpec,
-    SchedulerService,
-    ServiceConfig,
-    ServiceWorker,
-    run_service_soak,
-    verify_journal,
 )
 
 __all__ = [
@@ -61,18 +43,7 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointStore",
     "ConfigError",
-    "DrainRequested",
-    "JobJournal",
-    "JobSpec",
-    "JournalDefect",
-    "Lease",
-    "LeaseError",
-    "LeaseLostError",
-    "LeaseTable",
     "ReproError",
-    "SchedulerService",
-    "ServiceConfig",
-    "ServiceWorker",
     "SimulationError",
     "UnitResult",
     "UnitTimeout",
@@ -85,6 +56,4 @@ __all__ = [
     "netlist_hash",
     "resolve_jobs",
     "rng_factory",
-    "run_service_soak",
-    "verify_journal",
 ]

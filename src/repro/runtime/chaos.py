@@ -18,13 +18,16 @@ Design rules:
 * **Deterministic.**  All decisions come from one ``random.Random``
   seeded by the config; a given (seed, workload) replays the same
   failure schedule, so every soak failure is reproducible.
-* **Guaranteed and bounded.**  Each enabled failure class fires at
-  least once (a planned first occurrence) and at most
-  ``max_per_class`` times, so campaigns always terminate.
+* **Planned and bounded.**  Each enabled failure class has a planned
+  first occurrence (it fires the first time its point is reached at or
+  after a seeded index) and fires at most ``max_per_class`` times, so
+  campaigns always terminate.  A class whose point the workload never
+  reaches cannot fire at all.
 * **Falsifiable.**  :func:`run_soak` runs K seeded campaigns under
   injection, resumes after every induced crash, and audits each final
   report with :func:`repro.runtime.integrity.verify_campaign` against
-  a serial no-chaos golden run.  Any violation fails the soak.
+  a serial no-chaos golden run.  Any violation fails the soak, and so
+  does an enabled class that fired in none of its campaigns.
 
 The worker-process rule: a forked pool worker inherits the parent's
 monkey, but only worker-targeted classes (``kill_worker``) act there —
@@ -72,15 +75,6 @@ CLASS_POINTS = {
     "corrupt": "file",                # bit flip in a checkpoint record
     "truncate": "file",               # checkpoint tail chopped off
     "duplicate": "file",              # trailing record duplicated
-    "scheduler_crash": "service.tick",    # SIGKILL of the scheduler loop
-    "lease_lost": "service.heartbeat",    # partition: ownership revoked
-    "heartbeat_delay": "service.heartbeat",  # renewal outrun by the TTL
-    "queue_torn_write": "queue.append",   # torn journal append + SIGKILL
-    "net_partition": "transport.send",    # frame lost: link partitioned
-    "net_delay": "transport.send",        # frame delivered late
-    "net_dup": "transport.send",          # frame delivered twice
-    "net_reorder": "transport.send",      # stale frame arrives out of order
-    "worker_host_loss": "worker.unit",    # the whole worker host dies
 }
 
 FAILURE_CLASSES = tuple(CLASS_POINTS)
@@ -89,22 +83,6 @@ FAILURE_CLASSES = tuple(CLASS_POINTS)
 #: that is recoverable in a serial campaign with a golden twin.
 DEFAULT_SOAK_CLASSES = (
     "kill", "torn", "io", "hang", "corrupt", "truncate", "duplicate",
-)
-
-#: The classes the ``repro serve --soak`` service soak enables by
-#: default: scheduler death, worker death mid-unit, partition-shaped
-#: lease failures and torn journal writes.
-SERVICE_SOAK_CLASSES = (
-    "kill", "scheduler_crash", "lease_lost", "heartbeat_delay",
-    "queue_torn_write",
-)
-
-#: The classes ``repro serve --soak --distributed`` enables by default:
-#: scheduler death, whole-worker-host death, every network failure mode
-#: (partition, delay, duplication, reordering) and torn journal writes.
-DISTRIBUTED_SOAK_CLASSES = (
-    "scheduler_crash", "worker_host_loss", "net_partition", "net_delay",
-    "net_dup", "net_reorder", "queue_torn_write",
 )
 
 #: Classes allowed to act inside a forked pool worker.
@@ -238,13 +216,6 @@ class ChaosMonkey:
         if name == "torn":
             self._torn_write(ctx)
             raise ChaosKill("chaos: simulated SIGKILL mid-append")
-        if name == "scheduler_crash":
-            raise ChaosKill("chaos: scheduler SIGKILLed mid-tick")
-        if name == "worker_host_loss":
-            raise ChaosKill("chaos: worker host lost mid-campaign")
-        if name == "queue_torn_write":
-            self._torn_write(ctx)
-            raise ChaosKill("chaos: scheduler SIGKILLed mid-journal-append")
         if name == "io":
             raise OSError(28, "chaos: no space left on device",
                           ctx.get("store") and ctx["store"].path)
@@ -457,8 +428,15 @@ class SoakReport:
                 totals[name] = totals.get(name, 0) + count
         return totals
 
+    def unfired(self) -> List[str]:
+        """Enabled classes that fired in no campaign of the soak: the
+        workload never reached their injection point, so nothing was
+        tested for them."""
+        totals = self.injection_totals()
+        return [name for name in self.classes if not totals[name]]
+
     def ok(self) -> bool:
-        return self.n_violations == 0
+        return self.n_violations == 0 and not self.unfired()
 
     def summary(self) -> str:
         injected = ", ".join(
@@ -466,12 +444,14 @@ class SoakReport:
             for name, count in sorted(self.injection_totals().items())
             if count
         )
+        unfired = self.unfired()
+        never = f"; never fired: {', '.join(unfired)}" if unfired else ""
         return (
             f"{len(self.campaigns)} chaos campaigns: "
             f"{self.n_crashes} induced crashes, "
             f"{self.n_resumes} resumes, "
             f"{self.n_violations} invariant violations "
-            f"[{injected or 'nothing injected'}]"
+            f"[{injected or 'nothing injected'}{never}]"
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -601,10 +581,11 @@ def run_soak(
     """Run ``campaigns`` seeded chaos campaigns; audit every one.
 
     Each campaign derives its own seed (so failures localise to one
-    campaign index), suffers every enabled failure class at least once,
-    resumes after every induced crash, and must end with a report
-    identical to its no-chaos golden twin — otherwise the violations
-    land in the returned :class:`SoakReport` and the CLI exits nonzero.
+    campaign index), resumes after every induced crash, and must end
+    with a report identical to its no-chaos golden twin — otherwise the
+    violations land in the returned :class:`SoakReport` and the CLI
+    exits nonzero.  It does the same when an enabled class fired in no
+    campaign at all (:meth:`SoakReport.unfired`).
     """
     import shutil
     import tempfile

@@ -41,9 +41,9 @@ HEADER_KIND = "repro-campaign-checkpoint"
 FORMAT_VERSION = 2
 
 #: A ``.tmp`` younger than this many seconds is left alone by the sweep:
-#: it may belong to a *live* writer mid-``create`` in another process
-#: (several leased service workers can share a checkpoint directory).
-#: A crash orphan, by contrast, only gets older.
+#: it may belong to a *live* writer mid-``create`` in another local
+#: process (two campaigns can run side by side against one checkpoint
+#: directory).  A crash orphan, by contrast, only gets older.
 TMP_SWEEP_GRACE_SECONDS = 30.0
 
 
@@ -69,9 +69,9 @@ class CheckpointStore:
         ``os.replace`` leaves the orphan behind; it is dead weight (and
         an invariant violation) until someone sweeps it.
 
-        Two processes may share a checkpoint directory (leased service
-        workers running side by side), so the sweep must not race a
-        live writer: only files older than ``grace`` seconds are swept
+        Two local processes may share a checkpoint directory (campaigns
+        running side by side), so the sweep must not race a live
+        writer: only files older than ``grace`` seconds are swept
         — a writer completes its ``create`` in milliseconds, while a
         crash orphan only ages — and a concurrent sweeper winning the
         unlink (ENOENT) is silently tolerated.

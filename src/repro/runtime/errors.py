@@ -57,34 +57,6 @@ class IntegrityError(CampaignError):
     golden twin, orphaned scratch files, or a broken checkpoint chain."""
 
 
-class LeaseLostError(CampaignError):
-    """A service worker lost ownership of its job mid-run: the lease
-    expired or was reclaimed/revoked, and a later operation quoted a
-    stale fencing token.  The worker must stop touching the job; its
-    checkpointed units survive and the next lease resumes them."""
-
-
-class DrainRequested(ReproError):
-    """Cooperative shutdown: the scheduler was asked to drain (SIGTERM)
-    and the in-flight worker should checkpoint, release its lease and
-    exit cleanly (internal control-flow signal, never user-facing)."""
-
-
-class TransportError(ReproError, ConnectionError):
-    """A transport RPC could not be delivered: the peer is unreachable,
-    the connection died mid-exchange, or the retry/deadline budget was
-    exhausted.  Derives from :class:`ConnectionError` so generic socket
-    handling treats it like any other connectivity failure.  The sender
-    must assume the request may or may not have been applied — which is
-    why every mutating RPC carries an idempotency key."""
-
-
-class FrameError(TransportError):
-    """A wire frame violated the codec: an oversized length prefix, a
-    non-JSON or non-object payload, or garbage where a frame should
-    start.  The receiving end drops the connection; it never crashes."""
-
-
 class UnitTimeout(ReproError):
     """A work unit exceeded its wall-clock budget (internal signal used
     by the campaign runner; quarantined/degraded units report it as a

@@ -21,14 +21,6 @@ from the legal set, the report identical to a golden (serial, no-chaos)
 twin, no orphaned ``.tmp``/``.shard-`` scratch files, and the on-disk
 chain intact.  The chaos soak (:mod:`repro.runtime.chaos`) fails a run
 on any violation, which is what makes the runtime stack falsifiable.
-
-The campaign *service* (:mod:`repro.runtime.service`) reuses both
-mechanisms one level up: its job journal chains scheduler events with
-the same :func:`chain_digest`, and its scheduler invariants (one live
-lease per job, monotonic fencing tokens, no terminal job ever re-run)
-are audited into the same :class:`Violation` shape by
-:func:`repro.runtime.service.verify_journal` / :func:`check_journal`
-here, so one report format covers a single campaign and a whole fleet.
 """
 
 from __future__ import annotations
@@ -212,25 +204,6 @@ def check_campaign(report, checkpoint: Optional[str] = None, golden=None,
             detail += f" (+{more} more)"
         raise IntegrityError(
             f"{len(violations)} campaign invariant violation(s): {detail}"
-        )
-
-
-def check_journal(journal_path: str,
-                  require_terminal: bool = False) -> None:
-    """Audit a service job journal; raises :class:`IntegrityError` on
-    any violated scheduler invariant (the raising counterpart of
-    :func:`repro.runtime.service.verify_journal`, mirroring
-    :func:`check_campaign`)."""
-    from repro.runtime.service import verify_journal
-    violations = verify_journal(journal_path,
-                                require_terminal=require_terminal)
-    if violations:
-        detail = "; ".join(v.describe() for v in violations[:5])
-        more = len(violations) - 5
-        if more > 0:
-            detail += f" (+{more} more)"
-        raise IntegrityError(
-            f"{len(violations)} service invariant violation(s): {detail}"
         )
 
 

@@ -131,6 +131,17 @@ def test_chaos_command_clean_soak(tmp_path, capsys):
     assert doc["violations"] == 0 and doc["crashes"] >= 2
 
 
+def test_chaos_fails_when_an_enabled_class_never_fires(tmp_path, capsys):
+    # The soak units have no degradation backend, so ``backend`` has no
+    # injection point to fire at: a clean exit would be a false pass.
+    assert main(["chaos", "--seed", "1", "--campaigns", "2",
+                 "--units", "6", "--inject", "backend",
+                 "--scratch", str(tmp_path / "scratch")]) == 1
+    captured = capsys.readouterr()
+    assert "never fired: backend" in captured.out
+    assert "UNFIRED: chaos class backend" in captured.err
+
+
 def test_chaos_rejects_unknown_class(capsys):
     assert main(["chaos", "--seed", "1", "--inject", "gremlins"]) == 2
     assert "unknown chaos class" in capsys.readouterr().err
@@ -210,79 +221,3 @@ def test_core_report_command(capsys):
     assert "logic depth" in out
     assert "multiplier" in out
     assert "fanout histogram" in out
-
-
-# ----------------------------------------------------------------------
-# The campaign service: serve / submit / status / cancel
-# ----------------------------------------------------------------------
-def test_service_submit_serve_status_roundtrip(tmp_path, capsys):
-    journal = str(tmp_path / "svc.jsonl")
-    assert main(["submit", "--journal", journal, "--job", "j1",
-                 "--seed", "3", "--units", "4"]) == 0
-    assert main(["submit", "--journal", journal, "--job", "j2",
-                 "--seed", "4", "--units", "4"]) == 0
-    assert main(["serve", "--journal", journal]) == 0
-    out = capsys.readouterr().out
-    assert "serve: idle (2/2 jobs done)" in out
-    assert main(["status", "--journal", journal, "--verify",
-                 "--require-terminal"]) == 0
-    out = capsys.readouterr().out
-    assert "2 jobs, 2 terminal" in out
-    assert "service invariants: OK" in out
-    assert "leaked_threads" in out  # health counters surfaced
-
-
-def test_service_status_json_and_cancel(tmp_path, capsys):
-    journal = str(tmp_path / "svc.jsonl")
-    assert main(["submit", "--journal", journal, "--job", "doomed",
-                 "--units", "3"]) == 0
-    assert main(["cancel", "--journal", journal, "--job", "doomed"]) == 0
-    assert main(["serve", "--journal", journal]) == 0
-    capsys.readouterr()
-    assert main(["status", "--journal", journal, "--json",
-                 "--verify", "--require-terminal"]) == 0
-    import json
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["violations"] == []
-    assert doc["jobs"][0]["status"] == "cancelled"
-
-
-def test_service_status_flags_forged_journal(tmp_path, capsys):
-    from repro.runtime.queue import JobJournal
-    journal = JobJournal(str(tmp_path / "svc.jsonl"))
-    journal.create({})
-    spec = {"job_id": "a", "kind": "soak", "seed": 1, "n_units": 1,
-            "checkpoint": None, "params": {}}
-    lease = {"event": "lease", "job": "a", "worker": "w", "token": 1,
-             "epoch": 1, "granted": 0.0, "expires": 30.0}
-    journal.append({"event": "submit", "job": "a", "spec": spec})
-    journal.append(dict(lease))
-    journal.append({**lease, "token": 2})  # double lease
-    journal.close()
-    assert main(["status", "--journal", journal.path, "--verify"]) == 1
-    assert "double-lease" in capsys.readouterr().err
-
-
-def test_serve_requires_journal_or_soak(capsys):
-    assert main(["serve"]) == 2
-    assert "requires --journal" in capsys.readouterr().err
-
-
-def test_serve_soak_requires_seed(capsys):
-    assert main(["serve", "--soak"]) == 2
-    assert "--seed" in capsys.readouterr().err
-
-
-def test_serve_soak_command_clean(tmp_path, capsys):
-    report_file = tmp_path / "service-soak.json"
-    assert main(["serve", "--soak", "--seed", "13",
-                 "--campaigns", "3", "--units", "4",
-                 "--scratch", str(tmp_path / "scratch"),
-                 "--report", str(report_file)]) == 0
-    out = capsys.readouterr().out
-    assert "service soak" in out
-    assert "0 invariant violations" in out
-    import json
-    doc = json.loads(report_file.read_text())
-    assert doc["violations"] == []
-    assert doc["disruptions"] > 0

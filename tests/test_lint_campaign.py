@@ -1,4 +1,4 @@
-"""Tests for the campaign-config lint rules (CMP001..CMP006)."""
+"""Tests for the campaign-config lint rules (CMP001..CMP004)."""
 
 from repro.lint.campaign_rules import CampaignConfig, lint_campaigns
 from repro.lint.findings import Severity
@@ -149,6 +149,31 @@ def test_cmp004_checkpoint_inside_scratch_flagged(tmp_path):
     assert "scratch" in cmp004[0].message
 
 
+def test_cmp004_unknown_class_flagged():
+    # ChaosConfig.validate() raises on this block, so lint must too.
+    config = CampaignConfig.from_doc({
+        "name": "soak",
+        "chaos": {"seed": 7, "classes": ["kill", "gremlins"]},
+    })
+    report = lint_campaigns([config])
+    cmp004 = [f for f in report if f.rule == "CMP004"]
+    assert len(cmp004) == 1
+    assert cmp004[0].location == "campaign:soak:chaos.classes"
+    assert cmp004[0].severity is Severity.ERROR
+    assert cmp004[0].message.startswith(
+        "unknown chaos class(es) gremlins:")
+    assert report.exit_code() == 1
+
+
+def test_cmp004_chaos_config_lint_doc_is_clean(tmp_path):
+    """A valid ChaosConfig naming every class passes its own lint."""
+    from repro.runtime.chaos import FAILURE_CLASSES, ChaosConfig
+    doc = ChaosConfig(seed=7, classes=FAILURE_CLASSES).lint_doc()
+    config = CampaignConfig(
+        name="soak", checkpoint=str(tmp_path / "soak.jsonl"), chaos=doc)
+    assert lint_campaigns([config]).findings == []
+
+
 def test_cmp004_non_object_chaos_block_flagged():
     report = lint_campaigns([CampaignConfig(name="a", chaos=[1, 2])])
     assert {f.rule for f in report} == {"CMP004"}
@@ -162,214 +187,3 @@ def test_from_doc_carries_chaos_block():
     config = CampaignConfig.from_doc(
         {"name": "x", "chaos": {"seed": 1}})
     assert config.chaos == {"seed": 1}
-
-
-# ----------------------------------------------------------------------
-# CMP005: self-defeating scheduler-service policies
-# ----------------------------------------------------------------------
-def test_cmp005_clean_service_block_passes(tmp_path):
-    config = CampaignConfig(
-        name="svc", checkpoint=str(tmp_path / "svc.jsonl"),
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0,
-                 "max_job_retries": 3,
-                 "journal": str(tmp_path / "queue.jsonl")},
-    )
-    assert lint_campaigns([config]).findings == []
-
-
-def test_cmp005_ttl_not_longer_than_heartbeat_flagged():
-    config = CampaignConfig(
-        name="thrash",
-        service={"lease_ttl": 2.0, "heartbeat_interval": 5.0})
-    report = lint_campaigns([config])
-    cmp005 = [f for f in report if f.rule == "CMP005"]
-    assert len(cmp005) == 1
-    assert cmp005[0].location == "campaign:thrash:service.lease_ttl"
-    assert cmp005[0].severity is Severity.ERROR
-    assert "expires before its first renewal" in cmp005[0].message
-
-
-def test_cmp005_non_positive_intervals_flagged():
-    config = CampaignConfig(
-        name="frozen",
-        service={"lease_ttl": 0, "heartbeat_interval": -1.0})
-    report = lint_campaigns([config])
-    cmp005 = [f for f in report if f.rule == "CMP005"]
-    assert {f.location for f in cmp005} == {
-        "campaign:frozen:service.lease_ttl",
-        "campaign:frozen:service.heartbeat_interval",
-    }
-    assert all(f.severity is Severity.ERROR for f in cmp005)
-
-
-def test_cmp005_zero_retry_budget_is_warning():
-    config = CampaignConfig(
-        name="poison-prone",
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0,
-                 "max_job_retries": 0})
-    report = lint_campaigns([config])
-    cmp005 = [f for f in report if f.rule == "CMP005"]
-    assert len(cmp005) == 1
-    assert cmp005[0].severity is Severity.WARNING
-    assert "quarantines" in cmp005[0].message
-
-
-def test_cmp005_journal_inside_chaos_scratch_flagged(tmp_path):
-    scratch = tmp_path / "scratch"
-    config = CampaignConfig(
-        name="self-destructive",
-        chaos={"seed": 1, "scratch": str(scratch)},
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0,
-                 "journal": str(scratch / "queue.jsonl")},
-    )
-    report = lint_campaigns([config])
-    cmp005 = [f for f in report if f.rule == "CMP005"]
-    assert len(cmp005) == 1
-    assert cmp005[0].location == \
-        "campaign:self-destructive:service.journal"
-    assert cmp005[0].severity is Severity.ERROR
-
-
-def test_cmp005_journal_outside_chaos_scratch_passes(tmp_path):
-    config = CampaignConfig(
-        name="separated",
-        chaos={"seed": 1, "scratch": str(tmp_path / "scratch")},
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0,
-                 "journal": str(tmp_path / "queue.jsonl")},
-    )
-    assert lint_campaigns([config]).findings == []
-
-
-def test_cmp005_non_object_service_block_flagged():
-    report = lint_campaigns(
-        [CampaignConfig(name="a", service="fast please")])
-    assert {f.rule for f in report} == {"CMP005"}
-
-
-def test_cmp005_no_service_block_is_silent():
-    assert lint_campaigns([CampaignConfig(name="a")]).findings == []
-
-
-def test_from_doc_carries_service_block():
-    config = CampaignConfig.from_doc(
-        {"name": "x", "service": {"lease_ttl": 10}})
-    assert config.service == {"lease_ttl": 10}
-
-
-# ----------------------------------------------------------------------
-# CMP006: self-defeating transport/worker policies
-# ----------------------------------------------------------------------
-def test_cmp006_clean_transport_block_passes(tmp_path):
-    config = CampaignConfig(
-        name="dist", checkpoint=str(tmp_path / "dist.jsonl"),
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0,
-                 "max_job_retries": 3},
-        transport={"rpc_timeout": 2.0, "max_attempts": 4,
-                   "deadline": 30.0,
-                   "artifacts": str(tmp_path / "artifacts")},
-    )
-    assert lint_campaigns([config]).findings == []
-
-
-def test_cmp006_rpc_timeout_at_heartbeat_cadence_flagged():
-    config = CampaignConfig(
-        name="starved",
-        service={"lease_ttl": 30.0, "heartbeat_interval": 5.0},
-        transport={"rpc_timeout": 5.0, "max_attempts": 4,
-                   "deadline": 30.0})
-    report = lint_campaigns([config])
-    cmp006 = [f for f in report if f.rule == "CMP006"]
-    assert len(cmp006) == 1
-    assert cmp006[0].location == "campaign:starved:transport.rpc_timeout"
-    assert cmp006[0].severity is Severity.ERROR
-    assert "lease expires" in cmp006[0].message
-
-
-def test_cmp006_non_positive_rpc_timeout_flagged():
-    config = CampaignConfig(
-        name="instant",
-        transport={"rpc_timeout": 0.0, "max_attempts": 4,
-                   "deadline": 30.0})
-    report = lint_campaigns([config])
-    cmp006 = [f for f in report if f.rule == "CMP006"]
-    assert len(cmp006) == 1
-    assert cmp006[0].location == "campaign:instant:transport.rpc_timeout"
-
-
-def test_cmp006_zero_retry_budget_flagged():
-    config = CampaignConfig(
-        name="fragile",
-        transport={"rpc_timeout": 2.0, "max_attempts": 0,
-                   "deadline": 30.0})
-    report = lint_campaigns([config])
-    cmp006 = [f for f in report if f.rule == "CMP006"]
-    assert len(cmp006) == 1
-    assert cmp006[0].location == "campaign:fragile:transport.max_attempts"
-    assert cmp006[0].severity is Severity.ERROR
-
-
-def test_cmp006_deadline_below_one_attempt_flagged():
-    config = CampaignConfig(
-        name="hopeless",
-        transport={"rpc_timeout": 5.0, "max_attempts": 4,
-                   "deadline": 1.0})
-    report = lint_campaigns([config])
-    cmp006 = [f for f in report if f.rule == "CMP006"]
-    assert len(cmp006) == 1
-    assert cmp006[0].location == "campaign:hopeless:transport.deadline"
-
-
-def test_cmp006_artifacts_inside_chaos_scratch_flagged(tmp_path):
-    scratch = tmp_path / "scratch"
-    config = CampaignConfig(
-        name="self-destructive",
-        chaos={"seed": 1, "scratch": str(scratch)},
-        transport={"rpc_timeout": 2.0, "max_attempts": 4,
-                   "deadline": 30.0,
-                   "artifacts": str(scratch / "artifacts")},
-    )
-    report = lint_campaigns([config])
-    cmp006 = [f for f in report if f.rule == "CMP006"]
-    assert len(cmp006) == 1
-    assert cmp006[0].location == \
-        "campaign:self-destructive:transport.artifacts"
-    assert cmp006[0].severity is Severity.ERROR
-
-
-def test_cmp006_artifacts_outside_chaos_scratch_passes(tmp_path):
-    config = CampaignConfig(
-        name="separated",
-        chaos={"seed": 1, "scratch": str(tmp_path / "scratch")},
-        transport={"rpc_timeout": 2.0, "max_attempts": 4,
-                   "deadline": 30.0,
-                   "artifacts": str(tmp_path / "artifacts")},
-    )
-    assert lint_campaigns([config]).findings == []
-
-
-def test_cmp006_non_object_transport_block_flagged():
-    report = lint_campaigns(
-        [CampaignConfig(name="a", transport="tcp please")])
-    assert {f.rule for f in report} == {"CMP006"}
-
-
-def test_cmp006_no_transport_block_is_silent():
-    assert lint_campaigns([CampaignConfig(name="a")]).findings == []
-
-
-def test_from_doc_carries_transport_block():
-    config = CampaignConfig.from_doc(
-        {"name": "x", "transport": {"rpc_timeout": 2.0}})
-    assert config.transport == {"rpc_timeout": 2.0}
-
-
-def test_cmp006_retry_policy_lint_doc_is_clean(tmp_path):
-    """The transport's own default RetryPolicy passes its own lint."""
-    from repro.runtime.transport import RetryPolicy
-    doc = RetryPolicy().lint_doc()
-    doc["artifacts"] = str(tmp_path / "artifacts")
-    config = CampaignConfig(
-        name="defaults",
-        service={"lease_ttl": 30.0, "heartbeat_interval": 6.0},
-        transport=doc)
-    assert lint_campaigns([config]).findings == []

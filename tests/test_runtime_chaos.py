@@ -277,3 +277,14 @@ def test_soak_report_json_shape(tmp_path):
     assert doc["violations"] == 0
     assert len(doc["campaigns"]) == 2
     assert doc["injections"]["kill"] >= 2
+
+
+def test_soak_not_ok_when_an_enabled_class_never_fires(tmp_path):
+    # Soak units have no degradation backend: ``backend`` cannot fire.
+    report = run_soak(seed=5, campaigns=1, n_units=6,
+                      classes=("kill", "backend"),
+                      scratch=str(tmp_path / "s"))
+    assert report.n_violations == 0
+    assert report.unfired() == ["backend"]
+    assert not report.ok()
+    assert "never fired: backend" in report.summary()

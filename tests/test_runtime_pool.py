@@ -334,6 +334,29 @@ def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
 
 
 @needs_fork
+def test_pooled_unit_span_ids_equal_serial(tmp_path):
+    """Span ids are keyed by unit id, not by process: a unit graded in
+    a pool worker gets the span id (and parent) it has serially."""
+    from repro import obs
+
+    def unit_spans(jobs, path):
+        with obs.enabled_session(trace=True, metrics=False,
+                                 profile=False, seed=3) as session:
+            units = [WorkUnit(unit_id=f"w{i}", run=lambda i=i: {"i": i})
+                     for i in range(8)]
+            CampaignRunner(checkpoint=path, jobs=jobs).run(units)
+            return [r for r in session.tracer.records
+                    if r["kind"] == "span" and r["name"] == "unit"]
+
+    serial = unit_spans(1, str(tmp_path / "s.jsonl"))
+    pooled = unit_spans(2, str(tmp_path / "p.jsonl"))
+    assert len(serial) == 8
+    assert {(r["id"], r["parent"]) for r in pooled} \
+        == {(r["id"], r["parent"]) for r in serial}
+    assert len({r["pid"] for r in pooled}) > 1
+
+
+@needs_fork
 def test_pooled_plain_units_roundtrip(tmp_path):
     """Closure-only units (no campaign adapter) survive the fork and the
     record round trip."""

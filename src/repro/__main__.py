@@ -119,7 +119,6 @@ def _cmd_grade(args) -> int:
             checkpoint=args.checkpoint,
             unit_timeout=args.unit_timeout,
             jobs=args.jobs,
-            engine=args.engine,
         )
         outcome = campaign.run(resume=args.resume, max_units=args.max_units,
                                force=args.force)
@@ -168,7 +167,6 @@ def _cmd_sweep(args) -> int:
             n_observability_good=args.good,
             seed=args.seed,
             n_iterations=args.iterations,
-            engine=args.engine,
         )
         print(f"sweeping {len(specs)} design points ...")
 
@@ -269,8 +267,7 @@ def _cmd_profile(args) -> int:
     try:
         selftest = _build_selftest(args)
         words = expand_program(selftest.program, args.iterations)
-        campaign = HierarchicalCampaign(words, jobs=args.jobs,
-                                        engine=args.engine)
+        campaign = HierarchicalCampaign(words, jobs=args.jobs)
         campaign.run()
         rows = [
             (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
@@ -536,12 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--good", type=int, default=6)
     p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--engine", choices=("interpreted", "batched"),
-                   default="interpreted",
-                   help="component fault-propagation engine: the "
-                        "interpreted per-gate walk, or batched compiled "
-                        "cone kernels (bit-identical grades, several "
-                        "times faster; default interpreted)")
     add_table_options(p)
     add_campaign_options(p)
     add_trace_options(p)
@@ -560,13 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=2,
                    help="program-loop expansions per point")
     p.add_argument("--seed", type=int, default=2004)
-    p.add_argument("--engine", choices=("interpreted", "batched"),
-                   default="interpreted",
-                   help="fault-propagation engine for the main grading "
-                        "campaign (the per-point parity check always "
-                        "runs both)")
     p.add_argument("--out", default="sweep.json", metavar="FILE",
-                   help="landscape artifact path (schema repro.sweep/1)")
+                   help="landscape artifact path (schema repro.sweep/2)")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="directory for per-point campaign checkpoints "
                         "and finished-point results (enables --resume)")
@@ -609,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=2)
     p.add_argument("--jobs", metavar="N",
                    help="worker processes (integer or 'auto')")
-    p.add_argument("--engine", choices=("interpreted", "batched"),
-                   default="interpreted",
-                   help="component fault-propagation engine to profile")
     add_table_options(p)
     p.set_defaults(func=_cmd_profile)
 

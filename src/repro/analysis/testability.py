@@ -27,7 +27,7 @@ A fault site whose excitation *and* observation are both unbounded is a
 *statically untestable candidate* (lint rule NET011).
 
 The analysis is deliberately structural: it never simulates a pattern.
-Its predictions are pinned differentially against the batched fault
+Its predictions are pinned differentially against the fault
 simulator's empirical first-detect indices (see
 ``tests/test_analysis_testability.py``) via :func:`rank_correlation`.
 """

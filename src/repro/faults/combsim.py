@@ -9,11 +9,6 @@ Besides plain detection this module exposes :class:`LocalDetection` — the
 per-pattern *faulty output words* — which is what the hierarchical core
 fault simulator needs to know which erroneous value appears at a component
 boundary on which cycle.
-
-Cone propagation runs on one of two engines (``engine=`` at
-construction): the interpreted per-gate walk, or the batched
-compiled-cone engine (:mod:`repro.faults.batched`), which is bit-for-bit
-identical and several times faster.
 """
 
 from __future__ import annotations
@@ -22,11 +17,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.runtime.cache import (
+    cached_good_values, compiled_evaluator, fanout_cone,
+)
 from repro.runtime.errors import ConfigError
 from repro.logic.gates import eval_gate
-from repro.logic.netlist import Gate, Netlist
-from repro.logic.simulator import CombSimulator, pack_patterns, unpack_output
-from repro.faults.model import Fault, FaultList, collapse_faults
+from repro.logic.netlist import Netlist
+from repro.logic.simulator import pack_patterns, unpack_output
+from repro.faults.model import Fault, FaultList, check_stimulus, collapse_faults
 
 
 @dataclass
@@ -47,60 +45,20 @@ class LocalDetection:
 class CombFaultSimulator:
     """Fault-simulates a combinational netlist under stuck-at faults.
 
-    Two fault-propagation engines share every entry point:
-
-    * ``engine="interpreted"`` (default) — the original per-gate
-      :func:`eval_gate` cone walk;
-    * ``engine="batched"`` — compiled cone kernels with wide pattern
-      blocks and mask-only fault dropping
-      (:mod:`repro.faults.batched`), typically several times faster
-      under sustained grading and bit-for-bit identical (enforced by
-      the differential sweep).  Kernels compile adaptively: a site is
-      walked interpreted until it has been excited more than the
-      engine's compile threshold, so short-lived faults never pay
-      compile time.
-
-    ``block_width`` (batched only) sets the patterns-per-word target
-    that :meth:`run_with_dropping` re-chunks its incoming blocks to.
+    Every entry point propagates a fault by walking its site's fanout
+    cone gate by gate (:func:`eval_gate`) on top of the good values; the
+    cones come from the shared memo in :mod:`repro.runtime.cache`.
     """
 
     def __init__(self, netlist: Netlist,
-                 fault_list: Optional[FaultList] = None,
-                 engine: str = "interpreted",
-                 block_width: Optional[int] = None):
-        from repro.faults.batched import ENGINES, BatchedConeEngine
+                 fault_list: Optional[FaultList] = None):
         if netlist.dffs:
             raise ConfigError(
                 f"netlist {netlist.name!r} is sequential; use SeqFaultSimulator"
             )
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown fault-simulation engine {engine!r}; "
-                f"expected one of {ENGINES}"
-            )
         self.netlist = netlist
         self.fault_list = fault_list or collapse_faults(netlist)
-        self.sim = CombSimulator(netlist)
-        from repro.runtime.cache import compiled_evaluator
         self._compiled = compiled_evaluator(netlist)
-        self.engine = engine
-        self.batched_engine = BatchedConeEngine(netlist, block_width) \
-            if engine == "batched" else None
-        self._cones: Dict[int, List[Gate]] = {}
-        self._cone_outputs: Dict[int, List[int]] = {}
-        output_set = set(netlist.outputs)
-        self._output_set = output_set
-
-    def _cone(self, net: int) -> Tuple[List[Gate], List[int]]:
-        """Fanout cone of ``net`` (gates, observable outputs), cached."""
-        if net not in self._cones:
-            cone = self.netlist.transitive_fanout_gates(net)
-            touched = {net} | {g.output for g in cone}
-            self._cones[net] = cone
-            self._cone_outputs[net] = [
-                o for o in self.netlist.outputs if o in touched
-            ]
-        return self._cones[net], self._cone_outputs[net]
 
     # ------------------------------------------------------------------
     def good_values(self, bus_patterns: Mapping[str, Sequence[int]],
@@ -112,9 +70,12 @@ class CombFaultSimulator:
         (metrics sweeps, re-prepared campaigns, pool workers) replay the
         good machine instead of re-simulating it.  The returned vector
         is shared — callers must not mutate it.
-        """
-        from repro.runtime.cache import cached_good_values
 
+        Neither this nor :meth:`faulty_output_word` runs
+        :func:`check_stimulus`: the hierarchical grader's tier 2 calls
+        both once per simulated cycle, with inputs recorded from the
+        core.
+        """
         def compute() -> List[int]:
             with obs.section("sim.comb.good_machine"):
                 packed: Dict[int, int] = {}
@@ -137,16 +98,7 @@ class CombFaultSimulator:
         stuck_value = width_mask if fault.stuck_at else 0
         if good[fault.net] == stuck_value:
             return 0, {}  # fault never excited in this block
-        if self.batched_engine is not None:
-            kernel = self.batched_engine.kernel_or_none(fault.net)
-            if kernel is not None:
-                return kernel.propagate(good, stuck_value, width_mask)
-        return self._cone_walk(fault, good, stuck_value, width_mask)
-
-    def _cone_walk(self, fault: Fault, good: List[int], stuck_value: int,
-                   width_mask: int) -> Tuple[int, Dict[int, int]]:
-        """The interpreted gate-by-gate cone re-evaluation (no dispatch)."""
-        cone, cone_outputs = self._cone(fault.net)
+        cone, cone_outputs = fanout_cone(self.netlist, fault.net)
         changed: Dict[int, int] = {fault.net: stuck_value}
         for gate in cone:
             ins = [changed.get(i, good[i]) for i in gate.inputs]
@@ -157,29 +109,7 @@ class CombFaultSimulator:
         for out in cone_outputs:
             if out in changed:
                 detected |= changed[out] ^ good[out]
-        if fault.net in self._output_set:
-            detected |= stuck_value ^ good[fault.net]
         return detected, changed
-
-    def detect_mask(self, fault: Fault, good: List[int],
-                    n_patterns: int) -> int:
-        """Packed detected-pattern mask only (no faulty values).
-
-        The batched engine's compiled kernels answer this without
-        materialising the changed-net dict — the fault-dropping fast
-        path.  During a site's warm-up (and always on the interpreted
-        engine) it falls back to ``simulate_fault(...)[0]``.
-        """
-        if self.batched_engine is not None:
-            width_mask = (1 << n_patterns) - 1
-            stuck_value = width_mask if fault.stuck_at else 0
-            if good[fault.net] == stuck_value:
-                return 0
-            kernel = self.batched_engine.kernel_or_none(fault.net)
-            if kernel is not None:
-                return kernel.detect(good, stuck_value, width_mask)
-            return self._cone_walk(fault, good, stuck_value, width_mask)[0]
-        return self.simulate_fault(fault, good, n_patterns)[0]
 
     # ------------------------------------------------------------------
     def detect(self, bus_patterns: Mapping[str, Sequence[int]],
@@ -188,18 +118,14 @@ class CombFaultSimulator:
 
         Faults whose mask is zero were not detected by this block.
         """
-        if not bus_patterns:
-            raise ConfigError("no pattern buses given")
-        lengths = {len(w) for w in bus_patterns.values()}
-        if len(lengths) != 1:
-            raise ConfigError("all pattern buses must have equal length")
-        n_patterns = lengths.pop()
+        n_patterns = check_stimulus(self.netlist, bus_patterns)
         with obs.section("sim.comb.detect"):
             good = self.good_values(bus_patterns, n_patterns)
             result: Dict[Fault, int] = {}
             for fault in (faults if faults is not None
                           else self.fault_list.faults):
-                result[fault] = self.detect_mask(fault, good, n_patterns)
+                result[fault] = self.simulate_fault(fault, good,
+                                                    n_patterns)[0]
         obs.incr("sim.comb.faults_graded", len(result))
         return result
 
@@ -214,17 +140,13 @@ class CombFaultSimulator:
         across blocks), or ``None`` if never detected.
         """
         remaining = list(faults if faults is not None else self.fault_list.faults)
+        first_detect: Dict[Fault, Optional[int]] = {f: None for f in remaining}
+        offset = 0
         with obs.section("sim.comb.run_with_dropping"):
-            if self.batched_engine is not None:
-                from repro.faults.batched import drop_faults
-                return drop_faults(self, blocks, remaining)
-            first_detect: Dict[Fault, Optional[int]] = \
-                {f: None for f in remaining}
-            offset = 0
             for block in blocks:
+                n_patterns = check_stimulus(self.netlist, block)
                 if not remaining:
                     break
-                n_patterns = len(next(iter(block.values())))
                 good = self.good_values(block, n_patterns)
                 still: List[Fault] = []
                 for fault in remaining:
@@ -257,7 +179,7 @@ class CombFaultSimulator:
                         bus_patterns: Mapping[str, Sequence[int]],
                         output_buses: Sequence[str]) -> LocalDetection:
         """Detection mask plus per-pattern faulty output words for ``fault``."""
-        n_patterns = len(next(iter(bus_patterns.values())))
+        n_patterns = check_stimulus(self.netlist, bus_patterns)
         good = self.good_values(bus_patterns, n_patterns)
         mask, changed = self.simulate_fault(fault, good, n_patterns)
         faulty_words: Dict[str, List[int]] = {}

@@ -116,14 +116,11 @@ class DspFaultUniverse:
 
     def __init__(self, components: Optional[Iterable[str]] = None,
                  include_regfile: bool = True,
-                 engine: str = "interpreted",
-                 block_width: Optional[int] = None,
                  build=None):
         self.build = build
         registry = COMPONENTS if build is None else build.components
         names = list(components) if components is not None else \
             [spec.name for spec in registry]
-        self.engine = engine
         self.comb_faults: Dict[str, List[Fault]] = {}
         self.comb_simulators: Dict[str, CombFaultSimulator] = {}
         self.storage_faults: List[StorageFault] = []
@@ -145,9 +142,7 @@ class DspFaultUniverse:
                             if f.net not in pi_nets]
                 self.comb_faults[name] = internal
                 self.comb_simulators[name] = CombFaultSimulator(
-                    netlist, fault_list, engine=engine,
-                    block_width=block_width,
-                )
+                    netlist, fault_list)
             else:
                 self.storage_faults.extend(_register_faults(spec))
         if include_regfile:
@@ -398,13 +393,9 @@ class HierarchicalFaultSimulator:
         propagation_window: int = 48,
         max_starts_per_block: int = 8,
         max_continuous_starts: int = 2,
-        engine: str = "interpreted",
     ):
-        # ``engine`` selects the component-level fault-propagation
-        # engine when the default universe is built here; an explicit
-        # universe carries its own engine choice (and family build).
         self.universe = universe if universe is not None \
-            else DspFaultUniverse(engine=engine)
+            else DspFaultUniverse()
         self.build = self.universe.build
         if block_size % checkpoint_every:
             raise ConfigError(

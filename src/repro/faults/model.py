@@ -7,15 +7,19 @@ corresponding output fault, and the controlling-value input faults of
 AND/OR/NAND/NOR gates merge with the gate's output fault.  Collapsing only
 changes which fault *represents* an equivalence class; coverage is always
 reported over the collapsed universe, like commercial tools do by default.
+
+:func:`check_stimulus` is the one validation of the bus stimulus every
+fault simulator takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
+from repro.runtime.errors import ConfigError
 
 
 @dataclass(frozen=True, order=True)
@@ -60,6 +64,45 @@ def _fault_sites(netlist: Netlist) -> List[int]:
     sites.extend(g.output for g in netlist.gates)
     sites.extend(d.q for d in netlist.dffs)
     return sites
+
+
+def check_stimulus(netlist: Netlist,
+                   bus_words: Mapping[str, Sequence[int]]) -> int:
+    """Validate one block of bus stimulus; returns its length in words.
+
+    The stimulus must name at least one bus, give every bus the same
+    number of words, use only buses made of primary inputs, and drive
+    every primary input.
+    """
+    if not bus_words:
+        raise ConfigError(
+            f"empty stimulus for netlist {netlist.name!r}: "
+            f"no pattern buses given"
+        )
+    lengths = {len(words) for words in bus_words.values()}
+    if len(lengths) != 1:
+        raise ConfigError("all pattern buses must have equal length")
+    primary_inputs = set(netlist.inputs)
+    driven = set()
+    for name in bus_words:
+        nets = netlist.buses.get(name)
+        if nets is None:
+            raise ConfigError(
+                f"unknown bus {name!r} in netlist {netlist.name!r}")
+        for net in nets:
+            if net not in primary_inputs:
+                raise ConfigError(
+                    f"bus {name!r} is not made of primary inputs: "
+                    f"net {netlist.net_names[net]!r} is not one"
+                )
+        driven.update(nets)
+    for net in netlist.inputs:
+        if net not in driven:
+            raise ConfigError(
+                f"primary input {netlist.net_names[net]!r} of netlist "
+                f"{netlist.name!r} is driven by no bus"
+            )
+    return lengths.pop()
 
 
 def full_fault_list(netlist: Netlist) -> List[Fault]:

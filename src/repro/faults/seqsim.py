@@ -22,7 +22,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro import obs
 from repro.logic.compiled import CompiledForcingKernel
 from repro.logic.netlist import Netlist
-from repro.faults.model import Fault, FaultList, _fault_sites, collapse_faults
+from repro.faults.model import (
+    Fault, FaultList, _fault_sites, check_stimulus, collapse_faults,
+)
 from repro.runtime.errors import ConfigError
 
 
@@ -56,39 +58,6 @@ class SeqFaultSimulator:
         self.fault_list = fault_list or collapse_faults(netlist)
         self._kernel: Optional[CompiledForcingKernel] = None
 
-    def _check_stimulus(self, bus_sequences: Mapping[str, Sequence[int]]) -> int:
-        """Validate the stimulus against the netlist; returns its length."""
-        netlist = self.netlist
-        if not bus_sequences:
-            raise ConfigError(
-                f"empty stimulus for netlist {netlist.name!r}: "
-                f"no input sequences given"
-            )
-        primary_inputs = set(netlist.inputs)
-        driven = set()
-        for name in bus_sequences:
-            nets = netlist.buses.get(name)
-            if nets is None:
-                raise ConfigError(
-                    f"unknown bus {name!r} in netlist {netlist.name!r}")
-            for net in nets:
-                if net not in primary_inputs:
-                    raise ConfigError(
-                        f"bus {name!r} is not made of primary inputs: "
-                        f"net {netlist.net_names[net]!r} is not one"
-                    )
-            driven.update(nets)
-        for net in netlist.inputs:
-            if net not in driven:
-                raise ConfigError(
-                    f"primary input {netlist.net_names[net]!r} of netlist "
-                    f"{netlist.name!r} is driven by no bus"
-                )
-        lengths = {len(seq) for seq in bus_sequences.values()}
-        if len(lengths) != 1:
-            raise ConfigError("all input sequences must have equal length")
-        return lengths.pop()
-
     def _check_faults(self, targets: Sequence[Fault]) -> None:
         netlist = self.netlist
         sites = set(_fault_sites(netlist))
@@ -115,7 +84,7 @@ class SeqFaultSimulator:
         """
         netlist = self.netlist
         targets = list(faults if faults is not None else self.fault_list.faults)
-        n_cycles = self._check_stimulus(bus_sequences)
+        n_cycles = check_stimulus(netlist, bus_sequences)
         self._check_faults(targets)
         first_detect: Dict[Fault, Optional[int]] = {f: None for f in targets}
         if not targets:

@@ -51,10 +51,6 @@ from typing import Dict, List, Optional
 #: Default artefact filename (repo root / CI artifact name).
 BENCH_FILENAME = "BENCH_campaigns.json"
 
-#: Fault-simulation engine bench artefact (committed to the repo so the
-#: batched engine's speedup is a recorded, reviewable number).
-FAULTSIM_BENCH_FILENAME = "BENCH_faultsim.json"
-
 
 @dataclass
 class CampaignPerf:
@@ -76,16 +72,9 @@ class CampaignPerf:
 
 
 class PerfTrajectory:
-    """Collects :class:`CampaignPerf` samples and writes the artefact.
+    """Collects :class:`CampaignPerf` samples and writes the artefact."""
 
-    ``schema`` names the document flavour — the campaign sweep and the
-    fault-simulation engine bench share the sample shape but are
-    separate artefacts (``BENCH_campaigns.json`` vs
-    ``BENCH_faultsim.json``).
-    """
-
-    def __init__(self, schema: str = "repro.bench_campaigns/1"):
-        self.schema = schema
+    def __init__(self):
         self.samples: List[CampaignPerf] = []
 
     def add(self, sample: CampaignPerf) -> CampaignPerf:
@@ -120,7 +109,7 @@ class PerfTrajectory:
         from repro.harness.experiments import current_scale
         self.finish()
         return {
-            "schema": self.schema,
+            "schema": "repro.bench_campaigns/1",
             "context": {
                 "cpu_count": os.cpu_count(),
                 "python": platform.python_version(),

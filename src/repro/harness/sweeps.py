@@ -5,7 +5,7 @@ core family (:mod:`repro.dsp.family`) the whole pipeline — lint,
 metrics table, Phase 1/2 selection, program assembly, vector expansion
 and hierarchical fault grading — runs per *design point*, and this
 module drives it across many points, producing a coverage /
-test-length / area landscape artifact (schema ``repro.sweep/1``).
+test-length / area landscape artifact (schema ``repro.sweep/2``).
 
 Execution model: every point's metrics measurement and fault grading
 run through the resilient :class:`~repro.runtime.runner.CampaignRunner`
@@ -13,10 +13,6 @@ run through the resilient :class:`~repro.runtime.runner.CampaignRunner`
 ``--jobs`` pooling, unit timeouts and ``--resume`` all apply), and each
 finished point is persisted as ``<label>.result.json`` — interrupting a
 sweep anywhere loses at most the current point's in-flight units.
-
-Every swept core also runs a cheap interpreted-vs-batched fault-grading
-parity check, so an engine divergence on an exotic configuration fails
-the sweep instead of silently skewing the landscape.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from repro.dsp.family import (
 from repro.rtl.arith import ADDER_STYLES
 from repro.runtime.errors import ConfigError
 
-SWEEP_SCHEMA = "repro.sweep/1"
+SWEEP_SCHEMA = "repro.sweep/2"
 
 #: Fields every point record must carry (artifact contract, checked by
 #: :func:`validate_sweep_doc` and the CI schema gate).
@@ -48,7 +44,7 @@ _POINT_KEYS = (
     "spec", "label", "area", "n_columns", "n_covered_columns",
     "phase1_instructions", "phase2_sequences", "still_uncovered",
     "program_length", "n_vectors", "signature", "n_faults", "n_detected",
-    "fault_coverage", "lint_errors", "parity_ok", "campaign",
+    "fault_coverage", "lint_errors", "campaign",
 )
 
 
@@ -140,10 +136,6 @@ class SweepConfig:
     block_size: int = 64
     checkpoint_every: int = 16
     propagation_window: int = 24
-    engine: str = "interpreted"
-    #: Component whose fault universe the interpreted-vs-batched parity
-    #: check grades twice per point (small on every family point).
-    parity_component: str = "mux7"
 
     def __post_init__(self):
         if not self.specs:
@@ -163,34 +155,6 @@ def _point_paths(checkpoint_dir: Optional[str], label: str):
     base = os.path.join(checkpoint_dir, label)
     return (f"{base}.metrics.jsonl", f"{base}.grade.jsonl",
             f"{base}.result.json")
-
-
-def _parity_check(build: CoreBuild, words: List[int],
-                  config: SweepConfig) -> bool:
-    """Grade one component's faults with both engines; True iff equal."""
-    from repro.faults.hierarchical import (
-        DspFaultUniverse,
-        HierarchicalFaultSimulator,
-        fault_unit_id,
-    )
-    grades = []
-    for engine in ("interpreted", "batched"):
-        universe = DspFaultUniverse(
-            components=[config.parity_component], include_regfile=False,
-            engine=engine, build=build,
-        )
-        sim = HierarchicalFaultSimulator(
-            universe=universe, block_size=config.block_size,
-            checkpoint_every=config.checkpoint_every,
-            propagation_window=config.propagation_window,
-        )
-        result = sim.run(words,
-                         storage_fault_max_cycles=config.
-                         storage_fault_max_cycles)
-        grades.append(sorted(
-            (fault_unit_id(f), c) for f, c in result.first_detect.items()
-        ))
-    return grades[0] == grades[1]
 
 
 def sweep_point(spec: CoreSpec, config: SweepConfig,
@@ -247,7 +211,7 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
         words = expand_program(program, config.n_iterations)
         golden = run_with_misr(words, build=build)
 
-        universe = DspFaultUniverse(engine=config.engine, build=build)
+        universe = DspFaultUniverse(build=build)
         sim = HierarchicalFaultSimulator(
             universe=universe, block_size=config.block_size,
             checkpoint_every=config.checkpoint_every,
@@ -262,8 +226,6 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
         if g_outcome.report.interrupted:
             return {"label": label, "interrupted": True, "stage": "grade"}
         coverage = g_outcome.result.coverage_report(label)
-
-        parity_ok = _parity_check(build, words, config)
 
         covered = sum(
             1 for column in table.columns
@@ -287,7 +249,6 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
                 coverage.n_detected / coverage.n_faults, 4)
             if coverage.n_faults else 0.0,
             "lint_errors": lint_errors,
-            "parity_ok": parity_ok,
             "campaign": {
                 "metrics": m_outcome.report.counts(),
                 "grade": g_outcome.report.counts(),
@@ -351,7 +312,6 @@ def run_sweep(config: SweepConfig,
         "context": {
             "scale": current_scale(),
             "seed": config.seed,
-            "engine": config.engine,
             "n_iterations": config.n_iterations,
             "n_controllability_samples": config.n_controllability_samples,
             "n_observability_good": config.n_observability_good,
@@ -385,7 +345,6 @@ def record_sweep(doc: Dict[str, Any], registry=None) -> None:
             f"{min(coverages):.2%}-{max(coverages):.2%}, "
             f"area {min(areas)}-{max(areas)}"
         ),
-        details=f"engine={doc['context']['engine']}",
     ))
 
 
@@ -393,7 +352,7 @@ def record_sweep(doc: Dict[str, Any], registry=None) -> None:
 # Artifact validation (CI schema gate)
 # ----------------------------------------------------------------------
 def validate_sweep_doc(doc: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.sweep/1`` document.
+    """Structural check of a ``repro.sweep/2`` document.
 
     Returns a list of violations (empty = valid).
     """
@@ -431,6 +390,4 @@ def validate_sweep_doc(doc: Dict[str, Any]) -> List[str]:
             errors.append(f"{where} detects more faults than exist")
         if point["lint_errors"]:
             errors.append(f"{where} swept core has lint errors")
-        if not point["parity_ok"]:
-            errors.append(f"{where} interpreted-vs-batched parity failed")
     return errors

@@ -149,91 +149,6 @@ class CompiledForcingKernel:
         return values
 
 
-class CompiledConeEvaluator:
-    """Compiled fault-propagation kernels for one fault site.
-
-    Fault simulation spends almost all of its time re-evaluating a
-    fault's fanout cone on top of cached good-machine values — once per
-    fault per pattern block, and per *cycle* in mixed-level continuous
-    injection.  The interpreted walk pays a dict lookup per operand and
-    an :func:`eval_gate` dispatch per gate; here the cone is code-
-    generated once into straight-line local-variable assignments, giving
-    the same 5–10× win :class:`CompiledEvaluator` gives the good
-    machine.  Both stuck-at polarities of a site share one kernel (the
-    stuck word is a parameter), and kernels are shared across
-    structurally identical netlists via
-    :func:`repro.runtime.cache.compiled_cone`.
-
-    Two entry points are generated from a single codegen pass:
-
-    * :meth:`detect` — the packed detected-pattern mask only (the
-      fault-dropping hot path allocates nothing but ints);
-    * :meth:`propagate` — ``(mask, changed)`` exactly as
-      :meth:`repro.faults.combsim.CombFaultSimulator.simulate_fault`
-      returns it, for callers that need the faulty net values.
-
-    Callers are responsible for the excitation early-exit
-    (``good[net] == stuck``), mirroring the interpreted engine.
-    """
-
-    def __init__(self, netlist: Netlist, net: int):
-        self.netlist = netlist
-        self.net = net
-        cone = netlist.transitive_fanout_gates(net)
-        touched = {net} | {g.output for g in cone}
-        #: Primary outputs reachable from the fault site (fault effects
-        #: anywhere else are unobservable in this netlist).
-        self.cone_outputs = [o for o in netlist.outputs if o in touched]
-        self.n_cone_gates = len(cone)
-        self._cone_nets = [g.output for g in cone]
-        local: Dict[int, str] = {net: "s"}
-        body: List[str] = []
-        for gate in cone:
-            operands = [local.get(i, f"v[{i}]") for i in gate.inputs]
-            name = f"t{gate.output}"
-            body.append(f"    {name} = {_gate_expression(gate.kind, operands)}")
-            local[gate.output] = name
-        terms = [f"({local[o]} ^ v[{o}])" for o in self.cone_outputs]
-        self._body = body or ["    pass"]
-        self._detect_expr = " | ".join(terms) if terms else "0"
-        self._values_expr = ", ".join(local[n] for n in self._cone_nets) \
-            + ("," if len(self._cone_nets) == 1 else "")
-        # Only the mask-only kernel is compiled eagerly: fault dropping
-        # calls nothing else, and compile time is the batched engine's
-        # main fixed cost.  The value-returning kernel (needed only once
-        # a fault is detected, or for faulty-word extraction) compiles
-        # lazily on first use.
-        self.detect = self._exec(
-            "def _k(v, s, m):\n" + "\n".join(self._body)
-            + f"\n    return {self._detect_expr}"
-        )
-        self._propagate = None
-
-    @staticmethod
-    def _exec(source: str):
-        namespace: Dict = {}
-        exec(source, namespace)  # noqa: S102 - trusted codegen
-        return namespace["_k"]
-
-    def propagate(self, good: List[int], stuck: int,
-                  width_mask: int) -> tuple:
-        """``(detected_mask, changed)`` — bit-identical to the
-        interpreted cone walk: ``changed`` holds the stuck site plus
-        every cone net whose packed value differs from the good value."""
-        if self._propagate is None:
-            self._propagate = self._exec(
-                "def _k(v, s, m):\n" + "\n".join(self._body)
-                + f"\n    return {self._detect_expr}, "
-                  f"({self._values_expr})"
-            )
-        detected, values = self._propagate(good, stuck, width_mask)
-        changed = {self.net: stuck}
-        for net, value in zip(self._cone_nets, values):
-            if value != good[net]:
-                changed[net] = value
-        return detected, changed
-
-
 def _gate_expression3(kind: GateType, one: List[str],
                       zero: List[str]) -> tuple:
     """(is-one expr, is-zero expr) for three-valued bitplane evaluation."""

@@ -11,13 +11,13 @@ Three memoisation layers back the campaign engine's throughput:
   POs — names excluded), so structurally identical netlists share one
   compiled function no matter how many simulator instances exist.
 
-* **Compiled-cone cache.**  The batched fault-grading engine
-  (:mod:`repro.faults.batched`) compiles every fault site's fanout cone
-  into a straight-line kernel
-  (:class:`~repro.logic.compiled.CompiledConeEvaluator`).  Kernels are
-  keyed by ``(structural hash, net id)`` so both stuck-at polarities,
-  every simulator instance, and every pool worker share one compile
-  per site.
+* **Fanout-cone cache.**  Fault simulation re-evaluates only a fault's
+  fanout cone on top of the good values, and every excited fault walks
+  its site's cone once per block.  Each site's cone — gates in
+  evaluation order plus the primary outputs it reaches — is memoised by
+  structural hash and net id, so both stuck-at polarities, every
+  simulator instance and every pool worker forked after a warm-up share
+  one derivation per site.
 
 * **Good-machine trace cache.**  Fault simulation evaluates the
   fault-free machine once per pattern block and then re-evaluates only
@@ -28,7 +28,7 @@ Three memoisation layers back the campaign engine's throughput:
   replays it.  The cache is a bounded LRU so paper-scale sweeps cannot
   grow it without limit.
 
-Both caches are guarded by locks (the serial runner's timeout threads
+The caches are guarded by locks (the serial runner's timeout threads
 may race the main thread) and are inherited copy-on-write by forked pool
 workers — warm a cache before the fork and every worker shares it.
 
@@ -50,7 +50,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
-from repro.logic.netlist import Netlist
+from repro.logic.netlist import Gate, Netlist
 
 #: Bound on the number of good-machine blocks kept (LRU eviction).
 TRACE_CACHE_MAX = 256
@@ -58,7 +58,7 @@ TRACE_CACHE_MAX = 256
 _LOCK = threading.Lock()
 _COMPILED: Dict[str, object] = {}
 _COMPILED3: Dict[str, object] = {}
-_CONES: Dict[Tuple[str, int], object] = {}
+_CONES: Dict[str, Dict[int, Tuple[List[Gate], List[int]]]] = {}
 _TRACE: "OrderedDict[Tuple, List[int]]" = OrderedDict()
 _STATS = {
     "compile_hits": 0, "compile_misses": 0,
@@ -138,48 +138,33 @@ def _compiled_for(netlist: Netlist, table: Dict[str, object],
         return table.setdefault(key, built)
 
 
-def cone_if_cached(netlist: Netlist, net: int):
-    """The compiled cone kernel for ``net`` if one already exists, else
-    ``None`` — a peek that never compiles.
+def fanout_cone(netlist: Netlist, net: int) -> Tuple[List[Gate], List[int]]:
+    """The fanout cone of fault site ``net``: its gates in evaluation
+    order and the primary outputs it reaches (``net`` itself included
+    when it is one), shared read-only.
 
-    The batched engine's adaptive warm-up calls this on every cone walk
-    while a site is below its compile threshold, so a kernel compiled
-    by another simulator instance (or inherited from a pre-fork warm
-    cache) is picked up immediately.  A found kernel counts as a cone
-    hit; absence counts nothing (it is not a compile decision).
-    """
-    key = (netlist_hash(netlist), net)
-    with _LOCK:
-        hit = _CONES.get(key)
-        if hit is not None:
-            _STATS["cone_hits"] += 1
-            obs.incr("cache.cone.hits")
-        return hit
-
-
-def compiled_cone(netlist: Netlist, net: int):
-    """The shared :class:`CompiledConeEvaluator` for one fault site.
-
-    Keyed by ``(structural hash, net id)``: structurally identical
+    Keyed by structural hash, then net id: structurally identical
     netlists assign identical net ids to their gate graphs, so every
     simulator instance over the same structure — and both stuck-at
-    polarities of the site — share one compiled kernel.
+    polarities of the site — share one entry.
     """
-    from repro.logic.compiled import CompiledConeEvaluator
-    key = (netlist_hash(netlist), net)
+    key = netlist_hash(netlist)
     with _LOCK:
-        hit = _CONES.get(key)
+        cones = _CONES.get(key)
+        if cones is None:
+            cones = _CONES[key] = {}
+        hit = cones.get(net)
         if hit is not None:
             _STATS["cone_hits"] += 1
             obs.incr("cache.cone.hits")
             return hit
         _STATS["cone_misses"] += 1
     obs.incr("cache.cone.misses")
-    with obs.section("sim.batched.compile_cone"):
-        built = CompiledConeEvaluator(netlist, net)  # outside the lock
-    obs.observe("sim.batched.cone_gates", built.n_cone_gates)
+    gates = netlist.transitive_fanout_gates(net)
+    touched = {net} | {gate.output for gate in gates}
+    cone = (gates, [out for out in netlist.outputs if out in touched])
     with _LOCK:
-        return _CONES.setdefault(key, built)
+        return cones.setdefault(net, cone)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +248,7 @@ def cache_stats() -> Dict[str, float]:
     with _LOCK:
         stats = dict(_STATS)
         stats["compiled_evaluators"] = len(_COMPILED) + len(_COMPILED3)
-        stats["compiled_cones"] = len(_CONES)
+        stats["cones"] = sum(len(c) for c in _CONES.values())
         stats["trace_blocks"] = len(_TRACE)
     for kind in CACHE_KINDS:
         total = stats[f"{kind}_hits"] + stats[f"{kind}_misses"]

@@ -80,16 +80,10 @@ class HierarchicalCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        engine: str = "interpreted",
     ):
-        # ``engine`` picks the component fault-propagation engine
-        # ("interpreted" or "batched") for the default simulator; the
-        # two are bit-for-bit identical, so it is deliberately not part
-        # of the campaign fingerprint — checkpoints resume across
-        # engines.
         from repro.faults.hierarchical import HierarchicalFaultSimulator
         self.simulator = simulator if simulator is not None \
-            else HierarchicalFaultSimulator(engine=engine)
+            else HierarchicalFaultSimulator()
         self.words = list(words)
         self.storage_fault_max_cycles = storage_fault_max_cycles
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
@@ -186,12 +180,7 @@ class HierarchicalCampaign:
 # Combinational pattern-parallel fault simulation
 # ----------------------------------------------------------------------
 class CombSimCampaign:
-    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``.
-
-    The propagation engine (interpreted walk vs batched compiled cones)
-    rides on the supplied ``sim``; grades are bit-identical either way,
-    so checkpoints resume across engine choices.
-    """
+    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``."""
 
     def __init__(
         self,
@@ -208,7 +197,7 @@ class CombSimCampaign:
         self.faults = list(faults if faults is not None
                            else sim.fault_list.faults)
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
-        self._good: Dict[int, Tuple[List[int], int]] = {}
+        self._prepared = _Lazy(self._prepare)
         from repro.lint.netlist_rules import warn_on_netlist
         warn_on_netlist(sim.netlist, context="combsim campaign")
 
@@ -225,36 +214,35 @@ class CombSimCampaign:
             "n_faults": len(self.faults),
         }
 
-    def _block_good(self, i: int) -> Tuple[List[int], int]:
-        if i not in self._good:
-            block = self.blocks[i]
+    def _prepare(self) -> List[Tuple[List[int], int]]:
+        """Every block's good values and one lookup of every fault site's
+        fanout cone.  The pool runs this in the parent, so forked workers
+        inherit both instead of each re-deriving them; the serial runner
+        runs it in the first unit, so both count the same cache lookups."""
+        from repro.runtime.cache import fanout_cone
+        for fault in self.faults:
+            fanout_cone(self.sim.netlist, fault.net)
+        prepared = []
+        for block in self.blocks:
             n_patterns = len(next(iter(block.values())))
-            self._good[i] = (self.sim.good_values(block, n_patterns),
-                             n_patterns)
-        return self._good[i]
+            prepared.append((self.sim.good_values(block, n_patterns),
+                             n_patterns))
+        return prepared
 
     def _grade(self, fault) -> Optional[int]:
         offset = 0
-        for i in range(len(self.blocks)):
-            good, n_patterns = self._block_good(i)
+        for good, n_patterns in self._prepared():
             mask, _ = self.sim.simulate_fault(fault, good, n_patterns)
             if mask:
                 return offset + (mask & -mask).bit_length() - 1
             offset += n_patterns
         return None
 
-    def _warmup(self) -> None:
-        """Evaluate every block's good machine in the parent so forked
-        workers inherit the results instead of each re-deriving them."""
-        for i in range(len(self.blocks)):
-            self._block_good(i)
-
     def units(self) -> List[WorkUnit]:
         return [
             WorkUnit(
                 unit_id=f"comb:{fault.net}:sa{fault.stuck_at}",
                 run=lambda fault=fault: self._grade(fault),
-                reset=self._good.clear,
             )
             for fault in self.faults
         ]
@@ -264,7 +252,7 @@ class CombSimCampaign:
             force: bool = False) -> CampaignOutcome:
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, warmup=self._warmup,
+            repair=repair, max_units=max_units, warmup=self._prepared,
             force=force,
         )
         by_id = {f"comb:{f.net}:sa{f.stuck_at}": f for f in self.faults}

@@ -7,7 +7,7 @@ Three layers of pinning:
   sequential-depth increments);
 * the differential gate from ISSUE 8 — COP-predicted-hard fault sites
   must rank-correlate positively with empirical first-detect indices
-  from the batched fault simulator, on every combinational paper
+  from the fault simulator, on every combinational paper
   component and on seeded random netlists.
 """
 
@@ -263,7 +263,7 @@ def test_summarize_testability_fields():
 
 
 # ----------------------------------------------------------------------
-# Differential gate: static predictions vs batched fault simulation
+# Differential gate: static predictions vs fault simulation
 # ----------------------------------------------------------------------
 N_PATTERNS = 1024
 BLOCK = 256
@@ -281,7 +281,7 @@ def _first_detect_indices(nl, faults, seed=7):
         blocks.append({name: [rng.randrange(1 << len(nets))
                               for _ in range(BLOCK)]
                        for name, nets in input_buses})
-    sim = CombFaultSimulator(nl, faults, engine="batched")
+    sim = CombFaultSimulator(nl, faults)
     first = sim.run_with_dropping(blocks)
     return {f: (N_PATTERNS if t is None else t) for f, t in first.items()}
 
@@ -307,7 +307,7 @@ def test_predicted_hardness_tracks_first_detect_on_components(spec):
     rho = _static_vs_dynamic_rho(spec.netlist())
     assert rho > MIN_RHO, (
         f"{spec.name}: COP-predicted hardness does not rank-correlate "
-        f"with batched first-detect indices (rho={rho:.3f})"
+        f"with simulated first-detect indices (rho={rho:.3f})"
     )
 
 

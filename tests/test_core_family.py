@@ -4,7 +4,7 @@ Twenty seeded design points (16 sampled + the paper core + three
 hand-picked extremes) each get three independent checks:
 
 * gate-level netlist vs behavioural simulator on a seeded random program;
-* interpreted vs batched hierarchical fault grading on a small universe;
+* the fault simulator vs a brute-force reference on the point's ``mux7``;
 * Phase 2's dynamic mode-reachability vs the lint ISA rule's static one.
 
 A failing point dumps its :meth:`CoreSpec.to_doc` (plus the seed and the
@@ -26,12 +26,12 @@ from repro.dsp.isa import Instruction, Opcode, encode
 from repro.faults.hierarchical import (
     DspFaultUniverse,
     HierarchicalFaultSimulator,
-    fault_unit_id,
 )
 from repro.harness.sweeps import sampled_specs
 from repro.lint.modes import mode_reachability_crosscheck
 from repro.logic.sequential import SequentialSimulator
 from repro.metrics.table import build_metrics_table
+from tests.test_faults_batched import first_detect, reference_detection
 
 FLEET_SEED = 77
 N_SAMPLED = 16
@@ -137,30 +137,38 @@ def test_gate_vs_behavioral(point):
                         f"(repro artifact: {path})")
 
 
-def _grade(build, words, engine):
-    universe = DspFaultUniverse(components=["mux7"], include_regfile=False,
-                                engine=engine, build=build)
-    sim = HierarchicalFaultSimulator(universe=universe, block_size=32,
-                                     checkpoint_every=8,
-                                     propagation_window=16)
-    result = sim.run(words, storage_fault_max_cycles=96)
-    return sorted((fault_unit_id(f), c)
-                  for f, c in result.first_detect.items())
-
-
 def test_fault_sim_engine_parity(point):
-    """Interpreted and batched engines detect identical (fault, cycle)s."""
+    """The fault simulator's cone walk matches the brute-force
+    per-pattern reference on the point's ``mux7``, stimulated by the
+    inputs a random program drives into it, block by block."""
     spec, build = point
     seed = 0x5EED ^ zlib.crc32(spec.label().encode()) & 0xFFFF
     words = _random_program(spec, seed, length=24)
-    interpreted = _grade(build, words, "interpreted")
-    batched = _grade(build, words, "batched")
-    if interpreted != batched:
-        path = _dump_failure(spec, seed, check="engine_parity", words=words,
-                             interpreted=interpreted, batched=batched)
-        pytest.fail(f"{spec.label()} engine mismatch "
-                    f"({len(interpreted)} vs {len(batched)} detections; "
-                    f"repro artifact: {path})")
+    universe = DspFaultUniverse(components=["mux7"], include_regfile=False,
+                                build=build)
+    ctx = HierarchicalFaultSimulator(
+        universe=universe, block_size=16, checkpoint_every=8,
+    ).prepare(words)
+    records = [ctx.block_records[start]["mux7"] for start in ctx.block_starts]
+    blocks = [rec["inputs"] for rec in records if rec["cycles"]]
+    stream = {port: [w for block in blocks for w in block[port]]
+              for port in blocks[0]}
+    sim = universe.comb_simulators["mux7"]
+    output_bus = universe.spec("mux7").output_bus
+    first = sim.run_with_dropping(blocks)
+    mismatched = []
+    for fault in sim.fault_list.faults:
+        expect_mask, expect_words = reference_detection(
+            sim.netlist, fault, stream, [output_bus])
+        local = sim.local_detection(fault, stream, [output_bus])
+        if (local.detected_mask, local.faulty_words, first[fault]) \
+                != (expect_mask, expect_words, first_detect(expect_mask)):
+            mismatched.append(fault.describe(sim.netlist))
+    if mismatched:
+        path = _dump_failure(spec, seed, check="walk_vs_reference",
+                             words=words, mismatched=mismatched[:10])
+        pytest.fail(f"{spec.label()}: {len(mismatched)} fault(s) disagree "
+                    f"with the reference (repro artifact: {path})")
 
 
 def test_mode_reachability_static_vs_dynamic(point):

@@ -1,274 +1,151 @@
-"""Differential sweep: batched vs interpreted fault-simulation engines.
+"""Pattern-batched fault simulation vs a brute-force per-pattern oracle.
 
-The batched engine (:mod:`repro.faults.batched`) must be bit-for-bit
-identical to the interpreted cone walk — detection masks, first-detect
-indices under dropping and block re-chunking, ``LocalDetection``
-faulty words, single-pattern faulty output words.  Both engines are
-additionally graded against a brute-force per-pattern reference that
-rebuilds each faulty machine by forcing the stuck net in a serial
-:class:`CombSimulator` run — so the pair cannot agree on a shared bug.
-
-Any disagreeing random netlist is dumped to ``tests/artifacts/`` as a
-replayable JSON repro artifact, mirroring the cross-validation sweep.
+:class:`CombFaultSimulator` grades a whole batch of patterns per pass:
+each pattern is one bit of a packed word, and ``run_with_dropping``
+takes the stream block by block.  Every entry point is checked here
+against a reference that never packs or walks a cone: for each fault
+and each pattern on its own, the faulty machine is rebuilt by pinning
+the stuck net in a serial :class:`CombSimulator` run.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
-from repro.faults.batched import (
-    DEFAULT_BLOCK_WIDTH, BatchedConeEngine, widen_blocks,
-)
 from repro.faults.combsim import CombFaultSimulator
-from repro.logic.random_nets import netlist_to_doc, random_netlist
+from repro.logic.random_nets import random_netlist
 from repro.logic.simulator import CombSimulator, unpack_output
-from repro.runtime.cache import clear_caches
 from repro.runtime.errors import ConfigError
 
 N_CASES = 25
-N_BRUTE_CASES = 10
-ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 
-def _dump_failure(netlist, seed, **extra):
-    ARTIFACT_DIR.mkdir(exist_ok=True)
-    doc = netlist_to_doc(netlist)
-    doc["xval"] = {"seed": seed, **extra}
-    path = ARTIFACT_DIR / f"batched_{netlist.name}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+def reference_detection(netlist, fault, patterns, output_buses):
+    """The fault graded one pattern at a time, with no cone walk.
 
-
-def _netlist(seed):
-    return random_netlist(2000 + seed, n_inputs=4 + seed % 5,
-                          n_gates=24 + seed % 33,
-                          name=f"randbatched{seed}")
-
-
-def _blocks(netlist, seed, n_blocks=5, width=11):
-    """Deliberately odd-width blocks, so re-chunking has work to do."""
-    rng = random.Random(("batched-blocks", seed).__repr__())
-    n_in = len(netlist.buses["in"])
-    return [{"in": [rng.getrandbits(n_in) for _ in range(width)]}
-            for _ in range(n_blocks)]
-
-
-def _engines(netlist, compile_threshold):
-    interpreted = CombFaultSimulator(netlist)
-    batched = CombFaultSimulator(netlist, engine="batched", block_width=16)
-    batched.batched_engine.compile_threshold = compile_threshold
-    return interpreted, batched
-
-
-# ----------------------------------------------------------------------
-# Interpreted vs batched, both compile policies
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(N_CASES))
-@pytest.mark.parametrize("threshold", [0, 2], ids=["compiled", "adaptive"])
-def test_detect_masks_bit_for_bit(seed, threshold):
-    """Full detect() masks agree for every fault.
-
-    ``threshold=0`` forces every cone through the compiled kernel;
-    ``threshold=2`` exercises the warm-up hand-off between the
-    interpreted walk and the kernel mid-run.
+    For every pattern the faulty machine is rebuilt from scratch by
+    pinning the stuck net in a fresh :class:`CombSimulator` run.
+    Returns ``(detected_mask, {bus: [faulty word per pattern]})``: a
+    pattern detects when any primary output differs from the good run.
     """
-    clear_caches()
-    netlist = _netlist(seed)
-    flat = {"in": [w for b in _blocks(netlist, seed) for w in b["in"]]}
-    interpreted, batched = _engines(netlist, threshold)
-    ri = interpreted.detect(flat)
-    rb = batched.detect(flat)
-    if ri != rb:
-        bad = [f.describe(netlist) for f in ri if ri[f] != rb[f]]
-        path = _dump_failure(netlist, seed, check="detect",
-                             mismatched=bad[:10])
-        pytest.fail(f"seed {seed}: {len(bad)} mask(s) disagree; "
-                    f"repro dumped to {path}")
+    serial = CombSimulator(netlist)
+    n_patterns = len(next(iter(patterns.values())))
+    detected = 0
+    words = {bus: [] for bus in output_buses}
+    for k in range(n_patterns):
+        inputs = {net: (patterns[bus][k] >> i) & 1
+                  for bus in patterns
+                  for i, net in enumerate(netlist.buses[bus])}
+        good = serial.run(inputs, 1)
+        faulty = serial.run(inputs, 1, forced={fault.net: fault.stuck_at})
+        if any(good[out] != faulty[out] for out in netlist.outputs):
+            detected |= 1 << k
+        for bus in output_buses:
+            words[bus].append(unpack_output(
+                [faulty[net] for net in netlist.buses[bus]], 0))
+    return detected, words
+
+
+def first_detect(mask):
+    """Index of the first detecting pattern in ``mask``, or ``None``."""
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def _reference_netlist(seed):
+    return random_netlist(2000 + seed, n_inputs=4 + seed % 5,
+                          n_gates=24 + seed % 33, name=f"randref{seed}")
+
+
+def _random_blocks(buses, widths, rng):
+    """One block per width, with random words for every bus in ``buses``."""
+    return [{name: [rng.getrandbits(len(nets)) for _ in range(width)]
+             for name, nets in buses.items()} for width in widths]
+
+
+def _concat(blocks):
+    return {name: [w for block in blocks for w in block[name]]
+            for name in blocks[0]}
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
-@pytest.mark.parametrize("threshold", [0, 2], ids=["compiled", "adaptive"])
-def test_dropping_first_detect_indices(seed, threshold):
-    """run_with_dropping agrees on first-detect indices even though the
-    batched engine re-chunks the odd-width incoming blocks to its own
-    block width (global pattern order is preserved)."""
-    clear_caches()
-    netlist = _netlist(seed)
-    blocks = _blocks(netlist, seed)
-    interpreted, batched = _engines(netlist, threshold)
-    di = interpreted.run_with_dropping(blocks)
-    db = batched.run_with_dropping(blocks)
-    if di != db:
-        bad = {f.describe(netlist): (di[f], db[f])
-               for f in di if di[f] != db[f]}
-        path = _dump_failure(netlist, seed, check="dropping",
-                             mismatched=dict(list(bad.items())[:10]))
-        pytest.fail(f"seed {seed}: first-detect disagrees for "
-                    f"{len(bad)} fault(s); repro dumped to {path}")
+def test_brute_force_reference(seed):
+    """Every entry point matches the per-pattern reference for every fault:
+    ``detect`` masks, ``run_with_dropping`` first-detect indices across
+    odd-width blocks, ``local_detection`` faulty words and
+    ``faulty_output_word``."""
+    netlist = _reference_netlist(100 + seed)
+    rng = random.Random(("reference-blocks", seed).__repr__())
+    blocks = _random_blocks({"in": netlist.buses["in"]}, (5, 7, 3), rng)
+    stream = _concat(blocks)
+    sim = CombFaultSimulator(netlist)
+    faults = sim.fault_list.faults
+    masks = sim.detect(stream)
+    first = sim.run_with_dropping(blocks)
+    for fault in faults:
+        where = f"seed {seed}: {fault.describe(netlist)}"
+        expect_mask, expect_words = reference_detection(
+            netlist, fault, stream, ["out"])
+        assert masks[fault] == expect_mask, where
+        assert first[fault] == first_detect(expect_mask), where
+        local = sim.local_detection(fault, stream, ["out"])
+        assert local.detected_mask == expect_mask, where
+        assert local.faulty_words == expect_words, where
+        for k, word in enumerate(stream["in"]):
+            assert sim.faulty_output_word(fault, {"in": word}, "out") \
+                == expect_words["out"][k], f"{where}, pattern {k}"
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_local_detection_and_faulty_words(seed):
-    """LocalDetection masks and faulty word streams are identical."""
-    clear_caches()
-    netlist = _netlist(seed)
-    block = _blocks(netlist, seed, n_blocks=1, width=9)[0]
-    interpreted, batched = _engines(netlist, compile_threshold=0)
-    for fault in interpreted.fault_list.faults:
-        li = interpreted.local_detection(fault, block, ["out"])
-        lb = batched.local_detection(fault, block, ["out"])
-        assert li.detected_mask == lb.detected_mask, \
-            f"seed {seed}: {fault.describe(netlist)}"
-        assert li.faulty_words == lb.faulty_words, \
-            f"seed {seed}: {fault.describe(netlist)}"
-        wi = interpreted.faulty_output_word(
-            fault, {"in": block["in"][0]}, "out")
-        wb = batched.faulty_output_word(fault, {"in": block["in"][0]}, "out")
-        assert wi == wb, f"seed {seed}: {fault.describe(netlist)}"
+    """``LocalDetection`` masks and faulty word streams over a nine-pattern
+    block, and each pattern's ``faulty_output_word``, match the reference
+    on a second family of random netlists."""
+    netlist = _reference_netlist(seed)
+    rng = random.Random(("local-block", seed).__repr__())
+    block = _random_blocks({"in": netlist.buses["in"]}, (9,), rng)[0]
+    sim = CombFaultSimulator(netlist)
+    for fault in sim.fault_list.faults:
+        where = f"seed {seed}: {fault.describe(netlist)}"
+        expect_mask, expect_words = reference_detection(
+            netlist, fault, block, ["out"])
+        local = sim.local_detection(fault, block, ["out"])
+        assert local.detected_mask == expect_mask, where
+        assert local.faulty_words == expect_words, where
+        for k, word in enumerate(block["in"]):
+            assert sim.faulty_output_word(fault, {"in": word}, "out") \
+                == expect_words["out"][k], f"{where}, pattern {k}"
 
 
 def test_paper_core_component_parity():
-    """Both engines agree on a real paper-core component end to end."""
+    """On a real paper-core component driven through several input
+    buses at once, ``detect`` masks and ``run_with_dropping``
+    first-detect indices match the reference for every fault."""
     from repro.dsp.components import component_by_name
-    clear_caches()
     netlist = component_by_name("addsub").netlist()
-    rng = random.Random(("batched-addsub",).__repr__())
     in_nets = set(netlist.inputs)
     buses = {name: nets for name, nets in netlist.buses.items()
              if nets and all(n in in_nets for n in nets)}
-    blocks = [{name: [rng.getrandbits(len(nets)) for _ in range(27)]
-               for name, nets in buses.items()} for _ in range(3)]
-    flat = {name: [w for b in blocks for w in b[name]] for name in buses}
-    interpreted = CombFaultSimulator(netlist)
-    batched = CombFaultSimulator(netlist, engine="batched", block_width=64)
-    batched.batched_engine.compile_threshold = 0
-    assert interpreted.detect(flat) == batched.detect(flat)
-    assert interpreted.run_with_dropping(blocks) == \
-        batched.run_with_dropping(blocks)
-
-
-# ----------------------------------------------------------------------
-# Brute-force per-pattern reference (satellite: local_detection and
-# faulty_output_word correctness, not just engine agreement)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(N_BRUTE_CASES))
-def test_brute_force_reference(seed):
-    """Each engine matches a serial forced-net faulty machine.
-
-    For every fault and every pattern individually, the faulty machine
-    is rebuilt from scratch by pinning the stuck net in a fresh
-    :class:`CombSimulator` run; the detection mask and the faulty
-    ``out`` words must match what both engines report.
-    """
-    clear_caches()
-    netlist = _netlist(100 + seed)
-    block = _blocks(netlist, 100 + seed, n_blocks=1, width=6)[0]
-    words = block["in"]
-    n_patterns = len(words)
-    serial = CombSimulator(netlist)
-    out_nets = netlist.buses["out"]
-    in_nets = netlist.buses["in"]
-    interpreted, batched = _engines(netlist, compile_threshold=0)
-    for fault in interpreted.fault_list.faults:
-        expect_mask = 0
-        expect_words = []
-        for k, word in enumerate(words):
-            inputs = {net: (word >> i) & 1
-                      for i, net in enumerate(in_nets)}
-            good = serial.run(inputs, 1)
-            faulty = serial.run(inputs, 1, forced={fault.net: fault.stuck_at})
-            good_word = unpack_output([good[n] for n in out_nets], 0)
-            faulty_word = unpack_output([faulty[n] for n in out_nets], 0)
-            if faulty_word != good_word:
-                expect_mask |= 1 << k
-                expect_words.append(faulty_word)
-            else:
-                expect_words.append(good_word)
-        for sim in (interpreted, batched):
-            local = sim.local_detection(fault, block, ["out"])
-            assert local.detected_mask == expect_mask, \
-                f"seed {seed}: {fault.describe(netlist)} ({sim.engine})"
-            assert local.faulty_words["out"] == expect_words, \
-                f"seed {seed}: {fault.describe(netlist)} ({sim.engine})"
-            word0 = sim.faulty_output_word(fault, {"in": words[0]}, "out")
-            assert word0 == expect_words[0], \
-                f"seed {seed}: {fault.describe(netlist)} ({sim.engine})"
-
-
-# ----------------------------------------------------------------------
-# widen_blocks
-# ----------------------------------------------------------------------
-def test_widen_blocks_rechunks_to_width():
-    blocks = [{"a": list(range(i * 10, i * 10 + 10))} for i in range(5)]
-    out = list(widen_blocks(blocks, 16))
-    assert [len(b["a"]) for b in out] == [16, 16, 16, 2]
-    assert [w for b in out for w in b["a"]] == list(range(50))
-
-
-def test_widen_blocks_narrows_too():
-    blocks = [{"a": list(range(20))}]
-    out = list(widen_blocks(blocks, 8))
-    assert [len(b["a"]) for b in out] == [8, 8, 4]
-
-
-def test_widen_blocks_flushes_on_bus_set_change():
-    blocks = [{"a": [1, 2, 3]}, {"a": [4], "b": [5]}]
-    out = list(widen_blocks(blocks, 8))
-    assert out == [{"a": [1, 2, 3]}, {"a": [4], "b": [5]}]
-
-
-def test_widen_blocks_rejects_bad_blocks():
-    with pytest.raises(ConfigError, match="no pattern buses"):
-        list(widen_blocks([{}], 8))
-    with pytest.raises(ConfigError, match="equal length"):
-        list(widen_blocks([{"a": [1, 2], "b": [3]}], 8))
-    with pytest.raises(ConfigError, match="block_width"):
-        list(widen_blocks([{"a": [1]}], 0))
-
-
-# ----------------------------------------------------------------------
-# Configuration errors and knobs
-# ----------------------------------------------------------------------
-def test_unknown_engine_rejected():
-    netlist = _netlist(0)
-    with pytest.raises(ConfigError, match="unknown fault-simulation engine"):
-        CombFaultSimulator(netlist, engine="vectorised")
-
-
-def test_bad_block_width_rejected():
-    netlist = _netlist(0)
-    with pytest.raises(ConfigError, match="block_width"):
-        CombFaultSimulator(netlist, engine="batched", block_width=-4)
-
-
-def test_bad_compile_threshold_rejected():
-    netlist = _netlist(0)
-    with pytest.raises(ConfigError, match="compile_threshold"):
-        BatchedConeEngine(netlist, compile_threshold=-1)
-
-
-def test_default_block_width_applied():
-    netlist = _netlist(0)
-    sim = CombFaultSimulator(netlist, engine="batched")
-    assert sim.batched_engine.block_width == DEFAULT_BLOCK_WIDTH
-    assert CombFaultSimulator(netlist).batched_engine is None
+    assert len(buses) > 1
+    rng = random.Random(("reference-addsub",).__repr__())
+    blocks = _random_blocks(buses, (5, 7, 3), rng)
+    stream = _concat(blocks)
+    sim = CombFaultSimulator(netlist)
+    masks = sim.detect(stream)
+    first = sim.run_with_dropping(blocks)
+    for fault in sim.fault_list.faults:
+        expect_mask, _ = reference_detection(netlist, fault, stream, [])
+        assert masks[fault] == expect_mask, fault.describe(netlist)
+        assert first[fault] == first_detect(expect_mask), \
+            fault.describe(netlist)
 
 
 def test_detect_rejects_empty_bus_patterns():
-    """The regression this PR fixes: an empty stimulus used to surface
-    as an unrelated error instead of naming the actual problem."""
-    for engine in ("interpreted", "batched"):
-        sim = CombFaultSimulator(_netlist(1), engine=engine)
-        with pytest.raises(ConfigError, match="no pattern buses given"):
-            sim.detect({})
+    sim = CombFaultSimulator(_reference_netlist(1))
+    with pytest.raises(ConfigError, match="no pattern buses given"):
+        sim.detect({})
 
 
 def test_detect_rejects_unequal_bus_lengths():
-    netlist = _netlist(2)
-    for engine in ("interpreted", "batched"):
-        sim = CombFaultSimulator(netlist, engine=engine)
-        with pytest.raises(ConfigError, match="equal length"):
-            sim.detect({"in": [1, 2], "out": [3]})
+    sim = CombFaultSimulator(_reference_netlist(2))
+    with pytest.raises(ConfigError, match="equal length"):
+        sim.detect({"in": [1, 2], "out": [3]})

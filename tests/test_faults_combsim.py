@@ -10,6 +10,7 @@ from repro.faults.model import Fault, collapse_faults, full_fault_list
 from repro.logic.builder import NetlistBuilder
 from repro.rtl.arith import make_addsub
 from repro.rtl.multiplier import make_multiplier
+from repro.runtime.errors import ConfigError
 
 
 def and2():
@@ -121,3 +122,28 @@ def test_mismatched_pattern_lengths_rejected():
     sim = CombFaultSimulator(and2())
     with pytest.raises(ValueError):
         sim.detect({"a": [0, 1], "c": [0]})
+
+
+@pytest.mark.parametrize("call, stimulus, offender", [
+    pytest.param("dropping", {}, "empty stimulus", id="empty-block"),
+    pytest.param("dropping", {"a": [1, 0, 1], "c": [0]}, "equal length",
+                 id="ragged-block"),
+    pytest.param("dropping", {"a": [1], "c": [1], "bogus": [0]}, "'bogus'",
+                 id="unknown-bus"),
+    pytest.param("dropping", {"a": [1], "c": [1], "y": [0]}, "'y'",
+                 id="output-bus"),
+    pytest.param("detect", {"a": [1]}, "'c'", id="undriven-primary-input"),
+    pytest.param("local", {}, "empty stimulus", id="local-detection-empty"),
+])
+def test_bad_input_raises_one_config_error(call, stimulus, offender):
+    nl = and2()
+    sim = CombFaultSimulator(nl)
+    fault = Fault(nl.net_id("y"), 0)
+    with pytest.raises(ConfigError, match=offender):
+        if call == "detect":
+            sim.detect(stimulus)
+        elif call == "dropping":
+            # A valid block first: every block is checked, not just one.
+            sim.run_with_dropping([{"a": [1], "c": [0]}, stimulus])
+        else:
+            sim.local_detection(fault, stimulus, ["y"])

@@ -1,4 +1,4 @@
-"""Tests for the shared compile/trace caches (repro.runtime.cache)."""
+"""Tests for the shared compile/cone/trace caches (repro.runtime.cache)."""
 
 import random
 
@@ -13,10 +13,9 @@ from repro.runtime.cache import (
     cache_stats,
     cached_good_values,
     clear_caches,
-    compiled_cone,
     compiled_evaluator,
     compiled_evaluator3,
-    cone_if_cached,
+    fanout_cone,
     netlist_hash,
 )
 
@@ -155,13 +154,13 @@ def test_trace_cache_lru_bound(monkeypatch):
 def test_clear_caches_resets_everything():
     netlist = component_by_name("mux7").netlist()
     compiled_evaluator(netlist)
-    compiled_cone(netlist, netlist.gates[0].output)
+    fanout_cone(netlist, netlist.gates[0].output)
     CombFaultSimulator(netlist, collapse_faults(netlist)) \
         .good_values(block_for(netlist), 16)
     clear_caches()
     stats = cache_stats()
     assert stats["compiled_evaluators"] == 0
-    assert stats["compiled_cones"] == 0
+    assert stats["cones"] == 0
     assert stats["trace_blocks"] == 0
     assert stats["compile_hits"] == stats["compile_misses"] == 0
     assert stats["cone_hits"] == stats["cone_misses"] == 0
@@ -169,58 +168,63 @@ def test_clear_caches_resets_everything():
 
 
 # ----------------------------------------------------------------------
-# Compiled-cone cache (batched fault-simulation engine)
+# Fanout-cone cache
 # ----------------------------------------------------------------------
-def test_compiled_cone_shared_across_independent_builds():
+def test_fanout_cone_shared_across_independent_builds():
     a = fresh_netlist()
     b = fresh_netlist()
     net = a.gates[0].output  # identical structures assign identical ids
-    assert compiled_cone(a, net) is compiled_cone(b, net)
+    assert fanout_cone(a, net) is fanout_cone(b, net)
     stats = cache_stats()
     assert stats["cone_misses"] == 1
     assert stats["cone_hits"] == 1
-    assert stats["compiled_cones"] == 1
+    assert stats["cones"] == 1
 
 
-def test_compiled_cone_keyed_per_site():
+def test_fanout_cone_keyed_per_site():
     netlist = fresh_netlist()
     sites = [gate.output for gate in netlist.gates[:3]]
-    kernels = {id(compiled_cone(netlist, net)) for net in sites}
-    assert len(kernels) == len(sites)
-    assert cache_stats()["compiled_cones"] == len(sites)
+    cones = {id(fanout_cone(netlist, net)) for net in sites}
+    assert len(cones) == len(sites)
+    assert cache_stats()["cones"] == len(sites)
 
 
-def test_cone_if_cached_peeks_without_compiling():
+def test_fanout_cone_holds_gates_and_reached_outputs():
     netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    assert cone_if_cached(netlist, net) is None
-    # A peek is not a compile decision: absence counts nothing.
-    assert cache_stats()["cone_misses"] == 0
-    built = compiled_cone(netlist, net)
-    assert cone_if_cached(netlist, net) is built
-    assert cache_stats()["cone_hits"] == 1
+    for net in [netlist.inputs[0]] + [g.output for g in netlist.gates[:5]]:
+        gates, outputs = fanout_cone(netlist, net)
+        assert gates == netlist.transitive_fanout_gates(net)
+        touched = {net} | {gate.output for gate in gates}
+        assert outputs == [o for o in netlist.outputs if o in touched]
 
 
-def test_batched_engine_adopts_shared_kernels_during_warmup():
-    """A kernel compiled elsewhere is used immediately, warm-up
-    threshold notwithstanding (pre-fork warm caches, sibling sims)."""
-    from repro.faults.batched import BatchedConeEngine
+def test_both_polarities_and_simulators_share_one_cone():
+    """Every excited cone walk is one lookup: the first walk of a site
+    misses, every later one (other polarity, other instance) hits."""
     netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    cold = BatchedConeEngine(netlist, compile_threshold=5)
-    assert cold.kernel_or_none(net) is None       # warming up
-    built = compiled_cone(fresh_netlist(), net)   # a sibling compiles it
-    warm = BatchedConeEngine(netlist, compile_threshold=5)
-    assert warm.kernel_or_none(net) is built
+    block = block_for(netlist, n_patterns=64)
+    first = CombFaultSimulator(netlist)
+    second = CombFaultSimulator(fresh_netlist())
+    first.detect(block)
+    stats = cache_stats()
+    sites = {f.net for f in first.fault_list.faults}
+    assert stats["cones"] == stats["cone_misses"] <= len(sites)
+    misses = stats["cone_misses"]
+    second.detect(block)
+    stats = cache_stats()
+    assert stats["cone_misses"] == misses
+    assert stats["cone_hits"] > misses
 
 
-def test_batched_engine_compiles_after_threshold():
-    from repro.faults.batched import BatchedConeEngine
+def test_cache_stats_carries_every_kind_hit_rate():
+    """The three rates the benchmark reads: one miss then one hit each."""
     netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    engine = BatchedConeEngine(netlist, compile_threshold=2)
-    assert engine.kernel_or_none(net) is None
-    assert engine.kernel_or_none(net) is None
-    kernel = engine.kernel_or_none(net)           # third walk compiles
-    assert kernel is not None
-    assert cone_if_cached(netlist, net) is kernel
+    sim = CombFaultSimulator(netlist)          # compile miss
+    compiled_evaluator(fresh_netlist())        # compile hit
+    fanout_cone(netlist, netlist.inputs[0])
+    fanout_cone(netlist, netlist.inputs[0])
+    sim.good_values(block_for(netlist), 16)
+    sim.good_values(block_for(netlist), 16)
+    stats = cache_stats()
+    for kind in ("trace", "cone", "compile"):
+        assert stats[f"{kind}_hit_rate"] == 0.5, kind

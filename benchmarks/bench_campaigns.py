@@ -51,7 +51,7 @@ def measure(trajectory, experiment, label, jobs, build):
         experiment=experiment, label=label, jobs=campaign.runner.jobs,
         units=counts["executed"], wall_seconds=round(elapsed, 3),
         cache=cache_delta(before, cache_stats()),
-        degraded=counts["degraded"], quarantined=counts["quarantined"],
+        quarantined=counts["quarantined"],
         timings=outcome.report.timings,
     )
     print(f"  {label:<24} {elapsed:8.2f}s  "

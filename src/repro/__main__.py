@@ -6,13 +6,14 @@ Commands cover the everyday flows:
 * ``metrics`` — measure and print the DSP-core metrics table (Table 2);
 * ``generate`` — run Phases 1–2 and print the Fig. 7-style program,
   optionally writing the test-vector file and golden MISR signature;
-* ``grade`` — generate and fault-grade the self-test program;
+* ``grade`` — generate and fault-grade the self-test program (exit 1
+  if any fault's grading unit was quarantined);
 * ``sweep`` — run the whole pipeline across a core-family design space
   and write the coverage/test-length/area landscape artifact
   (see :mod:`repro.harness.sweeps`);
 * ``constraints`` — the Phase 3 control-bit constraint study (§3.4);
-* ``lint`` — static analysis of netlists, self-test programs and
-  campaign configurations (see :mod:`repro.lint`);
+* ``lint`` — static analysis of netlists and self-test programs
+  (see :mod:`repro.lint`);
 * ``testability`` — SCOAP/COP static testability report over the core
   and component netlists (see :mod:`repro.analysis.testability`);
 * ``chaos`` — seeded fault-injection soak of the campaign runtime
@@ -101,6 +102,17 @@ def _export_trace(session, args) -> None:
         print(f"chrome trace: {n} events -> {args.chrome}")
 
 
+def _quarantine_status(quarantined: int) -> int:
+    """Exit status of a finished campaign: 1 when any unit was
+    quarantined, since its fault then counts as undetected and every
+    figure built from it is only a lower bound."""
+    if not quarantined:
+        return 0
+    print(f"FAILED: {quarantined} unit(s) quarantined; the figures above "
+          "count them as undetected", file=sys.stderr)
+    return 1
+
+
 def _cmd_grade(args) -> int:
     from repro import obs
     from repro.runtime.campaigns import HierarchicalCampaign
@@ -135,7 +147,7 @@ def _cmd_grade(args) -> int:
         print(f"campaign: {outcome.report.summary()}")
         print(f"test time at 500 MHz: "
               f"{report.test_time_seconds() * 1e3:.3f} ms")
-        return 0
+        return _quarantine_status(outcome.report.counts()["quarantined"])
     finally:
         if session is not None:
             obs.disable()
@@ -192,6 +204,11 @@ def _cmd_sweep(args) -> int:
         if doc["interrupted"]:
             print("sweep interrupted: re-run with --resume to finish")
             return 3
+        quarantined = sum(counts["quarantined"]
+                          for point in doc["points"]
+                          for counts in point["campaign"].values())
+        if quarantined:
+            return _quarantine_status(quarantined)
         record_sweep(doc)
         return 0
     finally:
@@ -487,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--resume", action="store_true",
                         help="skip units already recorded in --checkpoint")
         p_.add_argument("--unit-timeout", type=float, metavar="SECONDS",
-                        help="wall-clock budget per grading unit; "
-                             "repeated timeouts degrade to behavioural "
-                             "simulation")
+                        help="wall-clock budget per grading unit (must "
+                             "be positive); a unit that times out on "
+                             "every retry is quarantined")
         p_.add_argument("--jobs", metavar="N",
                         help="worker processes for the campaign (an "
                              "integer or 'auto'; default: $REPRO_JOBS "
@@ -642,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_core_report)
 
     p = sub.add_parser("lint",
-                       help="static analysis of netlists, self-test "
-                            "programs and campaign configs")
+                       help="static analysis of netlists and self-test "
+                            "programs")
     from repro.lint.cli import add_lint_arguments
     add_lint_arguments(p)
     p.set_defaults(func=_cmd_lint)
@@ -693,6 +710,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "jobs", None) is not None:
             from repro.runtime.pool import resolve_jobs
             resolve_jobs(args.jobs)  # fail fast on a bad --jobs value
+        if hasattr(args, "unit_timeout"):
+            # Fail fast on settings the runner would reject after the
+            # metrics warm-up.
+            from repro.runtime.runner import check_settings
+            check_settings(getattr(args, "checkpoint", None),
+                           args.unit_timeout)
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -488,19 +488,14 @@ class HierarchicalFaultSimulator:
         )
 
     # ------------------------------------------------------------------
-    def grade_comb_fault(self, ctx: TraceContext, name: str, fault: Fault,
-                         continuous: bool = True) -> Optional[int]:
-        """First cycle at which ``fault`` is detected, or ``None``.
-
-        ``continuous=False`` skips the tier-2 gate-level continuous
-        injection — the purely behavioural mode the campaign runner
-        degrades to when the exact check repeatedly times out.
-        """
+    def grade_comb_fault(self, ctx: TraceContext, name: str,
+                         fault: Fault) -> Optional[int]:
+        """First cycle at which ``fault`` is detected, or ``None``."""
         with obs.section("sim.hier.grade_comb"):
-            return self._grade_comb_fault(ctx, name, fault, continuous)
+            return self._grade_comb_fault(ctx, name, fault)
 
-    def _grade_comb_fault(self, ctx: TraceContext, name: str, fault: Fault,
-                          continuous: bool) -> Optional[int]:
+    def _grade_comb_fault(self, ctx: TraceContext, name: str,
+                          fault: Fault) -> Optional[int]:
         from repro.logic.simulator import unpack_output
 
         sim = self.universe.comb_simulators[name]
@@ -534,12 +529,11 @@ class HierarchicalFaultSimulator:
             # Tier 2 — exact continuous injection (mixed-level): needed
             # when single-cycle errors are masked, e.g. absorbed by
             # limiter saturation until they accumulate in an accumulator.
-            if continuous:
-                for idx in _spread(indices, self.max_continuous_starts):
-                    t = cycles[idx]
-                    if self._propagates_continuous(name, spec, sim, fault,
-                                                   t, ctx, limit):
-                        return t
+            for idx in _spread(indices, self.max_continuous_starts):
+                t = cycles[idx]
+                if self._propagates_continuous(name, spec, sim, fault, t,
+                                               ctx, limit):
+                    return t
         return None
 
     def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:

@@ -8,9 +8,8 @@ runs and honour the ``REPRO_SCALE`` environment variable (e.g.
 
 Benchmarks that execute through the resilient campaign runner
 (:mod:`repro.runtime`) also record their unit accounting — how many
-units completed normally, degraded to a cheaper backend, or were
-quarantined — so a benchmark row cannot silently hide a partially
-failed run.
+units were quarantined, retried or resumed — so a benchmark row cannot
+silently hide a partially failed run.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def scaled(quick: int, default: int, full: int) -> int:
 
 
 def campaign_counts_note(counts: Optional[Dict[str, int]]) -> str:
-    """Human-readable unit accounting, e.g. ``"2 degraded, 1 quarantined"``.
+    """Human-readable unit accounting, e.g. ``"1 quarantined, 2 retried"``.
 
     Empty when every unit completed normally — clean runs stay clean in
     the table.
@@ -48,7 +47,7 @@ def campaign_counts_note(counts: Optional[Dict[str, int]]) -> str:
     if not counts:
         return ""
     parts = []
-    for key in ("degraded", "quarantined", "retried", "resumed"):
+    for key in ("quarantined", "retried", "resumed"):
         if counts.get(key):
             parts.append(f"{counts[key]} {key}")
     return ", ".join(parts)

@@ -1,8 +1,8 @@
-"""Static analysis over netlists, self-test programs and campaign configs.
+"""Static analysis over netlists and self-test programs.
 
 The linter turns the pipeline's structural assumptions into
 machine-checked invariants, organised as a flat registry of rules across
-three domains (see :mod:`repro.lint.findings` for the registry model):
+two domains (see :mod:`repro.lint.findings` for the registry model):
 
 * **netlist** (``NET*``, :mod:`repro.lint.netlist_rules`) — multi-driven
   nets, dead logic, provably-constant nets, uninitialised-state
@@ -11,9 +11,10 @@ three domains (see :mod:`repro.lint.findings` for the registry model):
   :mod:`repro.lint.modes`) — accumulator-state assumptions vs actual
   dataflow, dead stores, unreachable-mode covers claims, loop
   observability, and the static cross-check of Phase 2's dynamic
-  unreachable-column discard;
-* **campaign** (``CMP*``, :mod:`repro.lint.campaign_rules`) —
-  checkpoint-path collisions and no-progress timeout/jobs combinations.
+  unreachable-column discard.
+
+Campaign settings are not linted: the campaign runner rejects the bad
+ones itself when it is built (:func:`repro.runtime.runner.check_settings`).
 
 Run it as ``python -m repro lint`` (see :mod:`repro.lint.cli`), or
 in-process::
@@ -28,7 +29,6 @@ they construct fault universes; set ``REPRO_LINT=0`` to disable.
 
 # Importing the rule modules registers every rule; the registry is what
 # the CLI, the catalog and baseline tooling operate on.
-from repro.lint.campaign_rules import CampaignConfig, lint_campaigns
 from repro.lint.findings import (
     DOMAINS,
     REGISTRY,
@@ -57,7 +57,6 @@ from repro.lint.program_rules import lint_program
 __all__ = [
     "DOMAINS",
     "REGISTRY",
-    "CampaignConfig",
     "Finding",
     "LintReport",
     "LintWarning",
@@ -66,7 +65,6 @@ __all__ = [
     "Severity",
     "component_mode",
     "finding",
-    "lint_campaigns",
     "lint_isa",
     "lint_netlist",
     "lint_program",

@@ -1,11 +1,10 @@
 """JSON artifact loaders for the lint CLI.
 
-``repro lint`` accepts small JSON documents describing the three subject
+``repro lint`` accepts small JSON documents describing the two subject
 kinds (dispatched on their ``"kind"`` field):
 
 * ``{"kind": "netlist", ...}`` — a flat gate-level netlist;
-* ``{"kind": "program", ...}`` — a self-test program in assembler syntax;
-* ``{"kind": "campaigns", ...}`` — a list of campaign configurations.
+* ``{"kind": "program", ...}`` — a self-test program in assembler syntax.
 
 The loaders are deliberately *permissive*: their whole point is to admit
 defective artifacts (multi-driven nets, dead stores, bogus covers claims)
@@ -35,19 +34,18 @@ Example program document::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from repro.bist.template import RandomLoad
 from repro.dsp.isa import assemble
-from repro.lint.campaign_rules import CampaignConfig
 from repro.logic.gates import GateType
 from repro.logic.netlist import Dff, Gate, Netlist
 from repro.runtime.errors import ConfigError
 from repro.selftest.program import TestProgram
 
-ARTIFACT_KINDS = ("netlist", "program", "campaigns")
+ARTIFACT_KINDS = ("netlist", "program")
 
-Artifact = Union[Netlist, TestProgram, List[CampaignConfig]]
+Artifact = Union[Netlist, TestProgram]
 
 
 def load_document(path: str) -> Dict[str, Any]:
@@ -71,11 +69,9 @@ def load_artifact(path: str) -> Artifact:
     """Load one artifact file into its lintable subject."""
     doc = load_document(path)
     kind = doc["kind"]
-    if kind == "netlist":
+    if doc["kind"] == "netlist":
         return netlist_from_doc(doc)
-    if kind == "program":
-        return program_from_doc(doc)
-    return campaigns_from_doc(doc)
+    return program_from_doc(doc)
 
 
 # ----------------------------------------------------------------------
@@ -165,20 +161,3 @@ def program_from_doc(doc: Dict[str, Any]) -> TestProgram:
         )
     return program
 
-
-# ----------------------------------------------------------------------
-# Campaign configurations
-# ----------------------------------------------------------------------
-def campaigns_from_doc(doc: Dict[str, Any]) -> List[CampaignConfig]:
-    """Normalise a campaigns document into :class:`CampaignConfig`\\ s."""
-    entries = doc.get("campaigns", [])
-    if not isinstance(entries, list):
-        raise ConfigError("\"campaigns\" must be a list of objects")
-    configs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"campaign entry {i} must be an object")
-        entry = dict(entry)
-        entry.setdefault("name", f"campaign{i}")
-        configs.append(CampaignConfig.from_doc(entry))
-    return configs

@@ -7,7 +7,7 @@ Targets are positional and mix freely:
 * ``isa`` — static mode reachability of the instruction set;
 * ``program`` — generate the self-test program (Phases 1–2) and lint it,
   plus the static/dynamic mode-reachability cross-check on its table;
-* ``<file>.json`` — a netlist / program / campaigns artifact
+* ``<file>.json`` — a netlist / program artifact
   (see :mod:`repro.lint.artifacts`).
 
 The default target set (``core components isa``) is cheap and
@@ -101,18 +101,14 @@ def _lint_target(target: str, args) -> LintReport:
 
 def _lint_artifact(path: str, min_severity: Severity) -> LintReport:
     from repro.lint.artifacts import load_artifact
-    from repro.lint.campaign_rules import lint_campaigns
     from repro.lint.netlist_rules import lint_netlist
     from repro.lint.program_rules import lint_program
     from repro.logic.netlist import Netlist
-    from repro.selftest.program import TestProgram
 
     subject = load_artifact(path)
     if isinstance(subject, Netlist):
         return lint_netlist(subject, min_severity)
-    if isinstance(subject, TestProgram):
-        return lint_program(subject, min_severity)
-    return lint_campaigns(subject, min_severity)
+    return lint_program(subject, min_severity)
 
 
 def run_lint(args) -> int:
@@ -120,7 +116,6 @@ def run_lint(args) -> int:
     if args.list_rules:
         # Import for the registration side effect: the catalog renders
         # whatever is registered.
-        import repro.lint.campaign_rules  # noqa: F401
         import repro.lint.modes  # noqa: F401
         import repro.lint.netlist_rules  # noqa: F401
         import repro.lint.program_rules  # noqa: F401

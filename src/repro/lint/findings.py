@@ -2,7 +2,7 @@
 
 The linter is organised as a flat registry of *rules*.  Each rule has a
 stable id (``NET001``, ``PRG003``, ...), belongs to one analysis *domain*
-(``netlist`` / ``program`` / ``campaign``), carries a default severity and
+(``netlist`` / ``program``), carries a default severity and
 a one-line description, and is a plain function from the domain subject to
 an iterable of :class:`Finding`\\ s.  Domains are what the CLI and the
 in-process hooks run; the registry is what ``repro lint --list-rules`` and
@@ -86,17 +86,16 @@ class Rule:
     description: str
     check: Callable[..., Iterable[Finding]]
     #: What the check function is called with.  Defaults to the domain
-    #: subject (a netlist / a program / campaign configs); rules with a
-    #: different subject (e.g. ``"table"`` for the metrics-table
-    #: cross-check) are skipped by the per-domain entry points and run by
-    #: their own driver.
+    #: subject (a netlist / a program); rules with a different subject
+    #: (e.g. ``"table"`` for the metrics-table cross-check) are skipped
+    #: by the per-domain entry points and run by their own caller.
     subject: str = ""
 
 
 #: rule id -> Rule, in registration order (dicts preserve it).
 REGISTRY: Dict[str, Rule] = {}
 
-DOMAINS = ("netlist", "program", "campaign")
+DOMAINS = ("netlist", "program")
 
 
 def rule(rule_id: str, domain: str, severity: Severity,

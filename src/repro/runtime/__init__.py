@@ -2,9 +2,10 @@
 
 Long-running workloads (hierarchical fault simulation, metric sampling,
 ATPG baselines) run as *campaigns* of idempotent work units with JSONL
-checkpointing, per-unit wall-clock timeouts, retry-with-backoff,
-quarantine of poisoned units and graceful degradation to cheaper
-backends.  See :mod:`repro.runtime.runner` for the execution model and
+checkpointing, per-unit wall-clock timeouts, retry-with-backoff and
+quarantine of poisoned units: every unit ends exact (``ok``) or failed
+(``quarantined``), never on a cheaper backend.  See
+:mod:`repro.runtime.runner` for the execution model and
 :mod:`repro.runtime.campaigns` for the per-workload adapters.
 
 Campaigns scale across cores through the process-pool backend

@@ -15,12 +15,8 @@ records:
 * :class:`AtpgBaselineCampaign` — per-fault time-frame PODEM attacks
   (wraps :func:`repro.baselines.atpg_baseline.run_atpg_baseline`).
 
-Degradation policy: a hierarchical comb-fault unit that repeatedly
-times out retries without the tier-2 gate-level continuous injection
-(pure behavioural propagation); a metrics unit retries at reduced
-sample counts; a PODEM unit retries at a slashed backtrack budget.
-Degraded units are tagged in the campaign report and counted by the
-benchmark harness.
+Every unit runs its one exact implementation; a unit that keeps failing
+or timing out is quarantined, and the campaign report counts it.
 """
 
 from __future__ import annotations
@@ -135,13 +131,8 @@ class HierarchicalCampaign:
                 def grade(name=name, local=local):
                     return sim.grade_comb_fault(ctx(), name, local)
 
-                def grade_behavioural(name=name, local=local):
-                    return sim.grade_comb_fault(ctx(), name, local,
-                                                continuous=False)
-
                 units.append(WorkUnit(
                     unit_id=unit_id, run=grade,
-                    fallback=grade_behavioural,
                     reset=self._reset_shared_state,
                     meta={"component": name},
                 ))
@@ -318,7 +309,7 @@ class MetricsCampaign:
             fp["core"] = self.build.spec.label()
         return fp
 
-    def _measure(self, variant, n_samples: int, n_good: int) -> Dict:
+    def _measure(self, variant) -> Dict:
         from repro.metrics.controllability import ControllabilityEngine
         from repro.metrics.observability import ObservabilityEngine
         from repro.runtime.rng import rng_factory
@@ -326,12 +317,12 @@ class MetricsCampaign:
         # process-global RNG state, so a pool worker measuring any
         # subset of variants replays the serial numbers exactly.
         c_values = ControllabilityEngine(
-            n_samples=n_samples, seed=self.seed,
+            n_samples=self.n_controllability_samples, seed=self.seed,
             rng_factory=rng_factory(self.seed),
             build=self.build,
         ).measure(variant)
         o_values = ObservabilityEngine(
-            n_good=n_good, seed=self.seed + 1,
+            n_good=self.n_observability_good, seed=self.seed + 1,
             rng_factory=rng_factory(self.seed + 1),
             build=self.build,
         ).measure(variant)
@@ -344,24 +335,11 @@ class MetricsCampaign:
         return {"cells": cells}
 
     def units(self) -> List[WorkUnit]:
-        units = []
-        for variant in self.variants:
-            def measure(variant=variant):
-                return self._measure(variant,
-                                     self.n_controllability_samples,
-                                     self.n_observability_good)
-
-            def measure_degraded(variant=variant):
-                return self._measure(
-                    variant,
-                    max(2, self.n_controllability_samples // 5), 1,
-                )
-
-            units.append(WorkUnit(
-                unit_id=f"variant:{variant.label}", run=measure,
-                fallback=measure_degraded,
-            ))
-        return units
+        return [
+            WorkUnit(unit_id=f"variant:{variant.label}",
+                     run=lambda variant=variant: self._measure(variant))
+            for variant in self.variants
+        ]
 
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None,
@@ -406,9 +384,9 @@ class AtpgBaselineCampaign:
     The cheap fault-parallel random phase runs as deterministic setup
     (same seed, same survivors on every invocation); each surviving
     fault's time-frame PODEM attack — the part that can run for minutes
-    and abort — is one unit.  A unit that times out degrades to a
-    slashed backtrack budget, mirroring how commercial flows cap effort
-    per fault.
+    and abort — is one unit.  ``backtrack_limit`` caps the effort per
+    fault, the way commercial flows do; a fault that hits it counts as
+    aborted.
     """
 
     def __init__(
@@ -497,15 +475,9 @@ class AtpgBaselineCampaign:
                            for frame in range(self.n_frames)],
         }
 
-    def _attack(self, fault, backtrack_limit: Optional[int] = None) -> Dict:
-        from repro.atpg.podem import Podem
+    def _attack(self, fault) -> Dict:
         setup = self._setup()
-        engine = setup["engine"]
-        if backtrack_limit is not None:
-            engine = Podem(setup["unrolled"].netlist,
-                           backtrack_limit=backtrack_limit,
-                           guided=self.guided)
-        result = engine.generate_multi(
+        result = setup["engine"].generate_multi(
             setup["unrolled"].fault_sites(fault)
         )
         record: Dict[str, Any] = {"status": result.status,
@@ -524,21 +496,11 @@ class AtpgBaselineCampaign:
         return record
 
     def units(self) -> List[WorkUnit]:
-        units = []
-        for fault in self._setup()["survivors"]:
-            unit_id = f"podem:{fault.net}:sa{fault.stuck_at}"
-
-            def attack(fault=fault):
-                return self._attack(fault)
-
-            def attack_degraded(fault=fault):
-                return self._attack(
-                    fault, backtrack_limit=max(10, self.backtrack_limit // 8)
-                )
-
-            units.append(WorkUnit(unit_id=unit_id, run=attack,
-                                  fallback=attack_degraded))
-        return units
+        return [
+            WorkUnit(unit_id=f"podem:{fault.net}:sa{fault.stuck_at}",
+                     run=lambda fault=fault: self._attack(fault))
+            for fault in self._setup()["survivors"]
+        ]
 
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None) -> CampaignOutcome:

@@ -5,10 +5,10 @@ propagates to an observable output.  This module turns that discipline
 on the campaign runtime itself: a seed-driven :class:`ChaosMonkey`
 injects *infrastructure* failures — simulated SIGKILLs, torn checkpoint
 writes, disk-full errors, hung units, corrupted/truncated/duplicated
-checkpoint records, lost worker shards, cache eviction storms, backend
-explosions during degradation — at named injection points wired into
-:mod:`~repro.runtime.runner`, :mod:`~repro.runtime.pool`,
-:mod:`~repro.runtime.checkpoint` and :mod:`~repro.runtime.cache`.
+checkpoint records, lost worker shards, cache eviction storms — at named
+injection points wired into :mod:`~repro.runtime.runner`,
+:mod:`~repro.runtime.pool`, :mod:`~repro.runtime.checkpoint` and
+:mod:`~repro.runtime.cache`.
 
 Design rules:
 
@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.errors import CampaignError, ConfigError, SimulationError
+from repro.runtime.errors import CampaignError, ConfigError
 
 
 class ChaosKill(BaseException):
@@ -67,7 +67,6 @@ CLASS_POINTS = {
     "hang": "runner.unit",            # attempt blocks past unit_timeout
     "torn": "checkpoint.append",      # partial line + SIGKILL mid-write
     "io": "checkpoint.append",        # ENOSPC-style append failure
-    "backend": "runner.fallback",     # degradation backend explodes
     "cache_storm": "cache.lookup",    # every cache evicted at once
     "cache_poison": "cache.lookup",   # bit flip inside a cached trace
     "kill_worker": "pool.worker.unit",  # real SIGKILL of a pool worker
@@ -107,20 +106,17 @@ def parse_classes(spec: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One soak's injection policy (what the lint rule CMP004 audits)."""
+    """One soak's injection policy."""
 
     seed: Optional[int]
     classes: Tuple[str, ...] = DEFAULT_SOAK_CLASSES
     #: Chance that a class fires *again* at an eligible occurrence after
-    #: its guaranteed first firing.  ≥ 1.0 is flagged by lint: every
-    #: occurrence failing until the budget is gone is a misconfiguration
-    #: (usually a percentage pasted where a fraction belongs).
+    #: its guaranteed first firing.  ≥ 1.0 is rejected: every occurrence
+    #: failing until the budget is gone is a misconfiguration (usually a
+    #: percentage pasted where a fraction belongs).
     probability: float = 0.25
     #: Hard per-class injection budget per campaign (termination bound).
     max_per_class: int = 2
-    #: Scratch directory the soak creates and deletes; checkpoints must
-    #: not live inside it (lint CMP004).
-    scratch: Optional[str] = None
 
     def validate(self) -> None:
         if self.seed is None:
@@ -137,16 +133,6 @@ class ChaosConfig:
         if self.max_per_class < 1:
             raise ConfigError("chaos max_per_class must be >= 1")
         parse_classes(",".join(self.classes))
-
-    def lint_doc(self) -> Dict[str, Any]:
-        """This config as the ``"chaos"`` block of a campaigns artifact."""
-        return {
-            "seed": self.seed,
-            "classes": list(self.classes),
-            "probability": self.probability,
-            "max_per_class": self.max_per_class,
-            "scratch": self.scratch,
-        }
 
 
 class ChaosMonkey:
@@ -219,9 +205,6 @@ class ChaosMonkey:
         if name == "io":
             raise OSError(28, "chaos: no space left on device",
                           ctx.get("store") and ctx["store"].path)
-        if name == "backend":
-            raise SimulationError(
-                "chaos: degradation backend exploded mid-fallback")
         if name == "kill_worker":
             import signal
             os.kill(os.getpid(), signal.SIGKILL)
@@ -601,7 +584,6 @@ def run_soak(
             config = ChaosConfig(
                 seed=campaign_seed, classes=classes,
                 probability=probability, max_per_class=max_per_class,
-                scratch=scratch,
             )
             checkpoint = os.path.join(scratch, f"campaign{index:04d}.jsonl")
             outcome = run_one_chaos_campaign(

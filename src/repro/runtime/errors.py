@@ -59,5 +59,5 @@ class IntegrityError(CampaignError):
 
 class UnitTimeout(ReproError):
     """A work unit exceeded its wall-clock budget (internal signal used
-    by the campaign runner; quarantined/degraded units report it as a
-    string in their result record)."""
+    by the campaign runner; a unit quarantined after repeated timeouts
+    reports it as a string in its result record)."""

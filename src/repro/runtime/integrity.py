@@ -41,7 +41,7 @@ CHAIN_DIGEST_HEX = 16
 
 #: Legal terminal unit statuses (mirrors ``runner.STATUSES``; kept here
 #: so the checker does not import the runner it is auditing).
-LEGAL_STATUSES = ("ok", "degraded", "quarantined")
+LEGAL_STATUSES = ("ok", "quarantined")
 
 
 def canonical_payload(record: Dict[str, Any]) -> bytes:

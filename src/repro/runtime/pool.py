@@ -27,11 +27,12 @@ Durability matches the serial backend's kill-anytime contract:
   leftover shards back into the canonical file before planning
   (:func:`merge_shards`);
 * shards are deleted once their records are safely in the canonical
-  checkpoint (end of a successful run, or after a merge).
+  checkpoint (end of a successful run, or after a merge), and a fresh
+  (non-resumed) campaign deletes any it finds before it starts.
 
 Work is dispatched in work-stealing chunks (``imap_unordered`` with a
 chunk size that keeps every worker busy) and each worker grades its
-units with the same retry/backoff/timeout/degradation state machine as
+units with the same retry/backoff/timeout/quarantine state machine as
 the serial runner (``CampaignRunner._run_unit``).  A unit that times
 out in a worker leaks a daemon thread *in that worker* — the thread
 dies with the worker process at pool shutdown, which is exactly the
@@ -45,7 +46,6 @@ results it has; the runner finishes the remainder serially.
 from __future__ import annotations
 
 import glob
-import json
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -53,8 +53,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro import obs
 from repro.runtime import cache, chaos
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.errors import ConfigError
-from repro.runtime.integrity import chain_digest
+from repro.runtime.errors import CheckpointCorruptError, ConfigError
 
 #: Module-level context published by the parent immediately before the
 #: pool forks; inherited copy-on-write by every worker.
@@ -107,57 +106,18 @@ def shard_path_for(checkpoint_path: str, pid: int) -> str:
     return f"{checkpoint_path}.shard-{pid}"
 
 
-def iter_shard_records(path: str):
-    """Yield the trustworthy records of one worker shard, in order.
-
-    Shards carry the same per-record integrity chain as the canonical
-    checkpoint; when the shard's header chain is intact, the walk stops
-    at the first record that breaks it (corrupted, edited or torn —
-    everything after it is untrusted).  A shard without a verifiable
-    header (legacy or hand-built) degrades to the permissive walk:
-    parseable records in, garbage and partial tails silently out.
-    """
-    from repro.runtime.checkpoint import HEADER_KIND
-
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            lines = handle.read().split("\n")
-    except OSError:
-        return
-    tail = None
-    if lines:
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            header = None
-        if isinstance(header, dict) and header.get("kind") == HEADER_KIND \
-                and header.get("chain") == chain_digest("", header):
-            tail = header["chain"]
-    for line in lines:
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # killed mid-write: drop the partial tail
-        if not isinstance(record, dict) or "unit" not in record:
-            continue  # the shard header, or garbage
-        if tail is not None:
-            if record.get("chain") != chain_digest(tail, record):
-                return  # chain broken: nothing after this is trusted
-            tail = record["chain"]
-        yield record
-
-
 def merge_shards(store: CheckpointStore,
                  completed: Dict[str, Dict[str, Any]]) -> int:
     """Fold leftover worker shards into the canonical checkpoint.
 
-    Every intact record not already in ``completed`` is appended to the
-    canonical file and added to ``completed``; unparseable tails (a
-    worker killed mid-write) and chain-breaking records are skipped,
-    mirroring ``load(repair=True)``.  Consumed shards are deleted.
-    Returns the number of records merged.
+    Every shard starts with the chained header :func:`_worker_init`
+    writes, so it loads like a canonical checkpoint under
+    ``repair=True``: the records before the first one that breaks the
+    chain (corrupted, edited or torn) are trusted.  A shard whose header
+    is missing or fails its digest contributes nothing, and its units
+    re-run.  Every trusted record not already in ``completed`` is
+    appended to the canonical file and added to ``completed``.
+    Consumed shards are deleted.  Returns the number of records merged.
     """
     paths = shard_paths(store.path)
     # Chaos "shard_loss": a shard vanishes before its records are
@@ -165,10 +125,14 @@ def merge_shards(store: CheckpointStore,
     chaos.inject("pool.merge", paths=paths)
     merged = 0
     for path in paths:
-        for record in iter_shard_records(path):
-            if record["unit"] in completed:
+        try:
+            _, records = CheckpointStore(path).load(repair=True)
+        except CheckpointCorruptError:
+            records = {}
+        for unit_id, record in records.items():
+            if unit_id in completed:
                 continue
-            completed[record["unit"]] = record
+            completed[unit_id] = record
             store.append(record)
             merged += 1
         try:
@@ -215,7 +179,6 @@ def _worker_init() -> None:
             backoff_base=config["backoff_base"],
             backoff_factor=config["backoff_factor"],
             backoff_max=config["backoff_max"],
-            fallback_timeout=config["fallback_timeout"],
         ),
         "shard": shard,
     }
@@ -295,7 +258,6 @@ def run_pooled(
             "backoff_base": runner.backoff_base,
             "backoff_factor": runner.backoff_factor,
             "backoff_max": runner.backoff_max,
-            "fallback_timeout": runner.fallback_timeout,
         },
     }
     jobs = min(runner.jobs, len(pending))

@@ -21,10 +21,14 @@ and survives the failure modes that kill monolithic loops:
 * **Transient failures** — failed attempts are retried with exponential
   backoff before giving up.
 * **Poisoned units** — a unit that fails every attempt is *quarantined*
-  (recorded, reported, skipped) instead of aborting the campaign.
-* **Graceful degradation** — a unit that exhausts its attempts may fall
-  back to a cheaper implementation (e.g. behavioural instead of
-  gate-level simulation); its result is tagged ``degraded``.
+  (recorded, reported, skipped) instead of aborting the campaign.  No
+  unit is ever re-run on a cheaper backend: each one ends exact
+  (``ok``) or failed (``quarantined``).
+
+Settings no campaign can run with (a non-positive ``unit_timeout``, a
+checkpoint in a missing directory or under one of the store's own
+scratch names) raise :class:`ConfigError` when the runner is built,
+before any work starts (:func:`check_settings`).
 
 Unit ``value``\\ s must be JSON-serialisable — they round-trip through
 the checkpoint file on resume.
@@ -32,6 +36,7 @@ the checkpoint file on resume.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,13 +47,13 @@ from repro.runtime import chaos
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import (
     CampaignError,
+    ConfigError,
     FingerprintMismatchError,
-    ReproError,
     UnitTimeout,
 )
 
 #: Terminal unit statuses, in the order counts are reported.
-STATUSES = ("ok", "degraded", "quarantined")
+STATUSES = ("ok", "quarantined")
 
 
 @dataclass
@@ -57,11 +62,9 @@ class WorkUnit:
 
     unit_id: str
     run: Callable[[], Any]
-    #: Cheaper implementation used after repeated timeouts (optional).
-    fallback: Optional[Callable[[], Any]] = None
     #: State-isolation hook: called after a timed-out attempt, before
-    #: the next attempt or the fallback runs, so the adapter can restore
-    #: shared caches the abandoned thread may still be mutating.
+    #: the next attempt runs, so the adapter can restore shared caches
+    #: the abandoned thread may still be mutating.
     reset: Optional[Callable[[], None]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -71,7 +74,7 @@ class UnitResult:
     """Terminal outcome of one unit (what the checkpoint records)."""
 
     unit_id: str
-    status: str                  # "ok" | "degraded" | "quarantined"
+    status: str                  # "ok" | "quarantined"
     value: Any = None
     attempts: int = 1
     timeouts: int = 0
@@ -156,7 +159,7 @@ class CampaignReport:
     def summary(self) -> str:
         c = self.counts()
         text = (f"{c['total']} units: {c['ok']} ok, "
-                f"{c['degraded']} degraded, {c['quarantined']} quarantined "
+                f"{c['quarantined']} quarantined "
                 f"({c['resumed']} resumed, {c['retried']} retried, "
                 f"{c['leaked']} threads leaked)")
         if self.interrupted:
@@ -222,7 +225,6 @@ class CampaignRunner:
         backoff_base: float = 0.05,
         backoff_factor: float = 2.0,
         backoff_max: float = 2.0,
-        fallback_timeout: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         jobs: Optional[int] = 1,
@@ -231,6 +233,7 @@ class CampaignRunner:
         from repro.runtime.pool import resolve_jobs
         if max_retries < 0:
             raise CampaignError("max_retries must be >= 0")
+        check_settings(checkpoint, unit_timeout)
         self.store = CheckpointStore(checkpoint) if checkpoint else None
         self.unit_timeout = unit_timeout
         #: Give up on the process pool after this many seconds without a
@@ -241,7 +244,6 @@ class CampaignRunner:
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
-        self.fallback_timeout = fallback_timeout
         self.sleep = sleep
         self.clock = clock
         self.jobs = resolve_jobs(jobs)
@@ -316,6 +318,10 @@ class CampaignRunner:
                 from repro.runtime.pool import merge_shards
                 merge_shards(self.store, completed)
             else:
+                # A fresh campaign owns the path: shards a killed earlier
+                # campaign left behind must not merge into its resume.
+                from repro.runtime.pool import remove_shards
+                remove_shards(self.store.path)
                 self.store.create(fingerprint)
 
         timings_before = obs.profile_timings()
@@ -350,10 +356,17 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def _resumable(self, record: Optional[Dict[str, Any]],
                    retry_quarantined: bool) -> bool:
-        """Can this checkpoint record satisfy its unit without re-running?"""
-        return record is not None and (
-            record.get("status") != "quarantined" or not retry_quarantined
-        )
+        """Can this checkpoint record satisfy its unit without re-running?
+
+        Only an exact answer (``ok``) or a quarantine the caller does not
+        want retried.  Any other status re-runs: older checkpoints can
+        hold behaviour-only answers that must never reach a report.
+        """
+        if record is None:
+            return False
+        status = record.get("status")
+        return status == "ok" or (status == "quarantined"
+                                  and not retry_quarantined)
 
     def _run_serial(
         self,
@@ -422,9 +435,8 @@ class CampaignRunner:
                                  total=len(units))
         leftover = [u for u in pending if u.unit_id not in results]
         for unit in leftover:
-            # Pool fell back mid-campaign (fork unavailable, worker
-            # crash): finish the remainder serially — graceful
-            # degradation of the backend itself.
+            # The pool stopped early (fork unavailable, worker crash):
+            # the serial backend finishes the remainder, exactly.
             result = self._run_unit(unit)
             results[unit.unit_id] = result
             if self.store is not None:
@@ -502,39 +514,42 @@ class CampaignRunner:
                 timeouts += 1
                 last_error = exc
                 self._note_timeout(unit, exc, unit_threads)
-            except ReproError as exc:
-                last_error = exc
             except Exception as exc:  # noqa: BLE001 — quarantine, don't abort
                 last_error = exc
 
-        attempts = self.max_retries + 1
-        if unit.fallback is not None and timeouts:
-            # Repeated timeouts: degrade to the cheaper implementation.
-            try:
-                # Chaos "backend": the cheaper implementation blows up
-                # mid-degradation; the unit must quarantine, not abort.
-                chaos.inject("runner.fallback", unit_id=unit.unit_id)
-                fallback_budget = self.fallback_timeout
-                value = call_with_timeout(unit.fallback, fallback_budget)
-                return finish(UnitResult(
-                    unit_id=unit.unit_id, status="degraded", value=value,
-                    attempts=attempts + 1, timeouts=timeouts,
-                    error=_describe(last_error),
-                    elapsed=self.clock() - started,
-                ))
-            except UnitTimeout as exc:
-                last_error = exc
-                attempts += 1
-                self._note_timeout(unit, exc, unit_threads)
-            except Exception as exc:  # noqa: BLE001
-                last_error = exc
-                attempts += 1
         return finish(UnitResult(
             unit_id=unit.unit_id, status="quarantined", value=None,
-            attempts=attempts, timeouts=timeouts,
+            attempts=self.max_retries + 1, timeouts=timeouts,
             error=_describe(last_error),
             elapsed=self.clock() - started,
         ))
+
+
+def check_settings(checkpoint: Optional[str],
+                   unit_timeout: Optional[float]) -> None:
+    """Reject runner settings no campaign can run with.
+
+    Raises :class:`ConfigError` for a ``unit_timeout`` that is not
+    positive (every attempt would time out at once), and for a
+    ``checkpoint`` whose directory does not exist or whose name is one
+    of the store's own scratch names (``<checkpoint>.tmp`` during an
+    atomic replace, ``<checkpoint>.shard-<pid>`` for pool workers).
+    """
+    if unit_timeout is not None and unit_timeout <= 0:
+        raise ConfigError(
+            f"unit timeout must be positive, got {unit_timeout!r}")
+    if not checkpoint:
+        return
+    name = os.path.basename(checkpoint)
+    if name.endswith(".tmp") or ".shard-" in name:
+        raise ConfigError(
+            f"checkpoint {checkpoint!r} uses a reserved name: the store "
+            "writes '<checkpoint>.tmp' and '<checkpoint>.shard-<pid>' "
+            "files of its own")
+    directory = os.path.dirname(os.path.abspath(checkpoint))
+    if not os.path.isdir(directory):
+        raise ConfigError(
+            f"checkpoint directory {directory!r} does not exist")
 
 
 def _describe(exc: Optional[BaseException]) -> Optional[str]:

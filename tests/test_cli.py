@@ -91,14 +91,74 @@ def test_grade_rejects_bad_jobs(capsys):
 
 
 def test_grade_summary_surfaces_health_counts(tmp_path, capsys):
-    """The one-line campaign summary exposes degradation, quarantine,
-    retry and leaked-thread accounting at a glance."""
+    """The one-line campaign summary exposes quarantine, retry and
+    leaked-thread accounting at a glance."""
     checkpoint = tmp_path / "grade.jsonl"
     assert main(["grade", "--samples", "30", "--good", "2",
                  "--iterations", "2", "--checkpoint", str(checkpoint)]) == 0
     out = capsys.readouterr().out
-    assert "degraded" in out and "quarantined" in out
+    assert "0 quarantined" in out
     assert "retried" in out and "threads leaked" in out
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--checkpoint", "{tmp}/missing/g.jsonl"], "does not exist"),
+    (["--checkpoint", "{tmp}/g.jsonl.tmp"], "reserved name"),
+    (["--unit-timeout", "0"], "unit timeout must be positive"),
+    (["--unit-timeout", "-2"], "unit timeout must be positive"),
+])
+def test_grade_rejects_bad_campaign_settings_before_any_work(
+        tmp_path, capsys, monkeypatch, extra, message):
+    """Bad runner settings fail in main(), before the metrics warm-up,
+    with one ``error:`` line and no traceback."""
+    import repro.__main__ as cli
+
+    def no_work(args):
+        raise AssertionError("the grade flow started")
+
+    monkeypatch.setattr(cli, "_build_selftest", no_work)
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_rejects_non_positive_unit_timeout(capsys):
+    assert main(["sweep", "--unit-timeout", "0"]) == 2
+    assert "unit timeout must be positive" in capsys.readouterr().err
+
+
+def quarantine_first_grading_unit(monkeypatch):
+    """Make the first fault's grading unit raise on every attempt."""
+    from repro.runtime.campaigns import HierarchicalCampaign
+    from repro.runtime.errors import SimulationError
+
+    real_units = HierarchicalCampaign.units
+
+    def boom():
+        raise SimulationError("injected grading failure")
+
+    def units(self):
+        units = real_units(self)
+        units[0].run = boom
+        return units
+
+    monkeypatch.setattr(HierarchicalCampaign, "units", units)
+
+
+def test_grade_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
+    """A quarantined fault counts as undetected, so the coverage figure
+    is only a lower bound: the report still prints, the exit is 1."""
+    quarantine_first_grading_unit(monkeypatch)
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "faults detected" in captured.out
+    assert "1 quarantined" in captured.out
+    assert "500 MHz" in captured.out
+    assert "FAILED: 1 unit(s) quarantined" in captured.err
 
 
 def test_grade_force_overrides_fingerprint_mismatch(tmp_path, capsys):
@@ -131,20 +191,48 @@ def test_chaos_command_clean_soak(tmp_path, capsys):
     assert doc["violations"] == 0 and doc["crashes"] >= 2
 
 
+def test_sweep_fails_when_a_point_has_a_quarantined_unit(
+        tmp_path, monkeypatch, capsys):
+    """The landscape artifact is still written, then the exit is 1 and
+    no registry row is recorded from the partial result."""
+    import json
+
+    import repro.harness.sweeps as sweeps
+
+    def fake_run_sweep(config, **kwargs):
+        return {"interrupted": False, "points": [
+            {"campaign": {"metrics": {"quarantined": 0},
+                          "grade": {"quarantined": 2}}},
+        ]}
+
+    def no_record(doc):
+        raise AssertionError("a failed sweep was recorded")
+
+    monkeypatch.setattr(sweeps, "run_sweep", fake_run_sweep)
+    monkeypatch.setattr(sweeps, "record_sweep", no_record)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["points"]
+    assert "FAILED: 2 unit(s) quarantined" in capsys.readouterr().err
+
+
 def test_chaos_fails_when_an_enabled_class_never_fires(tmp_path, capsys):
-    # The soak units have no degradation backend, so ``backend`` has no
-    # injection point to fire at: a clean exit would be a false pass.
+    # The soak units never look anything up in the caches, so
+    # ``cache_poison`` has no injection point to fire at: a clean exit
+    # would be a false pass.
     assert main(["chaos", "--seed", "1", "--campaigns", "2",
-                 "--units", "6", "--inject", "backend",
+                 "--units", "6", "--inject", "cache_poison",
                  "--scratch", str(tmp_path / "scratch")]) == 1
     captured = capsys.readouterr()
-    assert "never fired: backend" in captured.out
-    assert "UNFIRED: chaos class backend" in captured.err
+    assert "never fired: cache_poison" in captured.out
+    assert "UNFIRED: chaos class cache_poison" in captured.err
 
 
 def test_chaos_rejects_unknown_class(capsys):
-    assert main(["chaos", "--seed", "1", "--inject", "gremlins"]) == 2
-    assert "unknown chaos class" in capsys.readouterr().err
+    # ``backend`` went with the degraded-unit fallback it exercised.
+    for name in ("gremlins", "backend"):
+        assert main(["chaos", "--seed", "1", "--inject", name]) == 2
+        assert f"unknown chaos class(es) {name}" in capsys.readouterr().err
 
 
 def test_invalid_repro_scale_exits_cleanly(monkeypatch, capsys):

@@ -13,9 +13,10 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "lint"
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("NET001", "NET004", "PRG002", "PRG003", "ISA001",
-                    "CMP001", "CMP002"):
+    for rule_id in ("NET001", "NET004", "PRG002", "PRG003", "ISA001"):
         assert rule_id in out
+    # Campaign settings are checked by the runner, not linted.
+    assert "CMP" not in out
 
 
 def test_default_targets_clean_paper_core(capsys):
@@ -42,7 +43,6 @@ def test_seeded_defect_artifacts_fail():
     assert main(["lint", str(EXAMPLES / "dead_store_program.json")]) == 1
     assert main(["lint",
                  str(EXAMPLES / "unreachable_covers_program.json")]) == 1
-    assert main(["lint", str(EXAMPLES / "campaigns.json")]) == 1
 
 
 def test_clean_artifact_passes(capsys):
@@ -80,7 +80,7 @@ def test_baseline_roundtrip(tmp_path, capsys):
     assert "0 finding(s)" in out and "baselined" in out
     # A finding not in the baseline still fails.
     assert main(["lint", "--baseline", baseline,
-                 str(EXAMPLES / "campaigns.json"), target]) == 1
+                 str(EXAMPLES / "dead_store_program.json"), target]) == 1
 
 
 def test_baseline_rejects_wrong_version(tmp_path, capsys):
@@ -112,3 +112,11 @@ def test_committed_baseline_covers_default_targets(capsys):
     baseline = EXAMPLES.parent.parent / "lint-baseline.json"
     assert baseline.exists()
     assert main(["lint", "--baseline", str(baseline), "--strict"]) == 0
+
+
+def test_campaigns_artifact_kind_is_rejected(tmp_path, capsys):
+    """Campaign configurations are no longer a lint subject."""
+    artifact = tmp_path / "campaigns.json"
+    artifact.write_text(json.dumps({"kind": "campaigns", "campaigns": []}))
+    assert main(["lint", str(artifact)]) == 2
+    assert "\"kind\" in ('netlist', 'program')" in capsys.readouterr().err

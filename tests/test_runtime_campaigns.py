@@ -48,9 +48,9 @@ def count_grading_calls(campaign):
     real_comb = sim.grade_comb_fault
     real_storage = sim.grade_storage_fault
 
-    def comb(ctx, name, fault, continuous=True):
+    def comb(ctx, name, fault):
         calls.append(("comb", name, fault))
-        return real_comb(ctx, name, fault, continuous=continuous)
+        return real_comb(ctx, name, fault)
 
     def storage(ctx, fault, max_cycles=None):
         calls.append(("storage", fault))
@@ -134,7 +134,7 @@ def test_hierarchical_campaign_matches_direct_run():
     assert by_description(outcome.result) == by_description(direct)
     assert outcome.result.n_vectors == direct.n_vectors
     counts = outcome.report.counts()
-    assert counts["quarantined"] == 0 and counts["degraded"] == 0
+    assert counts["quarantined"] == 0 and counts["ok"] == counts["total"]
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +203,9 @@ def test_metrics_campaign_matches_build_metrics_table(tmp_path):
     assert resumed.result.cells == expected.cells
 
 
-def test_metrics_campaign_degraded_fallback_still_fills_cells():
-    """A variant that times out degrades to the reduced-sample fallback
-    and its cells are still present (tagged degraded)."""
+def test_metrics_campaign_timed_out_variant_quarantines():
+    """A variant that times out on every attempt is quarantined, and no
+    cheaper measurement fills its cells in."""
     from repro.metrics.controllability import default_variants
     from repro.runtime.runner import CampaignRunner
 
@@ -218,6 +218,8 @@ def test_metrics_campaign_degraded_fallback_still_fills_cells():
     )
     outcome = campaign.run()
     result = outcome.report[f"variant:{variants[0].label}"]
-    assert result.status == "degraded"
-    assert outcome.report.counts()["degraded"] == 1
-    assert any(key[0] == variants[0].label for key in outcome.result.cells)
+    assert result.status == "quarantined"
+    assert result.value is None
+    assert outcome.report.counts()["quarantined"] == 1
+    assert not any(key[0] == variants[0].label
+                   for key in outcome.result.cells)

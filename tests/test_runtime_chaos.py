@@ -280,11 +280,12 @@ def test_soak_report_json_shape(tmp_path):
 
 
 def test_soak_not_ok_when_an_enabled_class_never_fires(tmp_path):
-    # Soak units have no degradation backend: ``backend`` cannot fire.
+    # Soak units never look anything up in the caches, so
+    # ``cache_poison`` has no injection point to fire at.
     report = run_soak(seed=5, campaigns=1, n_units=6,
-                      classes=("kill", "backend"),
+                      classes=("kill", "cache_poison"),
                       scratch=str(tmp_path / "s"))
     assert report.n_violations == 0
-    assert report.unfired() == ["backend"]
+    assert report.unfired() == ["cache_poison"]
     assert not report.ok()
-    assert "never fired: backend" in report.summary()
+    assert "never fired: cache_poison" in report.summary()

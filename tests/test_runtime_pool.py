@@ -60,6 +60,17 @@ def test_runner_honours_repro_jobs_env(monkeypatch):
 # ----------------------------------------------------------------------
 # Shard merging
 # ----------------------------------------------------------------------
+def write_shard(path, pid, records):
+    """A worker shard exactly as ``_worker_init`` + ``_worker_run``
+    leave it: a chained header, then one chained record per unit."""
+    shard = CheckpointStore(shard_path_for(path, pid))
+    shard.create(None)
+    for record in records:
+        shard.append(record)
+    shard.close()
+    return shard.path
+
+
 def test_merge_shards_recovers_orphaned_records(tmp_path):
     """Records a killed parent never persisted are folded back in, and
     a partial tail (worker killed mid-write) is dropped silently."""
@@ -68,13 +79,11 @@ def test_merge_shards_recovers_orphaned_records(tmp_path):
     store.create({"n": 1})
     store.append({"unit": "a", "status": "ok", "value": 1})
 
-    shard = shard_path_for(path, 12345)
-    with open(shard, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"created": "header"}) + "\n")
-        handle.write(json.dumps(
-            {"unit": "a", "status": "ok", "value": 999}) + "\n")
-        handle.write(json.dumps(
-            {"unit": "b", "status": "ok", "value": 2}) + "\n")
+    shard = write_shard(path, 12345, [
+        {"unit": "a", "status": "ok", "value": 999},
+        {"unit": "b", "status": "ok", "value": 2},
+    ])
+    with open(shard, "a", encoding="utf-8") as handle:
         handle.write('{"unit": "c", "status"')     # torn write
 
     _, completed = store.load()
@@ -95,13 +104,48 @@ def test_merge_shards_orders_shards_deterministically(tmp_path):
     store = CheckpointStore(path)
     store.create(None)
     for pid in (222, 111):
-        with open(shard_path_for(path, pid), "w", encoding="utf-8") as f:
-            f.write(json.dumps(
-                {"unit": "x", "status": "ok", "value": pid}) + "\n")
+        write_shard(path, pid, [{"unit": "x", "status": "ok", "value": pid}])
     completed = {}
     merge_shards(store, completed)
     # Lexicographically first shard wins the duplicate.
     assert completed["x"]["value"] == 111
+
+
+def test_headerless_shard_merges_nothing(tmp_path):
+    """A shard without a verifiable chained header is untrusted as a
+    whole: none of its records merge, so its units re-run."""
+    path = str(tmp_path / "ck.jsonl")
+    store = CheckpointStore(path)
+    store.create(None)
+    with open(shard_path_for(path, 4242), "w", encoding="utf-8") as f:
+        f.write(json.dumps({"created": "header"}) + "\n")
+        f.write(json.dumps({"unit": "b", "status": "ok", "value": 2})
+                + "\n")
+    completed = {}
+    assert merge_shards(store, completed) == 0
+    assert completed == {}
+    assert shard_paths(path) == []                 # still cleaned up
+
+
+def test_fresh_campaign_ignores_a_stale_shard(tmp_path):
+    """A shard a killed campaign A left at the path must not leak into a
+    different campaign B started fresh there and later resumed."""
+    path = str(tmp_path / "c.jsonl")
+    write_shard(path, 99999, [{"unit": "u0", "status": "ok",
+                               "value": "A-value"}])
+    units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: f"B{i}")
+             for i in range(3)]
+
+    first = CampaignRunner(checkpoint=path).run(
+        units, fingerprint={"campaign": "B"}, max_units=0)
+    assert first.interrupted
+    assert shard_paths(path) == []
+
+    report = CampaignRunner(checkpoint=path).run(
+        units, fingerprint={"campaign": "B"}, resume=True)
+    assert report["u0"].value == "B0"
+    assert not report["u0"].resumed
+    assert [r.value for r in report.results.values()] == ["B0", "B1", "B2"]
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +239,7 @@ def test_pooled_resume_recovers_shard_only_records(tmp_path):
         lines = [line for line in handle.read().split("\n") if line]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines[:-1]) + "\n")
-    with open(shard_path_for(path, 99999), "w", encoding="utf-8") as f:
-        f.write(lines[-1] + "\n")
+    write_shard(path, 99999, [json.loads(lines[-1])])
 
     outcome = make_campaign(words, path, jobs=2).run(resume=True)
     assert outcome.report.n_executed == 0

@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from repro.runtime.errors import CampaignError, SimulationError, UnitTimeout
+from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.errors import (
+    CampaignError,
+    ConfigError,
+    SimulationError,
+    UnitTimeout,
+)
+from repro.runtime.integrity import verify_campaign
 from repro.runtime.runner import (
     CampaignRunner,
     UnitResult,
@@ -59,7 +66,7 @@ def test_run_all_ok():
     runner, slept = make_runner()
     report = runner.run(ok_units(4))
     counts = report.counts()
-    assert counts == {"ok": 4, "degraded": 0, "quarantined": 0,
+    assert counts == {"ok": 4, "quarantined": 0,
                       "total": 4, "executed": 4, "resumed": 0,
                       "retried": 0, "leaked": 0}
     assert report.value("u2") == 20
@@ -146,51 +153,47 @@ def test_unexpected_exception_also_quarantined():
 
 
 # ----------------------------------------------------------------------
-# Timeout → graceful degradation
+# Timeout → quarantine (never a cheaper answer)
 # ----------------------------------------------------------------------
-def test_timeout_falls_back_to_degraded():
-    runner, _ = make_runner(unit_timeout=0.02, max_retries=1)
-    unit = WorkUnit(unit_id="slow", run=lambda: time.sleep(5),
-                    fallback=lambda: "behavioural")
-    report = runner.run([unit])
-    result = report["slow"]
-    assert result.status == "degraded"
-    assert result.value == "behavioural"
-    assert result.timeouts == 2          # both gate-level attempts timed out
-    assert "UnitTimeout" in result.error
-    assert report.counts()["degraded"] == 1
-
-
-def test_failure_without_timeout_does_not_degrade():
-    """The fallback is a timeout escape hatch, not an error handler."""
-    def boom():
-        raise SimulationError("broken, not slow")
-
-    runner, _ = make_runner(max_retries=1)
-    unit = WorkUnit(unit_id="bad", run=boom, fallback=lambda: "nope")
-    report = runner.run([unit])
-    assert report["bad"].status == "quarantined"
-
-
-def test_failing_fallback_quarantines():
-    def slow():
-        time.sleep(5)
-
-    def bad_fallback():
-        raise SimulationError("fallback broken too")
-
-    runner, _ = make_runner(unit_timeout=0.02, max_retries=0)
-    report = runner.run([WorkUnit(unit_id="u", run=slow,
-                                  fallback=bad_fallback)])
-    assert report["u"].status == "quarantined"
-    assert "fallback broken" in report["u"].error
-
-
 def test_timeout_without_fallback_quarantines():
-    runner, _ = make_runner(unit_timeout=0.02, max_retries=0)
+    runner, _ = make_runner(unit_timeout=0.02, max_retries=1)
     report = runner.run([WorkUnit(unit_id="u", run=lambda: time.sleep(5))])
-    assert report["u"].status == "quarantined"
-    assert report["u"].timeouts == 1
+    result = report["u"]
+    assert result.status == "quarantined"
+    assert result.value is None
+    assert result.attempts == 2
+    assert result.timeouts == 2          # every attempt timed out
+    assert "UnitTimeout" in result.error
+    assert report.counts()["quarantined"] == 1
+
+
+# ----------------------------------------------------------------------
+# Settings the runner rejects when it is built
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("timeout", [0, 0.0, -1.5])
+def test_non_positive_unit_timeout_rejected(timeout):
+    with pytest.raises(ConfigError, match="unit timeout must be positive"):
+        CampaignRunner(unit_timeout=timeout)
+
+
+def test_checkpoint_in_missing_directory_rejected(tmp_path):
+    path = str(tmp_path / "missing" / "run.jsonl")
+    with pytest.raises(ConfigError, match="does not exist"):
+        CampaignRunner(checkpoint=path)
+
+
+@pytest.mark.parametrize("name", ["run.jsonl.tmp", "run.jsonl.shard-7",
+                                  "x.shard-y"])
+def test_checkpoint_with_reserved_name_rejected(tmp_path, name):
+    with pytest.raises(ConfigError, match="reserved name"):
+        CampaignRunner(checkpoint=str(tmp_path / name))
+
+
+def test_plain_settings_accepted(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    CampaignRunner(checkpoint="run.jsonl", unit_timeout=0.5)
+    CampaignRunner(checkpoint=str(tmp_path / "tmp.jsonl"))
+    CampaignRunner(checkpoint=None, unit_timeout=None)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +242,7 @@ def test_resume_without_existing_checkpoint_starts_fresh(tmp_path):
     path = str(tmp_path / "new.jsonl")
     runner, _ = make_runner(checkpoint=path)
     report = runner.run(ok_units(2), fingerprint={"n": 2}, resume=True)
-    assert report.counts() == {"ok": 2, "degraded": 0, "quarantined": 0,
+    assert report.counts() == {"ok": 2, "quarantined": 0,
                                "total": 2, "executed": 2, "resumed": 0,
                                "retried": 0, "leaked": 0}
 
@@ -280,21 +283,30 @@ def test_quarantined_units_resume_without_retry(tmp_path):
     assert not report["bad"].resumed
 
 
-def test_degraded_status_survives_resume(tmp_path):
+def test_legacy_degraded_record_reruns_on_resume(tmp_path):
+    """A checkpoint from before degradation was removed can hold a
+    behaviour-only ``degraded`` answer: resume must re-run that unit,
+    never report it."""
     path = str(tmp_path / "run.jsonl")
-    runner, _ = make_runner(checkpoint=path, unit_timeout=0.02,
-                            max_retries=0)
-    units = [WorkUnit(unit_id="slow", run=lambda: time.sleep(5),
-                      fallback=lambda: "cheap")]
-    runner.run(units, fingerprint={})
+    store = CheckpointStore(path)
+    store.create({})
+    store.append(UnitResult(unit_id="u0", status="ok", value=0).record())
+    store.append({"unit": "u1", "status": "degraded", "value": "cheap",
+                  "attempts": 3, "timeouts": 2, "error": "UnitTimeout: x",
+                  "elapsed": 0.5, "leaked_threads": 0})
+    store.close()
 
-    runner2, _ = make_runner(checkpoint=path)
-    report = runner2.run(units, fingerprint={}, resume=True)
-    result = report["slow"]
-    assert result.resumed
-    assert result.status == "degraded"
-    assert result.value == "cheap"
-    assert report.counts()["degraded"] == 1
+    log = []
+    runner, _ = make_runner(checkpoint=path)
+    report = runner.run(ok_units(2, log), fingerprint={}, resume=True)
+    assert log == [1]                    # only the degraded unit re-ran
+    assert report["u0"].resumed
+    assert not report["u1"].resumed
+    assert report["u1"].status == "ok" and report.value("u1") == 10
+    counts = report.counts()
+    assert counts["ok"] + counts["quarantined"] == counts["total"] == 2
+    assert verify_campaign(report, checkpoint=path,
+                           expected_units=["u0", "u1"]) == []
 
 
 def test_summary_line_mentions_every_status():
@@ -306,12 +318,12 @@ def test_summary_line_mentions_every_status():
 
 
 def test_unit_result_record_roundtrip():
-    original = UnitResult(unit_id="u", status="degraded", value=[1, 2],
+    original = UnitResult(unit_id="u", status="quarantined", value=[1, 2],
                           attempts=3, timeouts=2, error="UnitTimeout: x",
                           elapsed=1.25)
     restored = UnitResult.from_record(original.record())
     assert restored.unit_id == "u"
-    assert restored.status == "degraded"
+    assert restored.status == "quarantined"
     assert restored.value == [1, 2]
     assert restored.attempts == 3
     assert restored.timeouts == 2
@@ -365,8 +377,7 @@ def test_leaked_threads_survive_checkpoint_roundtrip(tmp_path):
     try:
         runner, _ = make_runner(checkpoint=path, unit_timeout=0.02,
                                 max_retries=0)
-        runner.run([WorkUnit(unit_id="hang", run=release.wait,
-                             fallback=lambda: "cheap")])
+        runner.run([WorkUnit(unit_id="hang", run=release.wait)])
     finally:
         release.set()
     runner2, _ = make_runner(checkpoint=path)
@@ -384,16 +395,15 @@ def test_reset_hook_called_per_timeout_before_next_attempt():
         unit = WorkUnit(
             unit_id="hang",
             run=lambda: (events.append("attempt"), release.wait())[1],
-            fallback=lambda: events.append("fallback") or "ok",
             reset=lambda: events.append("reset"),
         )
         report = runner.run([unit])
     finally:
         release.set()
-    assert report["hang"].status == "degraded"
+    assert report["hang"].status == "quarantined"
     # Shared state is restored after every timed-out attempt, before
-    # the next attempt (or the fallback) can observe it.
-    assert events == ["attempt", "reset", "attempt", "reset", "fallback"]
+    # the next attempt can observe it.
+    assert events == ["attempt", "reset", "attempt", "reset"]
 
 
 def test_reset_hook_failure_is_swallowed():
@@ -402,14 +412,15 @@ def test_reset_hook_failure_is_swallowed():
         runner, _ = make_runner(unit_timeout=0.02, max_retries=0)
         unit = WorkUnit(
             unit_id="hang", run=release.wait,
-            fallback=lambda: "cheap",
             reset=lambda: (_ for _ in ()).throw(RuntimeError("reset boom")),
         )
         report = runner.run([unit])
     finally:
         release.set()
-    assert report["hang"].status == "degraded"
-    assert report["hang"].value == "cheap"
+    # The reset failure neither aborts the campaign nor masks the
+    # timeout that caused it.
+    assert report["hang"].status == "quarantined"
+    assert "UnitTimeout" in report["hang"].error
 
 
 def test_reset_not_called_on_clean_units():

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.atpg.podem import Podem
-from repro.atpg.unroll import UnrolledNetlist, unroll
+from repro.atpg.unroll import unroll
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.faults.coverage import CoverageReport
-from repro.faults.model import Fault, collapse_faults
+from repro.faults.model import Fault, FaultList, collapse_faults
+from repro.faults.seqsim import SeqFaultSimulator
 from repro.logic.netlist import Netlist
 
 
@@ -60,6 +61,110 @@ class AtpgBaselineResult:
         )
 
 
+class AtpgBaseline:
+    """The baseline's one algorithm, shared by :func:`run_atpg_baseline`
+    and :class:`repro.runtime.campaigns.AtpgBaselineCampaign`.
+
+    Construction runs the cheap deterministic steps: the fault sample,
+    the random-pattern phase and the time-frame unrolling.
+    :meth:`attack` is one survivor's time-frame PODEM attack and returns
+    its record; :meth:`result` tallies a run's records.
+    """
+
+    def __init__(
+        self,
+        netlist: Optional[Netlist] = None,
+        n_frames: int = 6,
+        backtrack_limit: int = 400,
+        fault_sample: Optional[int] = 300,
+        seed: int = 5,
+        random_phase_sequences: int = 1,
+        random_phase_length: int = 32,
+        guided: bool = False,
+    ):
+        self.core = netlist if netlist is not None else make_gatelevel_core()
+        self.n_frames = n_frames
+        self.guided = guided
+        faults = list(collapse_faults(self.core).faults)
+        if fault_sample is not None and fault_sample < len(faults):
+            faults = random.Random(seed).sample(faults, fault_sample)
+        # Random-pattern phase: raw word sequences from reset,
+        # fault-parallel.
+        survivors = faults
+        if random_phase_sequences > 0:
+            rng = random.Random(seed + 1)
+            sim = SeqFaultSimulator(
+                self.core,
+                fault_list=FaultList(netlist=self.core, faults=list(faults)),
+            )
+            for _ in range(random_phase_sequences):
+                if not survivors:
+                    break
+                stimulus = {"instr": [rng.randrange(1 << 17)
+                                      for _ in range(random_phase_length)]}
+                survivors = sim.run_sequence(stimulus,
+                                             faults=survivors).undetected
+        self.survivors: List[Fault] = list(survivors)
+        self.n_detected_random_phase = len(faults) - len(self.survivors)
+        self.unrolled = unroll(self.core, n_frames)
+        self.engine = Podem(self.unrolled.netlist,
+                            backtrack_limit=backtrack_limit, guided=guided)
+        self._instr_nets = [self.unrolled.frame_bus(frame, "instr")
+                            for frame in range(n_frames)]
+
+    def attack(self, fault: Fault) -> Dict[str, Any]:
+        """Time-frame PODEM on one fault's per-frame replicas.
+
+        The record holds the PODEM ``status``, its ``backtracks`` and
+        ``decisions`` and, when detected, the per-frame instruction
+        words (``frames``).
+        """
+        result = self.engine.generate_multi(
+            self.unrolled.fault_sites(fault))
+        record: Dict[str, Any] = {"status": result.status,
+                                  "backtracks": result.backtracks,
+                                  "decisions": result.decisions}
+        if result.detected:
+            record["frames"] = [
+                sum(1 << i for i, net in enumerate(nets)
+                    if result.pattern.get(net))
+                for nets in self._instr_nets
+            ]
+        return record
+
+    def result(self, records: Iterable[Dict[str, Any]]
+               ) -> AtpgBaselineResult:
+        """Tally attack records; an empty record (a unit that never
+        finished) counts as aborted."""
+        detected = untestable = aborted = 0
+        total_backtracks = total_decisions = 0
+        patterns: List[List[int]] = []
+        for record in records:
+            status = record.get("status")
+            total_backtracks += record.get("backtracks", 0)
+            total_decisions += record.get("decisions", 0)
+            if status == "detected":
+                detected += 1
+                patterns.append(record.get("frames", []))
+            elif status == "untestable":
+                untestable += 1
+            else:
+                aborted += 1
+        random_detected = self.n_detected_random_phase
+        return AtpgBaselineResult(
+            n_faults=len(self.survivors) + random_detected,
+            n_detected=detected + random_detected,
+            n_untestable_within_frames=untestable,
+            n_aborted=aborted,
+            n_frames=self.n_frames,
+            n_detected_random_phase=random_detected,
+            patterns=patterns,
+            total_backtracks=total_backtracks,
+            total_decisions=total_decisions,
+            guided=self.guided,
+        )
+
+
 def run_atpg_baseline(
     netlist: Optional[Netlist] = None,
     n_frames: int = 6,
@@ -68,8 +173,6 @@ def run_atpg_baseline(
     seed: int = 5,
     random_phase_sequences: int = 1,
     random_phase_length: int = 32,
-    sample_rng: Optional[random.Random] = None,
-    random_phase_rng: Optional[random.Random] = None,
     guided: bool = False,
 ) -> AtpgBaselineResult:
     """Run the commercial-tool recipe on the flat core.
@@ -83,74 +186,12 @@ def run_atpg_baseline(
 
     ``fault_sample`` grades a deterministic random sample of the collapsed
     fault universe (the full list takes hours in pure Python); ``None``
-    targets every fault.  ``sample_rng`` / ``random_phase_rng`` override
-    the default seed-derived streams for the two randomised stages.
+    targets every fault.
     """
-    core = netlist if netlist is not None else make_gatelevel_core()
-    unrolled = unroll(core, n_frames)
-    engine = Podem(unrolled.netlist, backtrack_limit=backtrack_limit,
-                   guided=guided)
-
-    faults = list(collapse_faults(core).faults)
-    if fault_sample is not None and fault_sample < len(faults):
-        rng = sample_rng if sample_rng is not None else random.Random(seed)
-        faults = rng.sample(faults, fault_sample)
-
-    # Random-pattern phase: raw word sequences from reset, fault-parallel.
-    random_detected = 0
-    if random_phase_sequences > 0:
-        from repro.faults.model import FaultList
-        from repro.faults.seqsim import SeqFaultSimulator
-        rng = random_phase_rng if random_phase_rng is not None \
-            else random.Random(seed + 1)
-        sim = SeqFaultSimulator(
-            core,
-            fault_list=FaultList(netlist=core, faults=list(faults)),
-        )
-        survivors = list(faults)
-        for _ in range(random_phase_sequences):
-            if not survivors:
-                break
-            stimulus = {"instr": [rng.randrange(1 << 17)
-                                  for _ in range(random_phase_length)]}
-            outcome = sim.run_sequence(stimulus, faults=survivors)
-            survivors = outcome.undetected
-        random_detected = len(faults) - len(survivors)
-        faults = survivors
-
-    detected = untestable = aborted = 0
-    total_backtracks = total_decisions = 0
-    patterns: List[List[int]] = []
-    instr_words_per_frame = [
-        unrolled.frame_bus(frame, "instr") for frame in range(n_frames)
-    ]
-    for fault in faults:
-        result = engine.generate_multi(unrolled.fault_sites(fault))
-        total_backtracks += result.backtracks
-        total_decisions += result.decisions
-        if result.detected and result.pattern is not None:
-            detected += 1
-            frames = []
-            for nets in instr_words_per_frame:
-                word = 0
-                for i, net in enumerate(nets):
-                    if result.pattern.get(net):
-                        word |= 1 << i
-                frames.append(word)
-            patterns.append(frames)
-        elif result.status == "untestable":
-            untestable += 1
-        else:
-            aborted += 1
-    return AtpgBaselineResult(
-        n_faults=len(faults) + random_detected,
-        n_detected=detected + random_detected,
-        n_untestable_within_frames=untestable,
-        n_aborted=aborted,
-        n_frames=n_frames,
-        n_detected_random_phase=random_detected,
-        patterns=patterns,
-        total_backtracks=total_backtracks,
-        total_decisions=total_decisions,
-        guided=guided,
+    baseline = AtpgBaseline(
+        netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
+        fault_sample=fault_sample, seed=seed,
+        random_phase_sequences=random_phase_sequences,
+        random_phase_length=random_phase_length, guided=guided,
     )
+    return baseline.result(baseline.attack(f) for f in baseline.survivors)

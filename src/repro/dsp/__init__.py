@@ -15,6 +15,9 @@ back into the adder, a truncater and a limiter.
 * :mod:`repro.dsp.core` — the pipelined instruction-set simulator.
 * :mod:`repro.dsp.components` — registry tying each traced component to
   its gate-level netlist and its control-bit modes (metrics-table columns).
+* :mod:`repro.dsp.corespec` / :mod:`repro.dsp.family` — the core family:
+  one validated design point, and its cached build context (the paper
+  core is the default point).
 * :mod:`repro.dsp.simple` — the small Fig. 1 datapath used by Table 1.
 * :mod:`repro.dsp.gatelevel` — flat gate-level assembly of the whole core.
 """

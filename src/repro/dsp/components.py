@@ -16,16 +16,25 @@ Each :class:`ComponentSpec` ties together the three views of one component:
 Sequential storage components (accumulators, MacReg, buffer, temp) use an
 exact word-level fault model (stuck storage/data/enable bits) instead of a
 gate netlist; see DESIGN.md.
+
+:func:`components_for` derives the registry of any family point from its
+:class:`~repro.dsp.corespec.CoreSpec`; :data:`COMPONENTS`,
+:func:`component_by_name` and :func:`all_columns` name the paper core's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
-from repro.dsp.isa import CONTROL_WIDTH, OPCODE_WIDTH, decoder_truth_table
+from repro.dsp.corespec import (
+    AMT_WIDTH,
+    PAPER_SPEC,
+    CoreSpec,
+    decoder_truth_table_for,
+)
+from repro.dsp.isa import CONTROL_WIDTH, OPCODE_WIDTH
 from repro.logic.netlist import Netlist
 from repro.rtl.arith import make_addsub
 from repro.rtl.decoder import make_truth_table_logic
@@ -83,129 +92,134 @@ class ComponentSpec:
         return _cached_netlist(self)
 
 
-def _mux18() -> Callable[[], Netlist]:
-    return lambda: make_mux2_bus(ACC_WIDTH)
-
-
-_FACTORIES: Dict[str, Callable[[], Netlist]] = {
-    "multiplier": lambda: make_multiplier(OPERAND_WIDTH, ACC_WIDTH),
-    # MUXa/MUXb have one leg tied to zero, so their real structure is a
-    # clear gate (MUXa clears when muxa_zero=1, MUXb passes when
-    # muxb_shift=1).
-    "muxa": lambda: make_gated_bus(ACC_WIDTH, invert_enable=True),
-    "muxb": lambda: make_gated_bus(ACC_WIDTH, invert_enable=False),
-    "muxg_shifter": _mux18(),
-    # The limiter ignores the 4 lowest fractional bits, so its MUXg
-    # instance is a 14-bit mux.
-    "muxg_limiter": lambda: make_mux2_bus(ACC_WIDTH - 4),
-    "shifter": lambda: make_shifter(ACC_WIDTH, 4),
-    "addsub": lambda: make_addsub(ACC_WIDTH),
-    "truncater": lambda: make_truncater(ACC_WIDTH, 8),
-    "limiter": lambda: make_limiter(),
-    "mux7": lambda: make_mux2_bus(OPERAND_WIDTH),
-    "decoder": lambda: make_truth_table_logic(
-        OPCODE_WIDTH, CONTROL_WIDTH, decoder_truth_table()
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def _cached_netlist(spec: "ComponentSpec") -> Netlist:
     return spec.factory()
 
 
-_ONOFF = ((0, "0"), (1, "1"))
+@lru_cache(maxsize=None)
+def components_for(spec: CoreSpec) -> Tuple[ComponentSpec, ...]:
+    """The component registry of one family point, in registry order.
 
-COMPONENTS: Tuple[ComponentSpec, ...] = (
-    ComponentSpec(
-        name="multiplier", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("a", 8), ("b", 8)), modes=(0,),
-        mode_labels=((0, ""),), factory=_FACTORIES["multiplier"],
-        output_bus="p",
-    ),
-    ComponentSpec(
-        name="shifter", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("data", 18), ("amt", 4), ("mode", 2)),
-        modes=(0, 1, 2, 3),
-        mode_labels=((0, "00"), (1, "01"), (2, "10"), (3, "11")),
-        factory=_FACTORIES["shifter"],
-    ),
-    ComponentSpec(
-        name="addsub", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("a", 18), ("b", 18), ("sub", 1)), modes=(0, 1),
-        mode_labels=((0, "add"), (1, "sub")), factory=_FACTORIES["addsub"],
-        output_bus="result",
-    ),
-    ComponentSpec(
-        name="truncater", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("data", 18), ("en", 1)), modes=(0, 1),
-        mode_labels=((0, "pass"), (1, "trunc")),
-        factory=_FACTORIES["truncater"],
-    ),
-    ComponentSpec(
-        name="limiter", kind="comb", output_width=OPERAND_WIDTH,
-        input_ports=(("data", 18),), modes=(0,), mode_labels=((0, ""),),
-        factory=_FACTORIES["limiter"],
-    ),
-    ComponentSpec(
-        name="muxa", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("data", 18), ("en", 1)), modes=(0, 1),
-        mode_labels=_ONOFF, factory=_FACTORIES["muxa"],
-    ),
-    ComponentSpec(
-        name="muxb", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("data", 18), ("en", 1)), modes=(0, 1),
-        mode_labels=_ONOFF, factory=_FACTORIES["muxb"],
-    ),
-    ComponentSpec(
-        name="muxg_shifter", kind="comb", output_width=ACC_WIDTH,
-        input_ports=(("a", 18), ("b", 18), ("sel", 1)), modes=(0, 1),
-        mode_labels=((0, "A"), (1, "B")),
-        factory=_FACTORIES["muxg_shifter"],
-    ),
-    ComponentSpec(
-        name="muxg_limiter", kind="comb", output_width=ACC_WIDTH - 4,
-        input_ports=(("a", 14), ("b", 14), ("sel", 1)), modes=(0, 1),
-        mode_labels=((0, "A"), (1, "B")),
-        factory=_FACTORIES["muxg_limiter"],
-    ),
-    ComponentSpec(
-        name="mux7", kind="comb", output_width=OPERAND_WIDTH,
-        input_ports=(("a", 8), ("b", 8), ("sel", 1)), modes=(0, 1),
-        mode_labels=((0, "mac"), (1, "buf")), factory=_FACTORIES["mux7"],
-    ),
-    ComponentSpec(
-        name="decoder", kind="comb", output_width=CONTROL_WIDTH,
-        input_ports=(("in", OPCODE_WIDTH),), modes=(0,),
-        mode_labels=((0, ""),), factory=_FACTORIES["decoder"],
-        in_metrics_table=False,
-    ),
-    ComponentSpec(
-        name="acca", kind="register", output_width=ACC_WIDTH,
-        input_ports=(("d", 18), ("en", 1)), modes=(0,),
-        mode_labels=((0, ""),), state_key=("acc_a",),
-    ),
-    ComponentSpec(
-        name="accb", kind="register", output_width=ACC_WIDTH,
-        input_ports=(("d", 18), ("en", 1)), modes=(0,),
-        mode_labels=((0, ""),), state_key=("acc_b",),
-    ),
-    ComponentSpec(
-        name="macreg", kind="register", output_width=OPERAND_WIDTH,
-        input_ports=(("d", 8),), modes=(0,), mode_labels=((0, ""),),
-        state_key=("macreg",),
-    ),
-    ComponentSpec(
-        name="buffer", kind="register", output_width=OPERAND_WIDTH,
-        input_ports=(("d", 8),), modes=(0,), mode_labels=((0, ""),),
-        state_key=("buffer",),
-    ),
-    ComponentSpec(
-        name="temp", kind="register", output_width=OPERAND_WIDTH,
-        input_ports=(("d", 8),), modes=(0,), mode_labels=((0, ""),),
-        state_key=("temp",),
-    ),
-)
+    Widths and netlist factories follow the spec; absent optional
+    components are simply not listed.  Cached per spec, so a point's
+    registry -- and through :func:`_cached_netlist` each of its component
+    netlists -- is built once.
+    """
+    ow, aw = spec.operand_width, spec.acc_width
+    frac, drop = spec.acc_frac, spec.frac_drop
+    truth_table = decoder_truth_table_for(spec)
+    _onoff = ((0, "0"), (1, "1"))
+    specs = [
+        ComponentSpec(
+            name="multiplier", kind="comb", output_width=aw,
+            input_ports=(("a", ow), ("b", ow)), modes=(0,),
+            mode_labels=((0, ""),),
+            factory=lambda: make_multiplier(ow, aw), output_bus="p",
+        ),
+        ComponentSpec(
+            name="shifter", kind="comb", output_width=aw,
+            input_ports=(("data", aw), ("amt", AMT_WIDTH), ("mode", 2)),
+            modes=(0, 1, 2, 3),
+            mode_labels=((0, "00"), (1, "01"), (2, "10"), (3, "11")),
+            factory=lambda: make_shifter(aw, AMT_WIDTH, style=spec.shifter),
+        ),
+        ComponentSpec(
+            name="addsub", kind="comb", output_width=aw,
+            input_ports=(("a", aw), ("b", aw), ("sub", 1)), modes=(0, 1),
+            mode_labels=((0, "add"), (1, "sub")),
+            factory=lambda: make_addsub(aw, adder=spec.adder),
+            output_bus="result",
+        ),
+    ]
+    if spec.has_truncater:
+        specs.append(ComponentSpec(
+            name="truncater", kind="comb", output_width=aw,
+            input_ports=(("data", aw), ("en", 1)), modes=(0, 1),
+            mode_labels=((0, "pass"), (1, "trunc")),
+            factory=lambda: make_truncater(aw, frac),
+        ))
+    if spec.has_limiter:
+        specs.append(ComponentSpec(
+            name="limiter", kind="comb", output_width=ow,
+            input_ports=(("data", aw),), modes=(0,), mode_labels=((0, ""),),
+            factory=lambda: make_limiter(aw, ow, drop),
+        ))
+    # MUXa/MUXb have one leg tied to zero, so their real structure is a
+    # clear gate (MUXa clears when muxa_zero=1, MUXb passes when
+    # muxb_shift=1).  The limiter ignores the low ``drop`` fractional
+    # bits, so its MUXg instance is that much narrower.
+    specs += [
+        ComponentSpec(
+            name="muxa", kind="comb", output_width=aw,
+            input_ports=(("data", aw), ("en", 1)), modes=(0, 1),
+            mode_labels=_onoff,
+            factory=lambda: make_gated_bus(aw, invert_enable=True),
+        ),
+        ComponentSpec(
+            name="muxb", kind="comb", output_width=aw,
+            input_ports=(("data", aw), ("en", 1)), modes=(0, 1),
+            mode_labels=_onoff,
+            factory=lambda: make_gated_bus(aw, invert_enable=False),
+        ),
+        ComponentSpec(
+            name="muxg_shifter", kind="comb", output_width=aw,
+            input_ports=(("a", aw), ("b", aw), ("sel", 1)), modes=(0, 1),
+            mode_labels=((0, "A"), (1, "B")),
+            factory=lambda: make_mux2_bus(aw),
+        ),
+        ComponentSpec(
+            name="muxg_limiter", kind="comb", output_width=aw - drop,
+            input_ports=(("a", aw - drop), ("b", aw - drop), ("sel", 1)),
+            modes=(0, 1), mode_labels=((0, "A"), (1, "B")),
+            factory=lambda: make_mux2_bus(aw - drop),
+        ),
+        ComponentSpec(
+            name="mux7", kind="comb", output_width=ow,
+            input_ports=(("a", ow), ("b", ow), ("sel", 1)), modes=(0, 1),
+            mode_labels=((0, "mac"), (1, "buf")),
+            factory=lambda: make_mux2_bus(ow),
+        ),
+        ComponentSpec(
+            name="decoder", kind="comb", output_width=CONTROL_WIDTH,
+            input_ports=(("in", OPCODE_WIDTH),), modes=(0,),
+            mode_labels=((0, ""),),
+            factory=lambda: make_truth_table_logic(
+                OPCODE_WIDTH, CONTROL_WIDTH, truth_table),
+            in_metrics_table=False,
+        ),
+        ComponentSpec(
+            name="acca", kind="register", output_width=aw,
+            input_ports=(("d", aw), ("en", 1)), modes=(0,),
+            mode_labels=((0, ""),), state_key=("acc_a",),
+        ),
+        ComponentSpec(
+            name="accb", kind="register", output_width=aw,
+            input_ports=(("d", aw), ("en", 1)), modes=(0,),
+            mode_labels=((0, ""),), state_key=("acc_b",),
+        ),
+        ComponentSpec(
+            name="macreg", kind="register", output_width=ow,
+            input_ports=(("d", ow),), modes=(0,), mode_labels=((0, ""),),
+            state_key=("macreg",),
+        ),
+        ComponentSpec(
+            name="buffer", kind="register", output_width=ow,
+            input_ports=(("d", ow),), modes=(0,), mode_labels=((0, ""),),
+            state_key=("buffer",),
+        ),
+        ComponentSpec(
+            name="temp", kind="register", output_width=ow,
+            input_ports=(("d", ow),), modes=(0,), mode_labels=((0, ""),),
+            state_key=("temp",),
+        ),
+    ]
+    return tuple(specs)
+
+
+#: The paper core's registry (the same objects as
+#: ``repro.dsp.family.PAPER_BUILD.components``).
+COMPONENTS: Tuple[ComponentSpec, ...] = components_for(PAPER_SPEC)
 
 _BY_NAME = {spec.name: spec for spec in COMPONENTS}
 
@@ -215,8 +229,9 @@ def component_by_name(name: str) -> ComponentSpec:
     return _BY_NAME[name]
 
 
-def all_columns(metrics_only: bool = True) -> List[Tuple[str, int]]:
-    """All (component, mode) columns, in registry order.
+def columns_of(components: Tuple[ComponentSpec, ...],
+               metrics_only: bool = True) -> List[Tuple[str, int]]:
+    """All (component, mode) columns of a registry, in registry order.
 
     With ``metrics_only`` (default) only components that appear in the
     metrics table are listed; pass ``False`` for the full fault-simulation
@@ -224,7 +239,12 @@ def all_columns(metrics_only: bool = True) -> List[Tuple[str, int]]:
     """
     return [
         (spec.name, mode)
-        for spec in COMPONENTS
+        for spec in components
         if spec.in_metrics_table or not metrics_only
         for mode in spec.modes
     ]
+
+
+def all_columns(metrics_only: bool = True) -> List[Tuple[str, int]]:
+    """The paper registry's columns (see :func:`columns_of`)."""
+    return columns_of(COMPONENTS, metrics_only)

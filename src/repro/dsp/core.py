@@ -19,6 +19,10 @@ Like the MAC datapath, every traced component's output can be overridden
 for a cycle (error injection), and persistent stuck bits can be applied to
 any architectural state element (used for word-level register fault
 simulation).
+
+A :class:`~repro.dsp.family.CoreBuild` sets the widths, register count
+and pipeline depth of the simulated family point; the default is the
+paper core described above.
 """
 
 from __future__ import annotations
@@ -27,27 +31,21 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro._util import mask
-from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import (
     ControlWord,
     Instruction,
     N_REGISTERS,
     Opcode,
-    control_word,
     decode,
 )
 from repro.dsp.mac import (
     ComponentActivity,
     MacControls,
     MacDatapath,
-    MacParams,
     Overrides,
-    PAPER_MAC,
     Trace,
 )
-
-_REG_MASK = mask(OPERAND_WIDTH)
-_ACC_MASK = mask(ACC_WIDTH)
 
 
 @dataclass
@@ -131,37 +129,25 @@ class DspCore:
     applied after every cycle (and at construction), modelling stuck-at
     faults in storage elements.
 
-    ``build`` selects a non-paper family point (a
-    :class:`repro.dsp.family.CoreBuild`); omitted, the core is the paper
-    configuration.
+    ``build`` (a :class:`repro.dsp.family.CoreBuild`) selects the family
+    point; the default is the paper core.
     """
 
     def __init__(self, state: Optional[CoreState] = None,
                  stuck_bits: Optional[StuckBits] = None,
-                 build=None):
+                 build: CoreBuild = PAPER_BUILD):
         self.build = build
-        if build is None:
-            self._mac_params: MacParams = PAPER_MAC
-            self._reg_mask = _REG_MASK
-            self._acc_mask = _ACC_MASK
-            self._addr_mask = N_REGISTERS - 1
-            self._depth = 4
-            self._drain = 4
-            self._control_word = control_word
-            n_regs = N_REGISTERS
-        else:
-            self._mac_params = build.mac_params
-            self._reg_mask = build.operand_mask
-            self._acc_mask = build.acc_mask
-            self._addr_mask = build.spec.n_registers - 1
-            self._depth = build.spec.pipeline_depth
-            self._drain = build.drain_length
-            self._control_word = build.control_word
-            n_regs = build.spec.n_registers
+        self._mac_params = build.mac_params
+        self._reg_mask = build.operand_mask
+        self._acc_mask = build.acc_mask
+        self._addr_mask = build.spec.n_registers - 1
+        self._depth = build.spec.pipeline_depth
+        self._drain = build.drain_length
+        self._control_words = build.control_words
         if state is not None:
             self.state = state
         else:
-            self.state = CoreState(regs=[0] * n_regs)
+            self.state = CoreState(regs=[0] * build.spec.n_registers)
         self.stuck_bits = dict(stuck_bits) if stuck_bits else {}
         if self.stuck_bits:
             self._apply_stuck_bits()
@@ -261,7 +247,7 @@ class DspCore:
             instr = decode(fetched)
             ctrl_packed = emit(
                 "decoder", {"in": int(instr.opcode)},
-                self._control_word(instr.opcode).pack(),
+                self._control_words[instr.opcode].pack(),
             )
             ctrl = ControlWord.unpack(ctrl_packed)
 

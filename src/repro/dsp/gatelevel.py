@@ -16,14 +16,23 @@ Interface buses:
 * input ``instr`` (17) — the instruction word from the template
   architecture;
 * outputs ``out`` (8) and ``out_valid`` (1) — the observable port.
+
+:func:`make_gatelevel_core` builds any core-family point from its
+:class:`~repro.dsp.corespec.CoreSpec` (widths and register count then
+follow the spec); the default spec is the paper core described above.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
-from repro.dsp.isa import CONTROL_WIDTH, N_REGISTERS, decoder_truth_table
+from repro.dsp.corespec import (
+    AMT_WIDTH,
+    PAPER_SPEC,
+    CoreSpec,
+    decoder_truth_table_for,
+)
+from repro.dsp.isa import CONTROL_WIDTH
 from repro.logic.builder import NetlistBuilder
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
@@ -82,32 +91,17 @@ def _equal(b: NetlistBuilder, x: Sequence[int], y: Sequence[int]) -> int:
     return b.and_(*bits) if len(bits) > 1 else bits[0]
 
 
-def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
-    """The complete core as one flat netlist.
-
-    ``spec`` selects a non-paper family point (a
-    :class:`repro.dsp.family.CoreSpec`); omitted, the paper core is built
-    with exactly the historical gate sequence, so its structural hash is
-    stable across the family refactor.
-    """
-    if spec is None:
-        operand_width, acc_width = OPERAND_WIDTH, ACC_WIDTH
-        n_registers, depth = N_REGISTERS, 4
-        shifter_style, adder_style = "barrel", "ripple"
-        has_truncater = has_limiter = True
-    else:
-        operand_width, acc_width = spec.operand_width, spec.acc_width
-        n_registers, depth = spec.n_registers, spec.pipeline_depth
-        shifter_style, adder_style = spec.shifter, spec.adder
-        has_truncater, has_limiter = spec.has_truncater, spec.has_limiter
-    addr_bits = (n_registers - 1).bit_length()
-    frac = operand_width                      # acc fractional bits
-    frac_drop = operand_width - operand_width // 2
-    amt_width = 4
-    truth_table = decoder_truth_table()
-    if not has_truncater:
-        truth_table = {op: cw & ~(1 << _CTRL_BITS["trunc"])
-                       for op, cw in truth_table.items()}
+def make_gatelevel_core(name: str = "dsp_core",
+                        spec: CoreSpec = PAPER_SPEC) -> Netlist:
+    """The complete core of family point ``spec`` as one flat netlist."""
+    operand_width, acc_width = spec.operand_width, spec.acc_width
+    n_registers, depth = spec.n_registers, spec.pipeline_depth
+    shifter_style, adder_style = spec.shifter, spec.adder
+    has_truncater, has_limiter = spec.has_truncater, spec.has_limiter
+    addr_bits = spec.addr_bits
+    frac, frac_drop = spec.acc_frac, spec.frac_drop
+    amt_width = AMT_WIDTH
+    truth_table = decoder_truth_table_for(spec)
 
     b = NetlistBuilder(name)
     instr_in = b.input_bus("instr", 17)

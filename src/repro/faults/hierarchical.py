@@ -34,14 +34,14 @@ fault simulation on the simple datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro._util import mask
 from repro.runtime.errors import ConfigError
-from repro.dsp.components import COMPONENTS, ComponentSpec
+from repro.dsp.components import ComponentSpec, component_by_name
 from repro.dsp.core import CoreState, DspCore
-from repro.dsp.isa import N_REGISTERS
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, collapse_faults
@@ -58,7 +58,7 @@ class ComponentFault:
     fault: Fault
 
     def describe(self) -> str:
-        spec = _spec(self.component)
+        spec = component_by_name(self.component)
         return f"{self.component}/{self.fault.describe(spec.netlist())}"
 
 
@@ -98,29 +98,23 @@ def fault_unit_id(fault) -> str:
     return f"storage:{target}:{fault.kind}:{fault.bit}:sa{fault.stuck_at}"
 
 
-def _spec(name: str) -> ComponentSpec:
-    from repro.dsp.components import component_by_name
-    return component_by_name(name)
-
-
 # ----------------------------------------------------------------------
 # The fault universe
 # ----------------------------------------------------------------------
 class DspFaultUniverse:
     """The complete stuck-at fault population of the DSP core.
 
-    ``build`` selects a non-paper family point: its component registry
-    (per-spec widths, optional truncater/limiter), register-file shape
-    and core factory replace the paper singletons.
+    ``build`` selects the family point: its component registry (per-spec
+    widths, optional truncater/limiter), register-file shape and core
+    factory.
     """
 
     def __init__(self, components: Optional[Iterable[str]] = None,
                  include_regfile: bool = True,
-                 build=None):
+                 build: CoreBuild = PAPER_BUILD):
         self.build = build
-        registry = COMPONENTS if build is None else build.components
         names = list(components) if components is not None else \
-            [spec.name for spec in registry]
+            [spec.name for spec in build.components]
         self.comb_faults: Dict[str, List[Fault]] = {}
         self.comb_simulators: Dict[str, CombFaultSimulator] = {}
         self.storage_faults: List[StorageFault] = []
@@ -146,10 +140,8 @@ class DspFaultUniverse:
             else:
                 self.storage_faults.extend(_register_faults(spec))
         if include_regfile:
-            n_regs = N_REGISTERS if build is None else build.spec.n_registers
-            reg_width = 8 if build is None else build.spec.operand_width
-            for reg in range(n_regs):
-                for bit in range(reg_width):
+            for reg in range(build.spec.n_registers):
+                for bit in range(build.spec.operand_width):
                     for polarity in (0, 1):
                         self.storage_faults.append(
                             StorageFault(("reg", reg), "q", bit, polarity)
@@ -157,8 +149,6 @@ class DspFaultUniverse:
 
     def spec(self, name: str) -> ComponentSpec:
         """The component spec for ``name`` in this universe's registry."""
-        if self.build is None:
-            return _spec(name)
         return self.build.component_by_name(name)
 
     def all_faults(self) -> List:
@@ -204,39 +194,23 @@ def _register_faults(spec: ComponentSpec) -> List[StorageFault]:
 # ----------------------------------------------------------------------
 # Storage-fault execution helpers
 # ----------------------------------------------------------------------
-_STATE_KEY_BY_NAME = {
-    "acca": ("acc_a",), "accb": ("acc_b",), "macreg": ("macreg",),
-    "buffer": ("buffer",), "temp": ("temp",),
-}
-
-
 def storage_fault_core(fault: StorageFault,
                        state: Optional[CoreState] = None,
-                       build=None) -> DspCore:
+                       build: CoreBuild = PAPER_BUILD) -> DspCore:
     """A core whose behaviour includes ``fault`` permanently."""
-
-    def make_core(**kwargs) -> DspCore:
-        if build is None:
-            return DspCore(**kwargs)
-        return build.make_core(**kwargs)
-
     if fault.kind == "q":
         if fault.target[0] == "reg":
             key: Tuple = fault.target
-            width = 8 if build is None else build.spec.operand_width
+            width = build.spec.operand_width
         else:
-            key = _STATE_KEY_BY_NAME[fault.target[0]]
-            if build is None:
-                width = 18 if fault.target[0] in ("acca", "accb") else 8
-            elif fault.target[0] in ("acca", "accb"):
-                width = build.spec.acc_width
-            else:
-                width = build.spec.operand_width
+            spec = build.component_by_name(fault.target[0])
+            key, width = spec.state_key, spec.output_width
         if fault.stuck_at:
             and_mask, or_mask = mask(width), 1 << fault.bit
         else:
             and_mask, or_mask = mask(width) & ~(1 << fault.bit), 0
-        return make_core(state=state, stuck_bits={key: (and_mask, or_mask)})
+        return build.make_core(state=state,
+                               stuck_bits={key: (and_mask, or_mask)})
     # d / en faults: per-cycle callable override on the traced component.
     name = fault.target[0]
 
@@ -252,7 +226,7 @@ def storage_fault_core(fault: StorageFault,
             en = fault.stuck_at
         return d if en else inputs.get("q", 0)
 
-    core = make_core(state=state)
+    core = build.make_core(state=state)
     core_overrides = {name: override}
     # Wrap step to always apply the override.
     original_step = core.step
@@ -450,14 +424,9 @@ class HierarchicalFaultSimulator:
                 obs.section("sim.hier.prepare"):
             return self._prepare(words)
 
-    def _make_core(self, **kwargs) -> DspCore:
-        if self.build is None:
-            return DspCore(**kwargs)
-        return self.build.make_core(**kwargs)
-
     def _prepare(self, words: List[int]) -> TraceContext:
         names = list(self.universe.comb_faults)
-        core = self._make_core()
+        core = self.build.make_core()
         clean_ports: List[int] = []
         checkpoints: Dict[int, CoreState] = {}
         block_records: Dict[int, Dict[str, Dict]] = {}
@@ -539,7 +508,7 @@ class HierarchicalFaultSimulator:
     def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:
         """A clean core replayed up to (not including) cycle ``t``."""
         start = t - t % self.checkpoint_every
-        fork = self._make_core(state=ctx.checkpoints[start].copy())
+        fork = self.build.make_core(state=ctx.checkpoints[start].copy())
         for cycle in range(start, t):
             fork.step(ctx.words[cycle])
         return fork

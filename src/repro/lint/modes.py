@@ -24,13 +24,13 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Set,
     Tuple,
 )
 
-from repro.dsp.components import COMPONENTS, all_columns, component_by_name
-from repro.dsp.isa import ControlWord, Opcode, control_word
+from repro.dsp.components import component_by_name
+from repro.dsp.family import PAPER_BUILD, CoreBuild
+from repro.dsp.isa import ControlWord, Opcode
 from repro.lint.findings import (
     Finding,
     LintReport,
@@ -67,18 +67,17 @@ def component_mode(component: str, cw: ControlWord) -> int:
 
 def static_mode_reachability(
     opcodes: Iterable[Opcode] = tuple(Opcode),
-    build: Optional[Any] = None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> Dict[str, FrozenSet[int]]:
     """component name -> set of modes some opcode decodes to.
 
-    ``build`` analyses a non-paper family point: its component registry
-    and decoder (a family point without a truncater, say, never reaches
+    ``build`` picks the family point whose component registry and decoder
+    are analysed (a family point without a truncater, say, never reaches
     the "trunc" mode because the builder clears the control bit).
     """
-    components = COMPONENTS if build is None else build.components
-    cw_fn = control_word if build is None else build.control_word
+    components = build.components
     reachable: Dict[str, Set[int]] = {spec.name: set() for spec in components}
-    words = [cw_fn(op) for op in opcodes]
+    words = [build.control_word(op) for op in opcodes]
     for spec in components:
         for cw in words:
             reachable[spec.name].add(component_mode(spec.name, cw))
@@ -87,7 +86,7 @@ def static_mode_reachability(
 
 def static_unreachable_columns(
     columns: Iterable[Column] = (),
-    build: Optional[Any] = None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> List[Column]:
     """Columns whose mode no opcode can decode to.
 
@@ -95,10 +94,7 @@ def static_unreachable_columns(
     paper core this is exactly the shifter's "10"/"11" columns — the modes
     the paper's §2.4 eliminates by hand.
     """
-    if build is None:
-        column_list = list(columns) or all_columns(metrics_only=True)
-    else:
-        column_list = list(columns) or build.all_columns(metrics_only=True)
+    column_list = list(columns) or build.all_columns(metrics_only=True)
     reachable = static_mode_reachability(build=build)
     return [
         (name, mode) for name, mode in column_list
@@ -108,7 +104,7 @@ def static_unreachable_columns(
 
 def mode_reachability_crosscheck(
     table: Any,
-    build: Optional[Any] = None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> Tuple[List[Column], List[Column]]:
     """Compare static vs dynamic unreachability on one metrics table.
 

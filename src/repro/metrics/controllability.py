@@ -18,11 +18,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import mask
-from repro.dsp.components import COMPONENTS, component_by_name
 from repro.dsp.core import DspCore
-from repro.dsp.fixedpoint import ACC_WIDTH
-from repro.dsp.isa import Instruction, N_REGISTERS, Opcode, encode
+from repro.dsp.family import PAPER_BUILD, CoreBuild
+from repro.dsp.isa import Instruction, Opcode, encode
 from repro.runtime.errors import ConfigError
 from repro.runtime.rng import RngFactory, resolve_factory
 
@@ -106,23 +104,19 @@ def default_variants(include_b: bool = True) -> List[InstructionVariant]:
 
 
 def prepare_core(variant: InstructionVariant, rng: random.Random,
-                 build=None) -> DspCore:
+                 build: CoreBuild = PAPER_BUILD) -> DspCore:
     """A core with random registers and the variant's accumulator state.
 
     Random registers model the effect of the preceding ``ld rnd`` wrapper
     instructions; the accumulator state models the randomisation sequences
-    Phase 2 inserts before 'R' rows.  ``build`` selects a non-paper family
-    point (the draws use its widths, so paper streams are unchanged).
+    Phase 2 inserts before 'R' rows.  The draws use the ``build``'s
+    widths.
     """
-    if build is None:
-        core = DspCore()
-        n_regs, reg_lim, acc_lim = N_REGISTERS, 256, 1 << ACC_WIDTH
-    else:
-        core = build.make_core()
-        n_regs = build.spec.n_registers
-        reg_lim = 1 << build.spec.operand_width
-        acc_lim = 1 << build.spec.acc_width
-    core.state.regs = [rng.randrange(reg_lim) for _ in range(n_regs)]
+    core = build.make_core()
+    reg_lim = 1 << build.spec.operand_width
+    acc_lim = 1 << build.spec.acc_width
+    core.state.regs = [rng.randrange(reg_lim)
+                       for _ in range(build.spec.n_registers)]
     if variant.acc_state == "R":
         core.state.acc_a = rng.randrange(acc_lim)
         core.state.acc_b = rng.randrange(acc_lim)
@@ -131,7 +125,7 @@ def prepare_core(variant: InstructionVariant, rng: random.Random,
 
 def trace_variant(variant: InstructionVariant, rng: random.Random,
                   follow: Sequence[Instruction] = (),
-                  build=None) -> List[Dict]:
+                  build: CoreBuild = PAPER_BUILD) -> List[Dict]:
     """Execute the variant once; returns per-cycle traces.
 
     Cycle 0 fetches the instruction, so on the paper core its ID-stage
@@ -161,14 +155,13 @@ EX_CYCLE = 2
 WB_CYCLE = 3
 
 
-def component_cycle(name: str, build=None) -> int:
+def component_cycle(name: str, build: CoreBuild = PAPER_BUILD) -> int:
     """Cycle offset (after fetch) at which ``name`` sees the instruction."""
-    id_cycle = ID_CYCLE if build is None else build.id_cycle
     if name in ID_STAGE_COMPONENTS:
-        return id_cycle
+        return build.id_cycle
     if name in WB_STAGE_COMPONENTS:
-        return id_cycle + 2
-    return id_cycle + 1
+        return build.id_cycle + 2
+    return build.id_cycle + 1
 
 
 class ControllabilityEngine:
@@ -176,7 +169,7 @@ class ControllabilityEngine:
 
     def __init__(self, n_samples: int = 200, seed: int = 2004,
                  rng_factory: Optional[RngFactory] = None,
-                 build=None):
+                 build: CoreBuild = PAPER_BUILD):
         if n_samples < 2:
             raise ConfigError("need at least 2 samples")
         self.n_samples = n_samples
@@ -199,8 +192,7 @@ class ControllabilityEngine:
         )
 
         rng = self.rng_factory(variant.label)
-        components = (COMPONENTS if self.build is None
-                      else self.build.components)
+        components = self.build.components
         port_samples: Dict[Tuple[str, int], Dict[str, List[int]]] = {}
         for _ in range(self.n_samples):
             traces = trace_variant(variant, rng, build=self.build)

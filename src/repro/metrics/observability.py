@@ -18,8 +18,8 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._util import mask
-from repro.dsp.components import COMPONENTS
 from repro.dsp.core import DspCore
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.metrics.controllability import (
     InstructionVariant,
@@ -33,7 +33,8 @@ _NOP_WORD = encode(Instruction(Opcode.NOP))
 
 
 def observation_wrapper(variant: InstructionVariant,
-                        build=None) -> List[Instruction]:
+                        build: CoreBuild = PAPER_BUILD
+                        ) -> List[Instruction]:
     """The "Out" wrapper: propagate the instruction's result to the port.
 
     Register-writing instructions are followed by three ``out dest``
@@ -44,9 +45,7 @@ def observation_wrapper(variant: InstructionVariant,
     observable.  The out family needs nothing (it *is* the propagation).
     """
     instr = variant.instruction()
-    from repro.dsp.isa import control_word
-    cw_fn = control_word if build is None else build.control_word
-    if cw_fn(variant.opcode).reg_we:
+    if build.control_word(variant.opcode).reg_we:
         return [Instruction(Opcode.OUT, regb=instr.dest)] * 3
     return []
 
@@ -57,7 +56,7 @@ class ObservabilityEngine:
     def __init__(self, n_good: int = 25, errors_per_bit: int = 2,
                  window: int = 8, seed: int = 1977,
                  rng_factory: Optional[RngFactory] = None,
-                 build=None):
+                 build: CoreBuild = PAPER_BUILD):
         if n_good < 1:
             raise ConfigError("need at least one good simulation")
         self.n_good = n_good
@@ -67,11 +66,6 @@ class ObservabilityEngine:
         self.build = build
         # Injected label->Random factory (see ControllabilityEngine).
         self.rng_factory = resolve_factory(seed, rng_factory)
-
-    def _fork(self, state, stuck) -> DspCore:
-        if self.build is None:
-            return DspCore(state=state, stuck_bits=stuck)
-        return self.build.make_core(state=state, stuck_bits=stuck)
 
     # ------------------------------------------------------------------
     def _run_ports(self, core: DspCore, words: Sequence[int],
@@ -127,9 +121,7 @@ class ObservabilityEngine:
                 traces.append(trace)
                 post_states.append(core.state.copy())
 
-            components = (COMPONENTS if self.build is None
-                          else self.build.components)
-            for spec in components:
+            for spec in self.build.components:
                 cycle = component_cycle(spec.name, self.build)
                 if cycle >= len(traces):
                     continue
@@ -150,12 +142,13 @@ class ObservabilityEngine:
                         # if a later instruction reads the element.
                         forked_state = post_states[cycle].copy()
                         _set_state_element(forked_state, spec.state_key, bad)
-                        forked = self._fork(forked_state, stuck)
+                        forked = self.build.make_core(forked_state, stuck)
                         ports = clean_ports[:cycle + 1] + self._run_ports(
                             forked, words[cycle + 1:]
                         )
                     else:
-                        forked = self._fork(snapshot.copy(), stuck)
+                        forked = self.build.make_core(snapshot.copy(),
+                                                      stuck)
                         ports = self._run_ports(
                             forked, words, inject_cycle=cycle,
                             component=spec.name, value=bad,

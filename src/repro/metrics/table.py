@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dsp.components import COMPONENTS, ComponentSpec, all_columns
+from repro.dsp.components import ComponentSpec
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.faults.model import collapse_faults
 from repro.metrics.controllability import (
     ControllabilityEngine,
@@ -42,6 +43,12 @@ class MetricsCell:
     def covered(self, c_theta: float = C_THETA,
                 o_theta: float = O_THETA) -> bool:
         return self.c >= c_theta and self.o >= o_theta
+
+
+def fault_counts(build: CoreBuild) -> Dict[str, int]:
+    """Each component's fault-universe size (the table's ``#faults`` row)."""
+    return {spec.name: component_fault_count(spec)
+            for spec in build.components}
 
 
 def component_fault_count(spec: ComponentSpec) -> int:
@@ -143,29 +150,20 @@ def build_metrics_table(
     n_observability_good: int = 12,
     seed: int = 2004,
     columns: Optional[Sequence[Column]] = None,
-    build=None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> MetricsTable:
     """Measure C and O for every variant and assemble the metrics table.
 
     This is the "Construct Metrics Table" step of the paper's Fig. 3 flow.
     Sample counts default to values that finish in minutes on a laptop;
-    the benchmarks raise them.  ``build`` measures a non-paper family
-    point (a :class:`repro.dsp.family.CoreBuild`).
+    the benchmarks raise them.  ``build`` picks the family point.
     """
     rows = list(variants) if variants is not None else default_variants()
-    components = COMPONENTS if build is None else build.components
-    if columns is not None:
-        cols = list(columns)
-    elif build is None:
-        cols = all_columns()
-    else:
-        cols = build.all_columns()
+    cols = list(columns) if columns is not None else build.all_columns()
     table = MetricsTable(
         rows=rows,
         columns=cols,
-        fault_counts={
-            spec.name: component_fault_count(spec) for spec in components
-        },
+        fault_counts=fault_counts(build),
     )
     c_engine = ControllabilityEngine(
         n_samples=n_controllability_samples, seed=seed, build=build

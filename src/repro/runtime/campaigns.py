@@ -8,12 +8,10 @@ records:
 
 * :class:`HierarchicalCampaign` — per-fault grading of the DSP core
   (wraps :class:`repro.faults.hierarchical.HierarchicalFaultSimulator`);
-* :class:`CombSimCampaign` — per-fault pattern-parallel combinational
-  grading (wraps :class:`repro.faults.combsim.CombFaultSimulator`);
 * :class:`MetricsCampaign` — per-instruction-variant C/O sampling
   (wraps the :mod:`repro.metrics` engines);
 * :class:`AtpgBaselineCampaign` — per-fault time-frame PODEM attacks
-  (wraps :func:`repro.baselines.atpg_baseline.run_atpg_baseline`).
+  (wraps :class:`repro.baselines.atpg_baseline.AtpgBaseline`).
 
 Every unit runs its one exact implementation; a unit that keeps failing
 or timing out is quarantined, and the campaign report counts it.
@@ -21,10 +19,10 @@ or timing out is quarantined, and the campaign report counts it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.runtime.runner import CampaignReport, CampaignRunner, WorkUnit
 
 
@@ -101,9 +99,8 @@ class HierarchicalCampaign:
         # Family points stamp the core identity; the paper core omits it
         # so checkpoints recorded before core families existed still
         # resume.
-        build = getattr(sim, "build", None)
-        if build is not None and not build.spec.is_paper:
-            fp["core"] = build.spec.label()
+        if not sim.build.spec.is_paper:
+            fp["core"] = sim.build.spec.label()
         return fp
 
     def _fault_map(self) -> Dict[str, Any]:
@@ -168,93 +165,6 @@ class HierarchicalCampaign:
 
 
 # ----------------------------------------------------------------------
-# Combinational pattern-parallel fault simulation
-# ----------------------------------------------------------------------
-class CombSimCampaign:
-    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``."""
-
-    def __init__(
-        self,
-        sim,
-        blocks: Sequence[Dict[str, List[int]]],
-        faults: Optional[Sequence] = None,
-        checkpoint: Optional[str] = None,
-        unit_timeout: Optional[float] = None,
-        runner: Optional[CampaignRunner] = None,
-        jobs: Optional[int] = None,
-    ):
-        self.sim = sim
-        self.blocks = list(blocks)
-        self.faults = list(faults if faults is not None
-                           else sim.fault_list.faults)
-        self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
-        self._prepared = _Lazy(self._prepare)
-        from repro.lint.netlist_rules import warn_on_netlist
-        warn_on_netlist(sim.netlist, context="combsim campaign")
-
-    def fingerprint(self) -> Dict[str, Any]:
-        from repro.runtime.integrity import fingerprint_for_netlist
-        return {
-            "kind": "combsim",
-            "netlist": self.sim.netlist.name,
-            # The structural hash, not just the name: resuming against a
-            # *modified* netlist of the same name must be rejected (the
-            # checkpointed grades belong to different hardware).
-            "netlist_hash": fingerprint_for_netlist(self.sim.netlist),
-            "n_blocks": len(self.blocks),
-            "n_faults": len(self.faults),
-        }
-
-    def _prepare(self) -> List[Tuple[List[int], int]]:
-        """Every block's good values and one lookup of every fault site's
-        fanout cone.  The pool runs this in the parent, so forked workers
-        inherit both instead of each re-deriving them; the serial runner
-        runs it in the first unit, so both count the same cache lookups."""
-        from repro.runtime.cache import fanout_cone
-        for fault in self.faults:
-            fanout_cone(self.sim.netlist, fault.net)
-        prepared = []
-        for block in self.blocks:
-            n_patterns = len(next(iter(block.values())))
-            prepared.append((self.sim.good_values(block, n_patterns),
-                             n_patterns))
-        return prepared
-
-    def _grade(self, fault) -> Optional[int]:
-        offset = 0
-        for good, n_patterns in self._prepared():
-            mask, _ = self.sim.simulate_fault(fault, good, n_patterns)
-            if mask:
-                return offset + (mask & -mask).bit_length() - 1
-            offset += n_patterns
-        return None
-
-    def units(self) -> List[WorkUnit]:
-        return [
-            WorkUnit(
-                unit_id=f"comb:{fault.net}:sa{fault.stuck_at}",
-                run=lambda fault=fault: self._grade(fault),
-            )
-            for fault in self.faults
-        ]
-
-    def run(self, resume: bool = False, repair: bool = False,
-            max_units: Optional[int] = None,
-            force: bool = False) -> CampaignOutcome:
-        report = self.runner.run(
-            self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, warmup=self._prepared,
-            force=force,
-        )
-        by_id = {f"comb:{f.net}:sa{f.stuck_at}": f for f in self.faults}
-        first_detect = {
-            by_id[unit_id]: result.value
-            for unit_id, result in report.results.items()
-        }
-        return CampaignOutcome(result=first_detect, report=report)
-
-
-# ----------------------------------------------------------------------
 # Metrics-table sampling
 # ----------------------------------------------------------------------
 class MetricsCampaign:
@@ -277,19 +187,14 @@ class MetricsCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        build=None,
+        build: CoreBuild = PAPER_BUILD,
     ):
         from repro.metrics.controllability import default_variants
-        from repro.dsp.components import all_columns
         self.build = build
         self.variants = list(variants) if variants is not None \
             else default_variants()
-        if columns is not None:
-            self.columns = list(columns)
-        elif build is None:
-            self.columns = all_columns()
-        else:
-            self.columns = build.all_columns()
+        self.columns = list(columns) if columns is not None \
+            else build.all_columns()
         self.n_controllability_samples = n_controllability_samples
         self.n_observability_good = n_observability_good
         self.seed = seed
@@ -305,7 +210,7 @@ class MetricsCampaign:
         }
         # Same convention as HierarchicalCampaign: only non-paper family
         # points stamp the core identity.
-        if self.build is not None and not self.build.spec.is_paper:
+        if not self.build.spec.is_paper:
             fp["core"] = self.build.spec.label()
         return fp
 
@@ -344,25 +249,15 @@ class MetricsCampaign:
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None,
             force: bool = False) -> CampaignOutcome:
-        from repro.dsp.components import COMPONENTS
-        from repro.metrics.table import (
-            MetricsCell,
-            MetricsTable,
-            component_fault_count,
-        )
+        from repro.metrics.table import MetricsCell, MetricsTable, fault_counts
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
             repair=repair, max_units=max_units, force=force,
         )
-        components = COMPONENTS if self.build is None \
-            else self.build.components
         table = MetricsTable(
             rows=self.variants,
             columns=self.columns,
-            fault_counts={
-                spec.name: component_fault_count(spec)
-                for spec in components
-            },
+            fault_counts=fault_counts(self.build),
         )
         for variant in self.variants:
             result = report.results.get(f"variant:{variant.label}")
@@ -405,136 +300,42 @@ class AtpgBaselineCampaign:
         guided: bool = False,
     ):
         self.netlist = netlist
-        self.n_frames = n_frames
-        self.backtrack_limit = backtrack_limit
-        self.fault_sample = fault_sample
-        self.seed = seed
-        self.random_phase_sequences = random_phase_sequences
-        self.random_phase_length = random_phase_length
-        self.guided = guided
+        #: The baseline's parameters, which are also the fingerprint.
+        self.params: Dict[str, Any] = {
+            "n_frames": n_frames,
+            "backtrack_limit": backtrack_limit,
+            "fault_sample": fault_sample,
+            "seed": seed,
+            "random_phase_sequences": random_phase_sequences,
+            "random_phase_length": random_phase_length,
+            "guided": guided,
+        }
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
-        self._setup = _Lazy(self._build_setup)
+        self._baseline = _Lazy(self._prepare)
 
     def fingerprint(self) -> Dict[str, Any]:
-        return {
-            "kind": "atpg-baseline",
-            "n_frames": self.n_frames,
-            "backtrack_limit": self.backtrack_limit,
-            "fault_sample": self.fault_sample,
-            "seed": self.seed,
-            "random_phase_sequences": self.random_phase_sequences,
-            "random_phase_length": self.random_phase_length,
-            "guided": self.guided,
-        }
+        return {"kind": "atpg-baseline", **self.params}
 
-    def _build_setup(self) -> Dict[str, Any]:
-        from repro.atpg.podem import Podem
-        from repro.atpg.unroll import unroll
-        from repro.dsp.gatelevel import make_gatelevel_core
-        from repro.faults.model import FaultList, collapse_faults
-
-        core = self.netlist if self.netlist is not None \
-            else make_gatelevel_core()
+    def _prepare(self):
+        from repro.baselines.atpg_baseline import AtpgBaseline
         from repro.lint.netlist_rules import warn_on_netlist
-        warn_on_netlist(core, context="atpg baseline fault universe")
-        unrolled = unroll(core, self.n_frames)
-        faults = list(collapse_faults(core).faults)
-        if self.fault_sample is not None and \
-                self.fault_sample < len(faults):
-            rng = random.Random(self.seed)
-            faults = rng.sample(faults, self.fault_sample)
-
-        random_detected = 0
-        survivors = list(faults)
-        if self.random_phase_sequences > 0:
-            from repro.faults.seqsim import SeqFaultSimulator
-            rng = random.Random(self.seed + 1)
-            sim = SeqFaultSimulator(
-                core, fault_list=FaultList(netlist=core,
-                                           faults=list(faults)),
-            )
-            for _ in range(self.random_phase_sequences):
-                if not survivors:
-                    break
-                stimulus = {"instr": [
-                    rng.randrange(1 << 17)
-                    for _ in range(self.random_phase_length)
-                ]}
-                outcome = sim.run_sequence(stimulus, faults=survivors)
-                survivors = outcome.undetected
-            random_detected = len(faults) - len(survivors)
-        return {
-            "core": core,
-            "unrolled": unrolled,
-            "engine": Podem(unrolled.netlist,
-                            backtrack_limit=self.backtrack_limit,
-                            guided=self.guided),
-            "survivors": survivors,
-            "random_detected": random_detected,
-            "instr_nets": [unrolled.frame_bus(frame, "instr")
-                           for frame in range(self.n_frames)],
-        }
-
-    def _attack(self, fault) -> Dict:
-        setup = self._setup()
-        result = setup["engine"].generate_multi(
-            setup["unrolled"].fault_sites(fault)
-        )
-        record: Dict[str, Any] = {"status": result.status,
-                                  "backtracks": result.backtracks,
-                                  "decisions": result.decisions}
-        if result.detected:
-            frames = []
-            for nets in setup["instr_nets"]:
-                word = 0
-                for i, net in enumerate(nets):
-                    if result.pattern.get(net):
-                        word |= 1 << i
-                frames.append(word)
-            record["status"] = "detected"
-            record["frames"] = frames
-        return record
+        baseline = AtpgBaseline(self.netlist, **self.params)
+        warn_on_netlist(baseline.core, context="atpg baseline fault universe")
+        return baseline
 
     def units(self) -> List[WorkUnit]:
         return [
             WorkUnit(unit_id=f"podem:{fault.net}:sa{fault.stuck_at}",
-                     run=lambda fault=fault: self._attack(fault))
-            for fault in self._setup()["survivors"]
+                     run=lambda fault=fault: self._baseline().attack(fault))
+            for fault in self._baseline().survivors
         ]
 
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None) -> CampaignOutcome:
-        from repro.baselines.atpg_baseline import AtpgBaselineResult
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, warmup=self._setup,
+            repair=repair, max_units=max_units, warmup=self._baseline,
         )
-        setup = self._setup()
-        detected = untestable = aborted = 0
-        total_backtracks = total_decisions = 0
-        patterns: List[List[int]] = []
-        for result in report.results.values():
-            record = result.value or {}
-            status = record.get("status")
-            total_backtracks += record.get("backtracks", 0)
-            total_decisions += record.get("decisions", 0)
-            if status == "detected":
-                detected += 1
-                patterns.append(record.get("frames", []))
-            elif status == "untestable":
-                untestable += 1
-            else:
-                aborted += 1
-        result = AtpgBaselineResult(
-            n_faults=len(setup["survivors"]) + setup["random_detected"],
-            n_detected=detected + setup["random_detected"],
-            n_untestable_within_frames=untestable,
-            n_aborted=aborted,
-            n_frames=self.n_frames,
-            n_detected_random_phase=setup["random_detected"],
-            patterns=patterns,
-            total_backtracks=total_backtracks,
-            total_decisions=total_decisions,
-            guided=self.guided,
-        )
+        result = self._baseline().result(
+            r.value or {} for r in report.results.values())
         return CampaignOutcome(result=result, report=report)

@@ -40,7 +40,9 @@ isolation the in-process backend cannot provide.
 
 If the pool cannot be used at all (no ``fork`` support) or dies
 mid-campaign (a worker hard-crashes), :func:`run_pooled` returns the
-results it has; the runner finishes the remainder serially.
+results it has; the runner finishes the remainder serially.  A unit
+enters those results only once the parent has appended its record to
+the canonical checkpoint; a failed append propagates out of the run.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ def run_pooled(
     the caller treats missing units as "finish serially".  Completed
     records are appended to the runner's canonical checkpoint as they
     arrive; worker shards are cleaned up on success and left in place
-    (for :func:`merge_shards`) if the parent dies first.
+    (for :func:`merge_shards`) if the parent dies or an append fails
+    first.
     """
     global _POOL_CONTEXT
     from repro.runtime.runner import UnitResult
@@ -263,64 +266,77 @@ def run_pooled(
     jobs = min(runner.jobs, len(pending))
     results: Dict[str, Any] = {}
     total = total if total is not None else len(pending)
-    stall_budget = _stall_budget(runner)
     context = multiprocessing.get_context("fork")
     try:
-        with context.Pool(jobs, initializer=_worker_init) as pool:
-            # chunksize must stay 1: with a larger chunk the pool returns
-            # a flattening *generator* instead of the IMapUnorderedIterator
-            # whose ``next(timeout)`` the dead-worker poll below needs.
-            # (It is also the finest work-stealing granularity — a slow
-            # unit cannot straggle a whole chunk.)
-            stream = pool.imap_unordered(
-                _worker_run, range(len(pending)), chunksize=1
-            )
-            done = 0
-            last_progress = time.monotonic()
-            while done < len(pending):
-                # `multiprocessing.Pool` silently respawns a SIGKILLed
-                # worker but never redelivers the task it was holding —
-                # a plain `for record in stream` would block forever.
-                # Poll with a timeout and bail once a worker has died
-                # and no result has arrived within the stall budget;
-                # the runner re-runs the lost units serially.
-                try:
-                    envelope = stream.next(timeout=_POOL_POLL_SECONDS)
-                except StopIteration:
-                    break
-                except multiprocessing.TimeoutError:
-                    stalled = time.monotonic() - last_progress
-                    if _pool_has_dead_worker(pool) \
-                            and stalled >= stall_budget:
-                        raise BrokenPipeError(
-                            "pool worker died; abandoning the pool"
-                        )
-                    continue
-                done += 1
-                last_progress = time.monotonic()
+        try:
+            pool = context.Pool(jobs, initializer=_worker_init)
+        except Exception:
+            return results          # no usable pool: all units run serially
+        with pool:
+            for envelope in _envelopes(pool, len(pending),
+                                       _stall_budget(runner)):
                 record = envelope["record"]
                 cache.merge_counts(envelope.get("cache") or {})
                 obs.merge_worker_payload(envelope.get("obs"))
                 result = UnitResult.from_record(record, resumed=False)
-                results[result.unit_id] = result
+                # Durable before reported.  A failed append propagates,
+                # as on the serial path; the worker's shard keeps the
+                # record for the next resume to merge.
                 if runner.store is not None:
                     runner.store.append(record)
+                results[result.unit_id] = result
                 if progress is not None:
-                    progress(result, done, total)
-            pool.close()
-            pool.join()
-    except KeyboardInterrupt:
-        raise
-    except Exception:
-        # A worker hard-crashed or the pool machinery failed: return
-        # what completed and let the runner finish serially.
-        return results
+                    progress(result, len(results), total)
+            if len(results) == len(pending):
+                # A clean shutdown.  A failed pool is terminated by
+                # ``with`` instead: joining it could wait forever on the
+                # task a killed worker took with it.
+                pool.close()
+                pool.join()
     finally:
         _POOL_CONTEXT = None
         if checkpoint and len(results) == len(pending):
             # Every shard record is in the canonical checkpoint now.
             remove_shards(checkpoint)
     return results
+
+
+def _envelopes(pool, n_units: int, stall_budget: float):
+    """Yield the workers' result envelopes as they arrive.
+
+    Ends early, without raising, when the pool fails: a worker
+    hard-crashed, the pool machinery broke, or a worker died and no
+    result arrived within ``stall_budget`` seconds.  The runner then
+    finishes the remaining units serially.
+    """
+    import multiprocessing
+
+    # chunksize must stay 1: with a larger chunk the pool returns a
+    # flattening *generator* instead of the IMapUnorderedIterator whose
+    # ``next(timeout)`` the dead-worker poll below needs.  (It is also
+    # the finest work-stealing granularity — a slow unit cannot
+    # straggle a whole chunk.)
+    stream = pool.imap_unordered(_worker_run, range(n_units), chunksize=1)
+    received = 0
+    last_progress = time.monotonic()
+    while received < n_units:
+        # `multiprocessing.Pool` silently respawns a SIGKILLed worker but
+        # never redelivers the task it was holding — a plain `for
+        # envelope in stream` would block forever.  Poll with a timeout
+        # and give up once a worker has died and no result has arrived
+        # within the stall budget.
+        try:
+            envelope = stream.next(timeout=_POOL_POLL_SECONDS)
+        except multiprocessing.TimeoutError:
+            stalled = time.monotonic() - last_progress
+            if _pool_has_dead_worker(pool) and stalled >= stall_budget:
+                return
+            continue
+        except Exception:
+            return
+        received += 1
+        last_progress = time.monotonic()
+        yield envelope
 
 
 #: How often the parent polls the result stream for worker death.

@@ -19,12 +19,13 @@ times (the loop-back edge in Fig. 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.bist.template import RandomLoad
-from repro.dsp.isa import Instruction, Opcode, control_word
+from repro.dsp.family import PAPER_BUILD, CoreBuild
+from repro.dsp.isa import Instruction, Opcode
 from repro.metrics.controllability import InstructionVariant
 from repro.metrics.observability import ObservabilityEngine
 from repro.metrics.table import MetricsTable, build_metrics_table
@@ -39,7 +40,7 @@ RAND_REGS = (0, 1)
 DEST_REGS = tuple(range(2, 12))
 
 
-def dest_registers(build=None) -> Tuple[int, ...]:
+def dest_registers(build: CoreBuild = PAPER_BUILD) -> Tuple[int, ...]:
     """Destination registers for a family point.
 
     The paper core cycles through r2–r11; smaller register files shrink
@@ -47,10 +48,7 @@ def dest_registers(build=None) -> Tuple[int, ...]:
     shift-amount register r3 out of heavy rotation where possible) so no
     destination aliases a reserved register through address masking.
     """
-    if build is None:
-        return DEST_REGS
-    n = build.spec.n_registers
-    return tuple(range(2, max(4, n - 4)))
+    return tuple(range(2, max(4, build.spec.n_registers - 4)))
 
 
 @dataclass
@@ -81,7 +79,7 @@ class SelfTestGenerator:
         o_engine: Optional[ObservabilityEngine] = None,
         max_threshold_reductions: int = 2,
         threshold_step: float = 0.10,
-        build=None,
+        build: CoreBuild = PAPER_BUILD,
     ):
         self.table = table
         self.o_engine = o_engine
@@ -152,12 +150,11 @@ class SelfTestGenerator:
 # Program assembly
 # ----------------------------------------------------------------------
 def _needs_random_acc(variant: InstructionVariant,
-                      build=None) -> Optional[str]:
+                      build: CoreBuild) -> Optional[str]:
     """Which accumulator ('A'/'B') must be randomised before this row."""
     if variant.acc_state != "R":
         return None
-    cw_fn = control_word if build is None else build.control_word
-    return "B" if cw_fn(variant.opcode).accsel else "A"
+    return "B" if build.control_word(variant.opcode).accsel else "A"
 
 
 def _concrete_instruction(variant: InstructionVariant, dest: int):
@@ -179,10 +176,11 @@ def _concrete_instruction(variant: InstructionVariant, dest: int):
 
 
 def assemble_program(table: MetricsTable, phase1: Phase1Result,
-                     phase2: Phase2Result, build=None) -> TestProgram:
+                     phase2: Phase2Result,
+                     build: CoreBuild = PAPER_BUILD) -> TestProgram:
     """Assemble the Fig. 7-style looped program from the phase results."""
     program = TestProgram()
-    cw_fn = control_word if build is None else build.control_word
+    cw_fn = build.control_word
     dest_regs = dest_registers(build)
     dests = itertools.cycle(dest_regs)
 

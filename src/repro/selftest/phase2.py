@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import Instruction, Opcode
 from repro.metrics.controllability import InstructionVariant
 from repro.metrics.observability import ObservabilityEngine
@@ -76,14 +77,13 @@ _PAPER_OBS_REG = 12
 _AMT_REG = 3
 
 
-def observation_register(build=None) -> int:
+def observation_register(build: CoreBuild = PAPER_BUILD) -> int:
     """The scratch register observation tails write through."""
-    if build is None or build.spec.n_registers > _PAPER_OBS_REG:
-        return _PAPER_OBS_REG
-    return build.spec.n_registers - 1
+    return min(_PAPER_OBS_REG, build.spec.n_registers - 1)
 
 
-def observation_library(build=None) -> Dict[str, List[Tuple[Instruction, ...]]]:
+def observation_library(build: CoreBuild = PAPER_BUILD
+                        ) -> Dict[str, List[Tuple[Instruction, ...]]]:
     """Candidate observation tails per component.  The empty tail (the
     plain ``out dest`` wrapper) is always tried first."""
     obs_reg = observation_register(build)
@@ -105,7 +105,8 @@ def observation_library(build=None) -> Dict[str, List[Tuple[Instruction, ...]]]:
     }
 
 
-def default_tails(build=None) -> List[Tuple[Instruction, ...]]:
+def default_tails(build: CoreBuild = PAPER_BUILD
+                  ) -> List[Tuple[Instruction, ...]]:
     obs_reg = observation_register(build)
     return [
         (),
@@ -114,12 +115,6 @@ def default_tails(build=None) -> List[Tuple[Instruction, ...]]:
         (Instruction(Opcode.MACA_ADD, rega=0, regb=1, dest=obs_reg),
          Instruction(Opcode.OUT, regb=obs_reg)),
     ]
-
-
-#: Paper-core views kept for importers that predate core families.
-OBSERVATION_LIBRARY: Dict[str, List[Tuple[Instruction, ...]]] = \
-    observation_library()
-_DEFAULT_TAILS: List[Tuple[Instruction, ...]] = default_tails()
 
 
 def unreachable_columns(table: MetricsTable) -> List[Column]:
@@ -136,7 +131,7 @@ def run_phase2(
     table: MetricsTable,
     phase1: Phase1Result,
     o_engine: Optional[ObservabilityEngine] = None,
-    build=None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> Phase2Result:
     """Cover the columns Phase 1 left behind."""
     engine = o_engine if o_engine is not None else ObservabilityEngine(
@@ -165,7 +160,7 @@ def self_sequence_for(
     column: Column,
     table: MetricsTable,
     engine: ObservabilityEngine,
-    build=None,
+    build: CoreBuild = PAPER_BUILD,
 ) -> Optional[CoverageSequence]:
     """Find a (row, observation-tail) pair that covers ``column``."""
     component = column[0]

@@ -178,9 +178,9 @@ def test_mode_reachability_static_vs_dynamic(point):
     table = build_metrics_table(n_controllability_samples=3,
                                 n_observability_good=1,
                                 seed=FLEET_SEED,
-                                build=None if spec.is_paper else build)
+                                build=build)
     dynamic_only, static_only = mode_reachability_crosscheck(
-        table, build=None if spec.is_paper else build)
+        table, build=build)
     if dynamic_only or static_only:
         path = _dump_failure(
             spec, FLEET_SEED, check="mode_reachability",
@@ -192,8 +192,8 @@ def test_mode_reachability_static_vs_dynamic(point):
 
 
 def test_paper_point_is_paper_singletons():
-    """The paper spec's build delegates to the historical single-core
-    objects, so the fleet's first point is literally today's core."""
+    """The paper spec's build makes the same core as ``DspCore()``, so
+    the fleet's first point is literally the paper core."""
     build = CoreBuild.get(CoreSpec.paper())
     assert build.spec.is_paper
     core = build.make_core()

@@ -52,7 +52,7 @@ def test_component_netlist_cache_is_spec_keyed(small):
 def test_dest_registers_stay_inside_small_register_file(small):
     regs = dest_registers(small)
     assert regs and all(r < SMALL.n_registers for r in regs)
-    assert dest_registers(None) == DEST_REGS == tuple(range(2, 12))
+    assert dest_registers() == DEST_REGS == tuple(range(2, 12))
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_dest_registers_stay_inside_small_register_file(small):
 # register file smaller than the paper's 16.
 # ----------------------------------------------------------------------
 def test_observation_register_stays_inside_small_register_file(small):
-    assert observation_register(None) == 12
+    assert observation_register() == 12
     assert observation_register(small) < SMALL.n_registers
 
 

@@ -1,8 +1,6 @@
 """Tests for the campaign adapters, including the kill-and-resume
 acceptance round trip on the hierarchical fault simulator."""
 
-import random
-
 import pytest
 
 from repro.bist.template import RandomLoad, TemplateArchitecture
@@ -13,7 +11,6 @@ from repro.faults.hierarchical import (
 )
 from repro.runtime.errors import CampaignError
 from repro.runtime.campaigns import (
-    CombSimCampaign,
     HierarchicalCampaign,
     MetricsCampaign,
 )
@@ -135,43 +132,6 @@ def test_hierarchical_campaign_matches_direct_run():
     assert outcome.result.n_vectors == direct.n_vectors
     counts = outcome.report.counts()
     assert counts["quarantined"] == 0 and counts["ok"] == counts["total"]
-
-
-# ----------------------------------------------------------------------
-# Combinational campaign
-# ----------------------------------------------------------------------
-def comb_blocks(netlist, n_patterns=96, block=32, seed=9):
-    rng = random.Random(seed)
-    buses = [(name, nets) for name, nets in netlist.buses.items()
-             if all(n in netlist.inputs for n in nets)]
-    words = {name: [rng.randrange(1 << len(nets))
-                    for _ in range(n_patterns)]
-             for name, nets in buses}
-    return [
-        {name: values[i:i + block] for name, values in words.items()}
-        for i in range(0, n_patterns, block)
-    ]
-
-
-def test_combsim_campaign_matches_run_with_dropping(tmp_path):
-    from repro.dsp.components import component_by_name
-    from repro.faults.combsim import CombFaultSimulator
-    from repro.faults.model import collapse_faults
-
-    netlist = component_by_name("mux7").netlist()
-    sim = CombFaultSimulator(netlist, collapse_faults(netlist))
-    blocks = comb_blocks(netlist)
-    expected = sim.run_with_dropping(blocks)
-
-    path = str(tmp_path / "comb.jsonl")
-    campaign = CombSimCampaign(sim, blocks, checkpoint=path)
-    outcome = campaign.run()
-    assert outcome.result == expected
-
-    # Resume re-executes nothing and rebuilds the same mapping.
-    resumed = CombSimCampaign(sim, blocks, checkpoint=path).run(resume=True)
-    assert resumed.report.n_executed == 0
-    assert resumed.result == expected
 
 
 # ----------------------------------------------------------------------

@@ -271,6 +271,49 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
     assert not report.interrupted
 
 
+@needs_fork
+def test_pooled_append_error_propagates_and_resume_recovers(
+        tmp_path, monkeypatch):
+    """A failed canonical append in the parent ends the pooled run with
+    that error, as on the serial path, instead of reporting a unit that
+    has no durable record.  The worker's shard still holds the record,
+    so a resume leaves exactly one record per unit and no shard."""
+    import os
+
+    from repro.runtime.integrity import verify_campaign
+
+    path = str(tmp_path / "ck.jsonl")
+    parent = os.getpid()
+    real_append = CheckpointStore.append
+    appends = []
+
+    def append_failing_once(store, record):
+        if os.getpid() == parent and store.path == path:
+            appends.append(record["unit"])
+            if len(appends) == 2:
+                raise OSError(28, "No space left on device")
+        real_append(store, record)
+
+    units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: i * i)
+             for i in range(8)]
+    monkeypatch.setattr(CheckpointStore, "append", append_failing_once)
+    with pytest.raises(OSError, match="No space left"):
+        CampaignRunner(checkpoint=path, jobs=2).run(
+            units, fingerprint={"k": 1})
+    monkeypatch.undo()
+
+    report = CampaignRunner(checkpoint=path, jobs=2).run(
+        units, fingerprint={"k": 1}, resume=True)
+    assert [r.value for r in report.results.values()] \
+        == [i * i for i in range(8)]
+    with open(path, "r", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()][1:]
+    assert sorted(r["unit"] for r in records) == [u.unit_id for u in units]
+    assert verify_campaign(report, checkpoint=path,
+                           expected_units=[u.unit_id for u in units]) == []
+    assert shard_paths(path) == []
+
+
 # ----------------------------------------------------------------------
 # Worker-side aggregation (cache counters + obs metrics)
 # ----------------------------------------------------------------------
@@ -310,40 +353,6 @@ def test_pooled_cache_counters_aggregate_to_serial(tmp_path):
     pooled = run(3, str(tmp_path / "pooled.jsonl"))
     assert serial["trace_misses"] == 8 and serial["trace_hits"] == 8
     assert pooled == serial
-
-
-@needs_fork
-def test_pooled_combsim_cache_delta_matches_serial(tmp_path):
-    """A real CombSim campaign: the parent's warmup pre-computes every
-    block, so pooled and serial twins must land on identical cache
-    deltas (and identical first-detect results)."""
-    from repro.faults.combsim import CombFaultSimulator
-    from repro.harness.perf import cache_delta
-    from repro.logic.random_nets import random_netlist
-    from repro.runtime.cache import cache_stats, clear_caches
-    from repro.runtime.campaigns import CombSimCampaign
-
-    def build(jobs, checkpoint):
-        netlist = random_netlist(9, n_inputs=5, n_gates=18)
-        sim = CombFaultSimulator(netlist)
-        blocks = [{"in": [(i * 13 + b) % 32 for i in range(8)]}
-                  for b in range(2)]
-        return CombSimCampaign(sim, blocks, checkpoint=checkpoint,
-                               jobs=jobs)
-
-    clear_caches()
-    before = cache_stats()
-    serial = build(1, None).run()
-    serial_delta = cache_delta(before, cache_stats())
-
-    clear_caches()
-    before = cache_stats()
-    pooled = build(3, str(tmp_path / "cc.jsonl")).run()
-    pooled_delta = cache_delta(before, cache_stats())
-
-    assert pooled_delta == serial_delta
-    assert {(f.net, f.stuck_at): v for f, v in pooled.result.items()} \
-        == {(f.net, f.stuck_at): v for f, v in serial.result.items()}
 
 
 @needs_fork

@@ -31,7 +31,7 @@ from repro.dsp.isa import (
     decode,
 )
 from repro.dsp.core import DspCore, CoreState, StepResult
-from repro.dsp.mac import MacDatapath, MacControls
+from repro.dsp.mac import MacDatapath
 from repro.dsp.components import COMPONENTS, ComponentSpec, component_by_name
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "CoreState",
     "StepResult",
     "MacDatapath",
-    "MacControls",
     "COMPONENTS",
     "ComponentSpec",
     "component_by_name",

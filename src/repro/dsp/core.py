@@ -18,7 +18,9 @@ through ``MacReg``.  ``MUX7`` selects between them for write-back and the
 Like the MAC datapath, every traced component's output can be overridden
 for a cycle (error injection), and persistent stuck bits can be applied to
 any architectural state element (used for word-level register fault
-simulation).
+simulation).  A step runs one path whether or not a hook is armed: each
+component builds its trace/override inputs only when one is, so a plain
+step pays for neither.
 
 A :class:`~repro.dsp.family.CoreBuild` sets the widths, register count
 and pipeline depth of the simulated family point; the default is the
@@ -28,24 +30,21 @@ paper core described above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro._util import mask
 from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import (
+    INSTRUCTION_WIDTH,
     ControlWord,
     Instruction,
     N_REGISTERS,
     Opcode,
     decode,
 )
-from repro.dsp.mac import (
-    ComponentActivity,
-    MacControls,
-    MacDatapath,
-    Overrides,
-    Trace,
-)
+from repro.dsp.mac import MacDatapath, Overrides, Trace, apply_hooks
+
+_WORD_MASK = mask(INSTRUCTION_WIDTH)
 
 
 @dataclass
@@ -78,7 +77,6 @@ class CoreState:
     acc_a: int = 0
     acc_b: int = 0
     temp: int = 0
-    temp_dest: Optional[int] = None  # register the temp value targets
     macreg: int = 0
     buffer: int = 0
     if_id: Optional[int] = None
@@ -93,7 +91,6 @@ class CoreState:
             acc_a=self.acc_a,
             acc_b=self.acc_b,
             temp=self.temp,
-            temp_dest=self.temp_dest,
             macreg=self.macreg,
             buffer=self.buffer,
             if_id=self.if_id,
@@ -176,17 +173,15 @@ class DspCore:
     def step(self, instr_word: int,
              overrides: Optional[Overrides] = None,
              trace: Optional[Trace] = None) -> StepResult:
-        """Advance the core by one clock cycle, fetching ``instr_word``."""
-        s = self.state
+        """Advance the core by one clock cycle, fetching ``instr_word``.
 
-        def emit(name: str, inputs: Dict[str, int], output: int,
-                 mode: int = 0) -> int:
-            if overrides and name in overrides:
-                override = overrides[name]
-                output = override(inputs) if callable(override) else override
-            if trace is not None:
-                trace[name] = ComponentActivity(inputs, output, mode)
-            return output
+        Armed hooks fire in pipeline order: MUX7, the MAC, MacReg,
+        buffer, decoder, both register reads, temp.
+        """
+        s = self.state
+        hooked = trace is not None or bool(overrides)
+        reg_mask = self._reg_mask
+        addr_mask = self._addr_mask
 
         # ---------------- WB stage (uses ex_wb latch) -----------------
         # MUX7 reads the *stored* MacReg/buffer values, i.e. the values the
@@ -196,16 +191,20 @@ class DspCore:
         out_value = 0
         wb = s.ex_wb
         wb_value = 0
+        wb_dest: Optional[int] = None   # register WB writes this cycle
         if wb is not None:
-            wb_value = emit(
-                "mux7",
-                {"a": s.macreg, "b": s.buffer, "sel": wb.ctrl.mux7_buffer},
-                s.buffer if wb.ctrl.mux7_buffer else s.macreg,
-                mode=wb.ctrl.mux7_buffer,
-            ) & self._reg_mask
+            sel = wb.ctrl.mux7_buffer
+            wb_value = s.buffer if sel else s.macreg
+            if hooked:
+                wb_value = apply_hooks(
+                    "mux7", {"a": s.macreg, "b": s.buffer, "sel": sel},
+                    wb_value, overrides, trace, sel)
+            wb_value &= reg_mask
             if wb.ctrl.out_en:
                 out_valid = True
                 out_value = wb_value
+            if wb.ctrl.reg_we:
+                wb_dest = wb.instr.dest & addr_mask
 
         # ---------------- EX stage (uses id_ex latch) -----------------
         new_ex_wb: Optional[ExWb] = None
@@ -214,77 +213,85 @@ class DspCore:
             stage = s.id_ex
             ctrl = stage.ctrl
             mac = MacDatapath.evaluate(
-                stage.opa, stage.opb,
-                MacControls.from_control_word(ctrl),
-                s.acc_a, s.acc_b,
-                trace=trace, overrides=overrides,
-                params=self._mac_params,
+                stage.opa, stage.opb, ctrl, s.acc_a, s.acc_b,
+                trace=trace, overrides=overrides, params=self._mac_params,
             )
             s.acc_a = mac.acc_a & self._acc_mask
             s.acc_b = mac.acc_b & self._acc_mask
 
-            buffer_d = stage.instr.imm if ctrl.buf_imm else stage.opb
-            macreg_value = emit(
-                "macreg", {"d": mac.limited, "q": s.macreg}, mac.limited
-            )
-            buffer_value = emit(
-                "buffer", {"d": buffer_d, "q": s.buffer}, buffer_d
-            )
-            s.macreg = macreg_value & self._reg_mask
-            s.buffer = buffer_value & self._reg_mask
+            macreg_value = mac.limited
+            buffer_value = stage.instr.imm if ctrl.buf_imm else stage.opb
+            if hooked:
+                macreg_value = apply_hooks(
+                    "macreg", {"d": macreg_value, "q": s.macreg},
+                    macreg_value, overrides, trace)
+                buffer_value = apply_hooks(
+                    "buffer", {"d": buffer_value, "q": s.buffer},
+                    buffer_value, overrides, trace)
+            s.macreg = macreg_value & reg_mask
+            s.buffer = buffer_value & reg_mask
             new_ex_wb = ExWb(instr=stage.instr, ctrl=ctrl)
             if ctrl.reg_we:
                 bypass_value = (buffer_value if ctrl.mux7_buffer
-                                else macreg_value) & self._reg_mask
-                ex_bypass = (stage.instr.dest & self._addr_mask, bypass_value)
+                                else macreg_value) & reg_mask
+                ex_bypass = (stage.instr.dest & addr_mask, bypass_value)
 
         # ---------------- ID stage (uses if_id latch) -----------------
         # A 3-deep family core has no IF/ID latch: it decodes the incoming
         # instruction word in the same cycle it is fetched.
         new_id_ex: Optional[IdEx] = None
-        fetched = instr_word & mask(17) if self._depth == 3 else s.if_id
+        fetched = instr_word & _WORD_MASK if self._depth == 3 else s.if_id
         if fetched is not None:
             instr = decode(fetched)
-            ctrl_packed = emit(
-                "decoder", {"in": int(instr.opcode)},
-                self._control_words[instr.opcode].pack(),
-            )
-            ctrl = ControlWord.unpack(ctrl_packed)
-
-            def read_reg(addr: int, port: str) -> int:
-                value = s.regs[addr & self._addr_mask]
-                if (ex_bypass is not None
-                        and ex_bypass[0] == addr & self._addr_mask):
-                    value = ex_bypass[1]
-                elif (wb is not None and wb.ctrl.reg_we
-                        and wb.instr.dest & self._addr_mask
-                        == addr & self._addr_mask):
-                    # Distance-2 forward: the producer is in WB right now and
-                    # its value sits in the temp register (latched when it
-                    # left EX).
-                    value = s.temp
-                return emit(f"regread_{port}", {"addr": addr}, value)
-
-            opa = read_reg(instr.rega, "a") & self._reg_mask
-            opb = read_reg(instr.regb, "b") & self._reg_mask
-            new_id_ex = IdEx(instr=instr, ctrl=ctrl, opa=opa, opb=opb)
+            ctrl = self._control_words[instr.opcode]
+            if hooked:
+                ctrl = ControlWord.unpack(apply_hooks(
+                    "decoder", {"in": int(instr.opcode)}, ctrl.pack(),
+                    overrides, trace))
+            rega = instr.rega & addr_mask
+            regb = instr.regb & addr_mask
+            opa = s.regs[rega]
+            opb = s.regs[regb]
+            if wb_dest is not None:
+                # Distance-2 forward: the producer is in WB right now and
+                # its value sits in the temp register (latched when it
+                # left EX).
+                if rega == wb_dest:
+                    opa = s.temp
+                if regb == wb_dest:
+                    opb = s.temp
+            if ex_bypass is not None:
+                # Distance-1 forward from EX; it beats distance 2.
+                dest, value = ex_bypass
+                if rega == dest:
+                    opa = value
+                if regb == dest:
+                    opb = value
+            if hooked:
+                opa = apply_hooks("regread_a", {"addr": instr.rega}, opa,
+                                  overrides, trace)
+                opb = apply_hooks("regread_b", {"addr": instr.regb}, opb,
+                                  overrides, trace)
+            new_id_ex = IdEx(instr=instr, ctrl=ctrl, opa=opa & reg_mask,
+                             opb=opb & reg_mask)
 
         # ---------------- register write & latch advance --------------
-        if wb is not None and wb.ctrl.reg_we:
-            s.regs[wb.instr.dest & self._addr_mask] = wb_value
+        if wb_dest is not None:
+            s.regs[wb_dest] = wb_value
 
         if ex_bypass is not None:
-            s.temp = emit(
-                "temp", {"d": ex_bypass[1], "q": s.temp}, ex_bypass[1]
-            ) & self._reg_mask
-            s.temp_dest = ex_bypass[0]
+            temp = ex_bypass[1]
+            if hooked:
+                temp = apply_hooks("temp", {"d": temp, "q": s.temp}, temp,
+                                   overrides, trace)
+            s.temp = temp & reg_mask
         # A producer's temp entry stays valid until the next producer; a
         # stale entry is harmless because the register file already holds
         # the same value by then.
 
         s.ex_wb = new_ex_wb
         s.id_ex = new_id_ex
-        s.if_id = None if self._depth == 3 else instr_word & mask(17)
+        s.if_id = None if self._depth == 3 else instr_word & _WORD_MASK
 
         if self.stuck_bits:
             self._apply_stuck_bits()

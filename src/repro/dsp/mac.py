@@ -17,14 +17,18 @@ output, active mode) and any component's output can be *overridden* — the
 primitive that the observability metric and the hierarchical fault
 simulator build on.  The unrolled MUXg instances of the paper
 (``muxg_shifter`` / ``muxg_limiter``) are traced as separate components.
+
+There is one evaluation path.  Each component computes its output
+inline; it builds an inputs dict and calls :func:`apply_hooks` only when
+a trace or an override is armed, so the hooks cost nothing when off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Union
 
-from repro._util import bits, mask
+from repro._util import mask
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
 from repro.dsp.isa import ControlWord
 from repro.rtl.arith import addsub_reference
@@ -70,33 +74,25 @@ class ComponentActivity:
 #: A trace is component name → activity for one evaluation.
 Trace = Dict[str, ComponentActivity]
 
-#: Overrides force a component's *output* to a given word for one evaluation.
-Overrides = Mapping[str, int]
+#: Overrides replace a component's *output* for one evaluation: with a
+#: fixed word, or with a function of the component's inputs dict.
+Overrides = Mapping[str, Union[int, Callable[[Dict[str, int]], int]]]
 
 
-@dataclass(frozen=True)
-class MacControls:
-    """The MAC-facing slice of a :class:`~repro.dsp.isa.ControlWord`."""
+def apply_hooks(name: str, inputs: Dict[str, int], output: int,
+                overrides: Optional[Overrides], trace: Optional[Trace],
+                mode: int = 0) -> int:
+    """Apply ``name``'s override, if any, and record its trace entry.
 
-    muxa_zero: int
-    muxb_shift: int
-    sub: int
-    shmode: int
-    trunc: int
-    accsel: int
-    acc_we: int
-
-    @staticmethod
-    def from_control_word(cw: ControlWord) -> "MacControls":
-        return MacControls(
-            muxa_zero=cw.muxa_zero,
-            muxb_shift=cw.muxb_shift,
-            sub=cw.sub,
-            shmode=cw.shmode,
-            trunc=cw.trunc,
-            accsel=cw.accsel,
-            acc_we=cw.acc_we,
-        )
+    Callers reach this only when a hook is armed; ``inputs`` is built for
+    it alone.  Returns the (possibly overridden) output.
+    """
+    if overrides and name in overrides:
+        override = overrides[name]
+        output = override(inputs) if callable(override) else override
+    if trace is not None:
+        trace[name] = ComponentActivity(inputs, output, mode)
+    return output
 
 
 @dataclass
@@ -120,125 +116,92 @@ class MacDatapath:
     def evaluate(
         opa: int,
         opb: int,
-        ctrl: MacControls,
+        ctrl: ControlWord,
         acc_a: int,
         acc_b: int,
         trace: Optional[Trace] = None,
         overrides: Optional[Overrides] = None,
         params: MacParams = PAPER_MAC,
     ) -> MacResult:
-        """Run one EX-stage evaluation of the MAC."""
-        if trace is None and not overrides:
-            return MacDatapath._evaluate_fast(opa, opb, ctrl, acc_a, acc_b,
-                                              params)
+        """Run one EX-stage evaluation of the MAC.
+
+        ``ctrl`` supplies the seven MAC control bits; armed hooks fire
+        in dataflow order.
+        """
         p = params
+        hooked = trace is not None or bool(overrides)
+        muxa_zero = ctrl.muxa_zero
+        muxb_shift = ctrl.muxb_shift
+        sub = ctrl.sub
+        shmode = ctrl.shmode
+        accsel = ctrl.accsel
+        acc_we = ctrl.acc_we
 
-        def emit(name: str, inputs: Dict[str, int], output: int,
-                 mode: int = 0) -> int:
-            if overrides and name in overrides:
-                override = overrides[name]
-                output = override(inputs) if callable(override) else override
-            if trace is not None:
-                trace[name] = ComponentActivity(inputs, output, mode)
-            return output
-
-        product = emit(
-            "multiplier", {"a": opa, "b": opb},
-            multiplier_reference(opa, opb, p.operand_width, p.acc_width),
-        )
-        x = emit(
-            "muxa", {"data": product, "en": ctrl.muxa_zero},
-            0 if ctrl.muxa_zero else product,
-            mode=ctrl.muxa_zero,
-        )
-        shift_in = emit(
-            "muxg_shifter", {"a": acc_a, "b": acc_b, "sel": ctrl.accsel},
-            acc_b if ctrl.accsel else acc_a,
-            mode=ctrl.accsel,
-        )
-        amt = bits(opa, p.amt_width - 1, 0)
-        shifted = emit(
-            "shifter", {"data": shift_in, "amt": amt, "mode": ctrl.shmode},
-            shifter_reference(shift_in, amt, ctrl.shmode, p.acc_width,
-                              p.amt_width),
-            mode=ctrl.shmode,
-        )
-        y = emit(
-            "muxb", {"data": shifted, "en": ctrl.muxb_shift},
-            shifted if ctrl.muxb_shift else 0,
-            mode=ctrl.muxb_shift,
-        )
-        result = emit(
-            "addsub", {"a": y, "b": x, "sub": ctrl.sub},
-            addsub_reference(y, x, ctrl.sub, p.acc_width),
-            mode=ctrl.sub,
-        )
+        product = multiplier_reference(opa, opb, p.operand_width, p.acc_width)
+        if hooked:
+            product = apply_hooks("multiplier", {"a": opa, "b": opb},
+                                  product, overrides, trace)
+        x = 0 if muxa_zero else product
+        if hooked:
+            x = apply_hooks("muxa", {"data": product, "en": muxa_zero}, x,
+                            overrides, trace, muxa_zero)
+        shift_in = acc_b if accsel else acc_a
+        if hooked:
+            shift_in = apply_hooks(
+                "muxg_shifter", {"a": acc_a, "b": acc_b, "sel": accsel},
+                shift_in, overrides, trace, accsel)
+        amt = opa & mask(p.amt_width)
+        shifted = shifter_reference(shift_in, amt, shmode, p.acc_width,
+                                    p.amt_width)
+        if hooked:
+            shifted = apply_hooks(
+                "shifter", {"data": shift_in, "amt": amt, "mode": shmode},
+                shifted, overrides, trace, shmode)
+        y = shifted if muxb_shift else 0
+        if hooked:
+            y = apply_hooks("muxb", {"data": shifted, "en": muxb_shift}, y,
+                            overrides, trace, muxb_shift)
+        result = addsub_reference(y, x, sub, p.acc_width)
+        if hooked:
+            result = apply_hooks("addsub", {"a": y, "b": x, "sub": sub},
+                                 result, overrides, trace, sub)
+        truncated = result
         if p.has_truncater:
-            truncated = emit(
-                "truncater", {"data": result, "en": ctrl.trunc},
-                truncater_reference(result, ctrl.trunc, p.acc_width, p.frac),
-                mode=ctrl.trunc,
-            )
-        else:
-            truncated = result
-        next_a = emit(
-            "acca",
-            {"d": truncated, "en": ctrl.acc_we & (1 - ctrl.accsel), "q": acc_a},
-            truncated if (ctrl.acc_we and not ctrl.accsel) else acc_a,
-        )
-        next_b = emit(
-            "accb",
-            {"d": truncated, "en": ctrl.acc_we & ctrl.accsel, "q": acc_b},
-            truncated if (ctrl.acc_we and ctrl.accsel) else acc_b,
-        )
+            trunc = ctrl.trunc
+            truncated = truncater_reference(result, trunc, p.acc_width,
+                                            p.frac)
+            if hooked:
+                truncated = apply_hooks(
+                    "truncater", {"data": result, "en": trunc}, truncated,
+                    overrides, trace, trunc)
+        next_a = truncated if (acc_we and not accsel) else acc_a
+        next_b = truncated if (acc_we and accsel) else acc_b
+        if hooked:
+            next_a = apply_hooks(
+                "acca", {"d": truncated, "en": acc_we & (1 - accsel),
+                         "q": acc_a},
+                next_a, overrides, trace)
+            next_b = apply_hooks(
+                "accb", {"d": truncated, "en": acc_we & accsel, "q": acc_b},
+                next_b, overrides, trace)
         # The limiter never reads the lowest fractional bits, so the
         # limiter-side MUXg instance is physically a narrower mux
         # (synthesis trims the dead low lanes).
-        limit_in = emit(
-            "muxg_limiter",
-            {"a": next_a >> p.frac_drop, "b": next_b >> p.frac_drop,
-             "sel": ctrl.accsel},
-            (next_b if ctrl.accsel else next_a) >> p.frac_drop,
-            mode=ctrl.accsel,
-        )
+        limit_in = (next_b if accsel else next_a) >> p.frac_drop
+        if hooked:
+            limit_in = apply_hooks(
+                "muxg_limiter",
+                {"a": next_a >> p.frac_drop, "b": next_b >> p.frac_drop,
+                 "sel": accsel},
+                limit_in, overrides, trace, accsel)
         if p.has_limiter:
-            limited = emit(
-                "limiter", {"data": limit_in << p.frac_drop},
-                limiter_reference(limit_in << p.frac_drop, p.acc_width,
-                                  p.operand_width, p.frac_drop),
-            )
+            limited = limiter_reference(limit_in << p.frac_drop, p.acc_width,
+                                        p.operand_width, p.frac_drop)
+            if hooked:
+                limited = apply_hooks(
+                    "limiter", {"data": limit_in << p.frac_drop}, limited,
+                    overrides, trace)
         else:
             # No saturator: MacReg takes the raw window slice.
             limited = limit_in & mask(p.operand_width)
         return MacResult(acc_a=next_a, acc_b=next_b, limited=limited)
-
-    @staticmethod
-    def _evaluate_fast(opa: int, opb: int, ctrl: MacControls,
-                       acc_a: int, acc_b: int,
-                       params: MacParams = PAPER_MAC) -> MacResult:
-        """Allocation-light twin of :meth:`evaluate` for untraced,
-        non-injected cycles (the fault simulators' hot path).  Keep the
-        dataflow in lock-step with :meth:`evaluate`."""
-        p = params
-        product = multiplier_reference(opa, opb, p.operand_width, p.acc_width)
-        x = 0 if ctrl.muxa_zero else product
-        shift_in = acc_b if ctrl.accsel else acc_a
-        shifted = shifter_reference(shift_in, opa & mask(p.amt_width),
-                                    ctrl.shmode, p.acc_width, p.amt_width)
-        y = shifted if ctrl.muxb_shift else 0
-        result = addsub_reference(y, x, ctrl.sub, p.acc_width)
-        truncated = (truncater_reference(result, ctrl.trunc, p.acc_width,
-                                         p.frac)
-                     if p.has_truncater else result)
-        if ctrl.acc_we:
-            if ctrl.accsel:
-                acc_b = truncated
-            else:
-                acc_a = truncated
-        limit_in = acc_b if ctrl.accsel else acc_a
-        if p.has_limiter:
-            limited = limiter_reference(limit_in, p.acc_width,
-                                        p.operand_width, p.frac_drop)
-        else:
-            limited = (limit_in >> p.frac_drop) & mask(p.operand_width)
-        return MacResult(acc_a=acc_a, acc_b=acc_b, limited=limited)

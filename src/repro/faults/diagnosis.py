@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dsp.core import DspCore
 from repro.faults.hierarchical import (
     ComponentFault,
     DspFaultUniverse,
@@ -59,6 +58,7 @@ class FaultDiagnoser:
         sim = simulator if simulator is not None else \
             HierarchicalFaultSimulator(universe=universe)
         self.universe = sim.universe
+        self.build = sim.build
         self.dictionary: HierarchicalResult = sim.run(self.words)
         self.cycle_window = cycle_window
         self.golden = self._clean_response()
@@ -69,25 +69,24 @@ class FaultDiagnoser:
 
     # ------------------------------------------------------------------
     def _clean_response(self) -> List[int]:
-        core = DspCore()
+        core = self.build.make_core()
         return [core.step(word).port for word in self.words]
 
     def faulty_response(self, fault) -> List[int]:
         """The exact output stream of the core carrying ``fault``."""
         if isinstance(fault, StorageFault):
-            core = storage_fault_core(fault)
+            core = storage_fault_core(fault, build=self.build)
             return [core.step(word).port for word in self.words]
         if not isinstance(fault, ComponentFault):
             raise TypeError(f"cannot simulate {fault!r}")
         sim = self.universe.comb_simulators[fault.component]
-        from repro.dsp.components import component_by_name
-        spec = component_by_name(fault.component)
+        spec = self.universe.spec(fault.component)
 
         def faulty_output(inputs: Dict[str, int]) -> int:
             return sim.faulty_output_word(fault.fault, inputs,
                                           spec.output_bus)
 
-        core = DspCore()
+        core = self.build.make_core()
         overrides = {fault.component: faulty_output}
         return [core.step(word, overrides=overrides).port
                 for word in self.words]

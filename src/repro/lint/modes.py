@@ -10,8 +10,8 @@ component is simply the image of that function over all opcodes.
 
 The two answers must agree on the paper core — the cross-check
 (:func:`mode_reachability_crosscheck`) is both a lint rule input and a
-regression test, and catches either a datapath emit drifting away from the
-decoder or a metrics run that silently lost rows.
+regression test, and catches either a datapath hook site's mode drifting
+away from the decoder or a metrics run that silently lost rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from repro.lint.findings import (
 Column = Tuple[str, int]
 
 #: How each multi-mode component's trace mode is computed from the decoded
-#: control word.  Mirrors the ``emit(...)`` calls in
+#: control word.  Mirrors the ``mode`` each hook site passes to
+#: :func:`repro.dsp.mac.apply_hooks` in
 #: :meth:`repro.dsp.mac.MacDatapath.evaluate` and
 #: :meth:`repro.dsp.core.DspCore.step`; single-mode components always
 #: report mode 0 and need no entry.
@@ -111,8 +112,8 @@ def mode_reachability_crosscheck(
     Returns ``(dynamic_only, static_only)``:
 
     * ``dynamic_only`` — columns the simulated traces never exercised even
-      though some opcode statically selects the mode (a datapath emit bug,
-      or a metrics run missing rows);
+      though some opcode statically selects the mode (a datapath hook-site
+      bug, or a metrics run missing rows);
     * ``static_only`` — columns the traces claim to exercise although no
       opcode decodes to the mode (a mode-extractor / decoder mismatch).
 
@@ -155,8 +156,8 @@ def check_table_crosscheck(table) -> Iterator[Finding]:
             "ISA001", f"table:{name}:{mode}",
             f"some opcode decodes {name} into mode {mode}, but no "
             "simulated trace ever exercised the column",
-            hint="a datapath emit() drifted away from the decoder truth "
-                 "table, or the metrics run is missing rows",
+            hint="a datapath hook site's mode drifted away from the decoder "
+                 "truth table, or the metrics run is missing rows",
         )
     for name, mode in static_only:
         yield finding(
@@ -164,7 +165,7 @@ def check_table_crosscheck(table) -> Iterator[Finding]:
             f"traces claim to exercise {name} mode {mode}, but no "
             "opcode's control bits select it",
             hint="the trace mode computation disagrees with "
-                 "control_word(); fix MODE_EXTRACTORS or the emit() call",
+                 "control_word(); fix MODE_EXTRACTORS or the hook site's mode",
         )
 
 

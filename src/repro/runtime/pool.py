@@ -50,7 +50,7 @@ from __future__ import annotations
 import glob
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
 from repro.runtime import cache, chaos
@@ -317,6 +317,8 @@ def _envelopes(pool, n_units: int, stall_budget: float):
     # the finest work-stealing granularity — a slow unit cannot
     # straggle a whole chunk.)
     stream = pool.imap_unordered(_worker_run, range(n_units), chunksize=1)
+    workers = _live_worker_pids(pool)
+    worker_died = False
     received = 0
     last_progress = time.monotonic()
     while received < n_units:
@@ -324,12 +326,16 @@ def _envelopes(pool, n_units: int, stall_budget: float):
         # never redelivers the task it was holding — a plain `for
         # envelope in stream` would block forever.  Poll with a timeout
         # and give up once a worker has died and no result has arrived
-        # within the stall budget.
+        # within the stall budget.  The pool's handler thread usually
+        # reaps and replaces the dead worker between two polls, so a
+        # death shows as a change in the set of live worker pids; once
+        # seen it counts for the rest of the run.
         try:
             envelope = stream.next(timeout=_POOL_POLL_SECONDS)
         except multiprocessing.TimeoutError:
+            worker_died = worker_died or _live_worker_pids(pool) != workers
             stalled = time.monotonic() - last_progress
-            if _pool_has_dead_worker(pool) and stalled >= stall_budget:
+            if worker_died and stalled >= stall_budget:
                 return
             continue
         except Exception:
@@ -355,15 +361,15 @@ def _stall_budget(runner) -> float:
     return 60.0
 
 
-def _pool_has_dead_worker(pool) -> bool:
-    """Whether any pool process has exited (SIGKILL, hard crash).
+def _live_worker_pids(pool) -> Optional[FrozenSet[int]]:
+    """The pids of the pool processes that have not exited.
 
     Reads the pool's private process list — there is no public API for
     this short of ``concurrent.futures`` (whose ``BrokenProcessPool``
-    machinery cannot run closures over forked state).  Defensive:
-    treats an unreadable pool as healthy.
+    machinery cannot run closures over forked state).  Returns ``None``
+    for an unreadable pool.
     """
     try:
-        return any(p.exitcode is not None for p in pool._pool)
+        return frozenset(p.pid for p in pool._pool if p.exitcode is None)
     except Exception:  # noqa: BLE001 — private API, best effort
-        return False
+        return None

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from repro._util import mask, to_signed, to_unsigned
 from repro.dsp.fixedpoint import float_to_q44, q44_to_float
 from repro.dsp.isa import Opcode, control_word
-from repro.dsp.mac import MacControls, MacDatapath
+from repro.dsp.mac import MacDatapath
 from repro.rtl.saturate import limiter_reference
 
 
 def ctrl_for(op):
-    return MacControls.from_control_word(control_word(op))
+    return control_word(op)
 
 
 def test_mpy_writes_product_to_acc_a():

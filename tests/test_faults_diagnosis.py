@@ -1,19 +1,25 @@
 """Tests for effect-cause fault diagnosis."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bist.template import RandomLoad, TemplateArchitecture
+from repro.dsp.corespec import CoreSpec
+from repro.dsp.family import CoreBuild
 from repro.dsp.isa import Instruction, Opcode
 from repro.faults.diagnosis import FaultDiagnoser
 from repro.faults.hierarchical import (
     ComponentFault,
     DspFaultUniverse,
     StorageFault,
+    storage_fault_core,
 )
 
+COMPONENTS = ["mux7", "macreg", "limiter", "acca"]
 
-@pytest.fixture(scope="module")
-def diagnoser():
+
+def stream():
     program = [
         RandomLoad(0), RandomLoad(1),
         Instruction(Opcode.MPYA, rega=0, regb=1, dest=2),
@@ -23,12 +29,13 @@ def diagnoser():
         Instruction(Opcode.OUTA),
         Instruction(Opcode.OUTB),
     ]
-    words = TemplateArchitecture(program).expand(12)
-    universe = DspFaultUniverse(
-        components=["mux7", "macreg", "limiter", "acca"],
-        include_regfile=False,
-    )
-    return FaultDiagnoser(words, universe=universe)
+    return TemplateArchitecture(program).expand(12)
+
+
+@pytest.fixture(scope="module")
+def diagnoser():
+    universe = DspFaultUniverse(components=COMPONENTS, include_regfile=False)
+    return FaultDiagnoser(stream(), universe=universe)
 
 
 def test_clean_response_yields_no_candidates(diagnoser):
@@ -109,3 +116,25 @@ def test_signature_diagnosis_clean_stream(diagnoser):
     from repro.bist.signatures import interval_signatures
     sigs = interval_signatures(diagnoser.golden, interval=8)
     assert diagnoser.diagnose_from_signatures(sigs) == []
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_diagnosis_simulates_the_simulators_build(depth):
+    """Responses are simulated on the universe's family point, not on
+    the paper core: a clean response of a 3- or 5-deep core yields no
+    candidates, and an in-model fault diagnoses with score 1.0."""
+    build = CoreBuild.get(replace(CoreSpec.paper(), pipeline_depth=depth))
+    words = stream()
+    universe = DspFaultUniverse(components=COMPONENTS,
+                                include_regfile=False, build=build)
+    diagnoser = FaultDiagnoser(words, universe=universe)
+
+    def response(core):
+        return [core.step(word).port for word in words]
+
+    assert diagnoser.diagnose(response(build.make_core())) == []
+    fault = StorageFault(("macreg",), "q", 3, 1)
+    observed = response(storage_fault_core(fault, build=build))
+    assert diagnoser.faulty_response(fault) == observed
+    ranked = diagnoser.diagnose(observed)
+    assert ranked and ranked[0].score == 1.0

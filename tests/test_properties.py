@@ -14,7 +14,7 @@ from repro.dsp.isa import (
     decode,
     encode,
 )
-from repro.dsp.mac import MacControls, MacDatapath
+from repro.dsp.mac import MacDatapath
 from repro.faults.combsim import CombFaultSimulator
 from repro.rtl.arith import make_addsub
 from repro.rtl.multiplier import multiplier_reference
@@ -28,12 +28,12 @@ WORD8 = st.integers(0, 255)
 
 
 # ----------------------------------------------------------------------
-# MAC: the traced implementation and the fast path must be identical.
+# MAC: one evaluation path; hooks off and traced must be identical.
 # ----------------------------------------------------------------------
 @settings(max_examples=200)
 @given(st.sampled_from(OPCODES), WORD8, WORD8, WORD18, WORD18)
 def test_mac_fast_path_equals_traced(op, opa, opb, acc_a, acc_b):
-    ctrl = MacControls.from_control_word(control_word(op))
+    ctrl = control_word(op)
     fast = MacDatapath.evaluate(opa, opb, ctrl, acc_a, acc_b)
     trace = {}
     slow = MacDatapath.evaluate(opa, opb, ctrl, acc_a, acc_b, trace=trace)
@@ -49,9 +49,7 @@ def test_mac_fast_path_equals_traced(op, opa, opb, acc_a, acc_b):
 @given(st.sampled_from(OPCODES), WORD8, WORD8, WORD18, WORD18)
 def test_mac_matches_word_level_recomputation(op, opa, opb, acc_a, acc_b):
     cw = control_word(op)
-    result = MacDatapath.evaluate(
-        opa, opb, MacControls.from_control_word(cw), acc_a, acc_b
-    )
+    result = MacDatapath.evaluate(opa, opb, cw, acc_a, acc_b)
     product = multiplier_reference(opa, opb)
     x = 0 if cw.muxa_zero else product
     acc_in = acc_b if cw.accsel else acc_a
@@ -85,8 +83,7 @@ def sequential_interpreter(instructions):
     for instr in instructions:
         cw = control_word(instr.opcode)
         result = MacDatapath.evaluate(
-            regs[instr.rega], regs[instr.regb],
-            MacControls.from_control_word(cw), acc_a, acc_b,
+            regs[instr.rega], regs[instr.regb], cw, acc_a, acc_b,
         )
         acc_a, acc_b = result.acc_a, result.acc_b
         buffer = instr.imm if cw.buf_imm else regs[instr.regb]

@@ -272,6 +272,37 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
 
 
 @needs_fork
+def test_pooled_run_finishes_after_a_worker_is_killed():
+    """A SIGKILLed worker is reaped and replaced by the pool between the
+    parent's polls, and the unit it held is never redelivered.  The
+    parent must still see the death, give up on the pool after its
+    stall budget, and finish the lost unit serially."""
+    import os
+    import signal
+    import threading
+
+    parent = os.getpid()
+
+    def square(i):
+        if i == 0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i * i
+
+    units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: square(i))
+             for i in range(6)]
+    runner = CampaignRunner(jobs=2, pool_stall_timeout=1.0)
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(runner.run(units)), daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "pooled run hung on a killed worker"
+    report = reports[0]
+    assert [report.value(u.unit_id) for u in units] \
+        == [i * i for i in range(6)]
+
+
+@needs_fork
 def test_pooled_append_error_propagates_and_resume_recovers(
         tmp_path, monkeypatch):
     """A failed canonical append in the parent ends the pooled run with

@@ -5,9 +5,13 @@ speed:
 
 * the **good machine** is re-implied with a compiled three-valued
   (bitplane) evaluator (:class:`~repro.logic.compiled.CompiledEvaluator3`);
-* the **faulty machine** is an overlay evaluated only over the fault
-  sites' transitive fanout cone, which is also where the D-frontier is
-  collected;
+* the **faulty machine** is a second pair of bitplanes: each implication
+  copies the good planes, forces the fault sites in the copy and
+  re-evaluates only the sites' transitive fanout cone, in level order,
+  with the same evaluator's cone kernel (compiled once per netlist; a
+  per-net flag list selects the target's cone).  A net carries a D or
+  D-bar exactly when ``(g1[n] & f0[n]) | (g0[n] & f1[n])`` is set, which
+  is how detection and the D-frontier (collected over the cone) test it;
 * decisions are PI-only with objective/backtrace and a backtrack limit.
 
 Multiple fault sites with individual polarities are supported so one
@@ -27,8 +31,6 @@ from repro.logic.netlist import Gate, Netlist
 if TYPE_CHECKING:
     from repro.analysis.testability import TestabilityAnalysis
 
-X = None  # unknown
-
 #: Controlling value per gate type (None = no controlling value).
 _CONTROLLING = {
     GateType.AND: 0, GateType.NAND: 0,
@@ -38,42 +40,9 @@ _CONTROLLING = {
 _INVERTING = {
     GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT,
 }
-
-
-def _eval3_scalar(kind: GateType, values: List[Optional[int]]) -> Optional[int]:
-    """Three-valued gate evaluation over {0, 1, None}."""
-    if kind is GateType.AND or kind is GateType.NAND:
-        if any(v == 0 for v in values):
-            out = 0
-        elif all(v == 1 for v in values):
-            out = 1
-        else:
-            return X
-        return out ^ 1 if kind is GateType.NAND else out
-    if kind is GateType.OR or kind is GateType.NOR:
-        if any(v == 1 for v in values):
-            out = 1
-        elif all(v == 0 for v in values):
-            out = 0
-        else:
-            return X
-        return out ^ 1 if kind is GateType.NOR else out
-    if kind is GateType.XOR or kind is GateType.XNOR:
-        a, b = values[0], values[1]
-        if a is None or b is None:
-            return X
-        out = a ^ b
-        return out ^ 1 if kind is GateType.XNOR else out
-    if kind is GateType.NOT:
-        v = values[0]
-        return X if v is None else v ^ 1
-    if kind is GateType.BUF:
-        return values[0]
-    if kind is GateType.CONST0:
-        return 0
-    if kind is GateType.CONST1:
-        return 1
-    raise ValueError(f"unknown gate type {kind!r}")
+#: Good and faulty bitplanes ``(g1, g0, f1, f0)``: per net, is-one and
+#: is-zero flags of each machine (neither flag set = X).
+_Planes = Tuple[List[int], List[int], List[int], List[int]]
 
 
 @dataclass
@@ -110,30 +79,6 @@ class PodemResult:
                     word |= 1 << i
             words[name] = word
         return words
-
-
-class _Machines:
-    """Good bitplanes plus the faulty overlay for one implication."""
-
-    __slots__ = ("is1", "is0", "overlay")
-
-    def __init__(self, is1: Sequence[int], is0: Sequence[int],
-                 overlay: Dict[int, Optional[int]]):
-        self.is1 = is1
-        self.is0 = is0
-        self.overlay = overlay  # net -> faulty value in {0, 1, None}
-
-    def good(self, net: int) -> Optional[int]:
-        if self.is1[net]:
-            return 1
-        if self.is0[net]:
-            return 0
-        return X
-
-    def faulty(self, net: int) -> Optional[int]:
-        if net in self.overlay:
-            return self.overlay[net]
-        return self.good(net)
 
 
 class Podem:
@@ -185,15 +130,19 @@ class Podem:
         cone = self._site_cone(frozenset(sites))
         cone_pos = [n for n in (set(g.output for g in cone) | set(sites))
                     if n in self._po_set]
+        # Site outputs stay forced, so the cone kernel never re-derives them.
+        live = [False] * self.netlist.n_nets
+        for gate in cone:
+            live[gate.output] = gate.output not in sites
 
         assignments: Dict[int, int] = {}
         decisions: List[Tuple[int, int, bool]] = []
         backtracks = 0
         n_decisions = 0
 
-        machines = self._imply(assignments, sites, cone)
+        planes = self._imply(assignments, sites, live)
         while True:
-            if self._detected(machines, cone_pos):
+            if self._detected(planes, cone_pos):
                 return PodemResult(
                     fault_sites=tuple(faults),
                     pattern=dict(assignments),
@@ -201,10 +150,10 @@ class Podem:
                     backtracks=backtracks,
                     decisions=n_decisions,
                 )
-            objective = self._objective(machines, sites, cone)
+            objective = self._objective(planes, sites, cone)
             pi: Optional[Tuple[int, int]] = None
             if objective is not None:
-                pi = self._backtrace(*objective, machines)
+                pi = self._backtrace(*objective, planes[0], planes[1])
             if pi is None:
                 backtracked = False
                 while decisions:
@@ -228,7 +177,7 @@ class Podem:
                 assignments[net] = value
                 decisions.append((net, value, False))
                 n_decisions += 1
-            machines = self._imply(assignments, sites, cone)
+            planes = self._imply(assignments, sites, live)
 
     # ------------------------------------------------------------------
     def _site_cone(self, sites: FrozenSet[int]) -> List[Gate]:
@@ -242,63 +191,39 @@ class Podem:
         return cone
 
     def _imply(self, assignments: Dict[int, int], sites: Dict[int, int],
-               cone: List[Gate]) -> _Machines:
-        """Good machine: compiled full eval.  Faulty: event-driven overlay.
+               live: List[bool]) -> _Planes:
+        """Both machines as bitplanes ``(g1, g0, f1, f0)``.
 
-        The overlay only stores nets whose faulty value *differs* from the
-        good one, so gates with no overlay input are skipped — for an
-        unexcited fault the cone walk degenerates to dictionary probes.
+        The good machine is a full compiled evaluation.  The faulty one
+        starts as a copy of it, takes the stuck values at the sites and
+        re-evaluates the gates that ``live`` flags (the sites' fanout
+        cone): every other net is the same in both machines.
         """
-        is1, is0 = self._eval3.run(assignments)
-        overlay: Dict[int, Optional[int]] = dict(sites)
-        for gate in cone:
-            touched = False
-            for i in gate.inputs:
-                if i in overlay:
-                    touched = True
-                    break
-            if not touched:
-                continue
-            out = gate.output
-            if out in sites:
-                continue  # stays forced
-            values = []
-            for i in gate.inputs:
-                if i in overlay:
-                    values.append(overlay[i])
-                elif is1[i]:
-                    values.append(1)
-                elif is0[i]:
-                    values.append(0)
-                else:
-                    values.append(X)
-            val = _eval3_scalar(gate.kind, values)
-            good_out = 1 if is1[out] else (0 if is0[out] else X)
-            if val != good_out:
-                overlay[out] = val
-        return _Machines(is1, is0, overlay)
+        g1, g0 = self._eval3.run(assignments)
+        f1, f0 = g1[:], g0[:]
+        for net, stuck in sites.items():
+            f1[net] = stuck
+            f0[net] = stuck ^ 1
+        self._eval3.cone(f1, f0, live)
+        return g1, g0, f1, f0
 
-    def _detected(self, machines: _Machines, cone_pos: Sequence[int]) -> bool:
-        for po in cone_pos:
-            g = machines.good(po)
-            f = machines.faulty(po)
-            if g is not X and f is not X and g != f:
-                return True
-        return False
+    def _detected(self, planes: _Planes, cone_pos: Sequence[int]) -> bool:
+        g1, g0, f1, f0 = planes
+        return any((g1[po] & f0[po]) | (g0[po] & f1[po]) for po in cone_pos)
 
-    def _objective(self, machines: _Machines, sites: Dict[int, int],
+    def _objective(self, planes: _Planes, sites: Dict[int, int],
                    cone: List[Gate]) -> Optional[Tuple[int, int]]:
         """Next (net, value) goal, or ``None`` on conflict."""
+        g1, g0, f1, f0 = planes
         analysis = self.analysis
         # 1. Excitation: at least one site must carry the opposite of its
         # stuck value in the good machine.
-        excited = any(machines.good(n) == (s ^ 1)
-                      for n, s in sites.items())
+        excited = any(g0[n] if s else g1[n] for n, s in sites.items())
         if not excited:
             best: Optional[Tuple[int, int]] = None
             best_cost = 0.0
             for net, stuck in sites.items():
-                if machines.good(net) is not X:
+                if g1[net] | g0[net]:
                     continue
                 if analysis is None:
                     return net, stuck ^ 1
@@ -307,30 +232,23 @@ class Podem:
                     best, best_cost = (net, stuck ^ 1), cost
             return best  # None when every site is pinned at its stuck value
         # 2. Propagation: an X side-input of a D-frontier gate (all
-        # D-frontier gates lie inside the cone by construction).
+        # D-frontier gates lie inside the cone by construction).  A side
+        # input is X in both machines: a site is never X in the faulty one.
         best_goal: Optional[Tuple[int, int]] = None
         best_key: Tuple[float, float] = (0.0, 0.0)
         for gate in cone:
             out = gate.output
-            g_out = machines.good(out)
-            f_out = machines.faulty(out)
-            if g_out is not X and f_out is not X:
+            if (g1[out] | g0[out]) and (f1[out] | f0[out]):
                 continue  # fully determined (either D already or masked)
-            has_d = False
             for i in gate.inputs:
-                if i not in machines.overlay and i not in sites:
-                    continue
-                g = machines.good(i)
-                f = machines.faulty(i)
-                if g is not X and f is not X and g != f:
-                    has_d = True
+                if (g1[i] & f0[i]) | (g0[i] & f1[i]):
                     break
-            if not has_d:
-                continue
+            else:
+                continue  # no D on any input
             control = _CONTROLLING.get(gate.kind)
             non_controlling = (control ^ 1) if control is not None else 0
             for i in gate.inputs:
-                if machines.good(i) is X and i not in machines.overlay:
+                if not (g1[i] | g0[i] | f1[i] | f0[i]):
                     if analysis is None:
                         return i, non_controlling
                     # Guided: drive the D-frontier gate closest to an
@@ -342,8 +260,8 @@ class Podem:
                         best_goal, best_key = (i, non_controlling), key
         return best_goal
 
-    def _backtrace(self, net: int, value: int,
-                   machines: _Machines) -> Optional[Tuple[int, int]]:
+    def _backtrace(self, net: int, value: int, g1: List[int],
+                   g0: List[int]) -> Optional[Tuple[int, int]]:
         """Map an internal objective to a PI assignment.
 
         Guided mode replaces the first-X input choice with SCOAP costs:
@@ -351,12 +269,11 @@ class Podem:
         one; when every input must take the non-controlling value, walk
         through the *hardest* one first.
         """
-        good = machines.good
         analysis = self.analysis
         current, target = net, value
         for _ in range(self.netlist.n_nets + 1):
             if current in self._pi_set:
-                if good(current) is not X:
+                if g1[current] | g0[current]:
                     return None
                 return current, target
             gate = self._driver_gate.get(current)
@@ -364,13 +281,12 @@ class Podem:
                 return None  # constant or undriven: cannot justify
             if gate.kind in _INVERTING:
                 target ^= 1
+            x_inputs = [i for i in gate.inputs if not (g1[i] | g0[i])]
+            if not x_inputs:
+                return None
             if gate.kind in (GateType.XOR, GateType.XNOR):
-                other = [i for i in gate.inputs if good(i) is not X]
-                known = good(other[0]) if other else 0
-                x_inputs = [i for i in gate.inputs if good(i) is X]
-                if not x_inputs:
-                    return None
-                want = target ^ known
+                other = [i for i in gate.inputs if g1[i] | g0[i]]
+                want = target ^ (g1[other[0]] if other else 0)
                 if analysis is not None:
                     current = min(x_inputs,
                                   key=lambda n, w=want: analysis.cc(n, w))
@@ -379,9 +295,6 @@ class Podem:
                 target = want
                 continue
             control = _CONTROLLING.get(gate.kind)
-            x_inputs = [i for i in gate.inputs if good(i) is X]
-            if not x_inputs:
-                return None
             if control is not None and target == control:
                 if analysis is not None:
                     current = min(

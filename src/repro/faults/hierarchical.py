@@ -522,6 +522,8 @@ class HierarchicalFaultSimulator:
         runs fault-free over the propagation window.  (Single-cycle
         injection slightly under-approximates a persistent fault; multiple
         start cycles per block compensate.  See the module docstring.)
+        A fork whose state equals the clean checkpoint of a cycle is back
+        on the clean run for good, so the check ends there, unobserved.
         """
         fork = self._fork_at(ctx, t)
         end = min(limit, t + self.propagation_window)
@@ -530,6 +532,9 @@ class HierarchicalFaultSimulator:
         if fork_port != ctx.clean_ports[t]:
             return True
         for cycle in range(t + 1, end):
+            clean = ctx.checkpoints.get(cycle)
+            if clean is not None and fork.state == clean:
+                return False
             if fork.step(ctx.words[cycle]).port != ctx.clean_ports[cycle]:
                 return True
         return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.logic.gates import GateType
-from repro.logic.netlist import Netlist
+from repro.logic.netlist import Gate, Netlist
 
 #: Most statements one generated function may hold.  ``exec`` keeps a
 #: whole source's syntax tree and compiler state alive at once, so one
@@ -21,20 +21,24 @@ from repro.logic.netlist import Netlist
 #: compiling the flat core's evaluator and forcing kernel unsplit peaks
 #: a grading process at ~56 MB, against ~34 MB in chunks of this size.
 #: Every component netlist (the largest, the shifter, has 565 gates)
-#: still compiles to a single function.
+#: still compiles its two-valued evaluator to a single function.
 MAX_STATEMENTS = 1000
 
 
-def compile_statements(params: str, statements: Sequence[str]) -> Callable:
+def compile_statements(params: str, statements: Sequence[str],
+                       width: int = 1) -> Callable:
     """Compile straight-line ``statements`` into one function of ``params``.
 
     Statements communicate only through the parameters (array slots), so
     they may be split into chunks of at most :data:`MAX_STATEMENTS`, each
     compiled on its own; a short generated function calls them in order.
-    A body that fits one chunk compiles to that chunk alone.
+    ``width`` is how many statements each entry of ``statements`` holds
+    on its one line.  A body that fits one chunk compiles to that chunk
+    alone.
     """
-    chunks = [statements[i:i + MAX_STATEMENTS]
-              for i in range(0, len(statements), MAX_STATEMENTS)] or [[]]
+    size = max(1, MAX_STATEMENTS // width)
+    chunks = [statements[i:i + size]
+              for i in range(0, len(statements), size)] or [[]]
     namespace: Dict = {}
     for k, chunk in enumerate(chunks):
         body = "\n    ".join(chunk) if chunk else "pass"
@@ -181,6 +185,26 @@ def _gate_expression3(kind: GateType, one: List[str],
     raise ValueError(f"unknown gate type {kind!r}")
 
 
+def _compile_eval3(gates: Sequence[Gate], guarded: bool = False) -> Callable:
+    """Straight-line three-valued evaluation of ``gates``, in the given
+    order, over the bitplanes ``(v1, v0)`` (see :class:`CompiledEvaluator3`).
+
+    ``guarded`` adds a third parameter ``c``, one flag per net: a gate
+    whose output flag is false is skipped and keeps its planes' values.
+    """
+    statements = []
+    for gate in gates:
+        e1, e0 = _gate_expression3(gate.kind,
+                                   [f"v1[{i}]" for i in gate.inputs],
+                                   [f"v0[{i}]" for i in gate.inputs])
+        out = gate.output
+        body = f"v1[{out}] = {e1}; v0[{out}] = {e0}"
+        statements.append(f"if c[{out}]: {body}" if guarded else body)
+    if guarded:
+        return compile_statements("v1, v0, c", statements, width=3)
+    return compile_statements("v1, v0", statements, width=2)
+
+
 class CompiledEvaluator3:
     """Compiled three-valued (0/1/X) evaluation over two bitplanes.
 
@@ -193,19 +217,11 @@ class CompiledEvaluator3:
         if netlist.dffs:
             raise ValueError("three-valued evaluation is combinational only")
         self.netlist = netlist
-        lines = ["def _eval3(v1, v0):"]
         order = netlist.levelize()
-        if not order:
-            lines.append("    pass")
-        for gate in order:
-            one = [f"v1[{i}]" for i in gate.inputs]
-            zero = [f"v0[{i}]" for i in gate.inputs]
-            e1, e0 = _gate_expression3(gate.kind, one, zero)
-            lines.append(f"    v1[{gate.output}] = {e1}")
-            lines.append(f"    v0[{gate.output}] = {e0}")
-        namespace: Dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-        self._eval3 = namespace["_eval3"]
+        self._eval3 = _compile_eval3(order)
+        #: ``cone(v1, v0, c)`` re-evaluates, in level order, only the
+        #: gates whose output flag ``c[net]`` is set.
+        self.cone = _compile_eval3(order, guarded=True)
 
     def run(self, assignments: Dict[int, int]) -> tuple:
         """Evaluate with partially assigned PIs; returns ``(is1, is0)``."""

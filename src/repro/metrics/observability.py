@@ -10,6 +10,17 @@ the cycle the instruction occupies that component.  The observability is::
 
 — the fraction of injections whose effect reaches the core's output port
 within the observation window.
+
+Every injection forks the clean run rather than replaying it: a
+combinational error starts from the clean state before its cycle (the
+prepared core's state for cycle 0), with the erroneous value forced onto
+the component's output for that cycle only; a storage error starts from
+the clean state after its cycle, with the element corrupted.  The fork
+then steps until its verdict.  A port value that differs from the clean
+run's is *observed*.  A state equal to the clean run's after the same
+cycle is *masked*: the core is deterministic and nothing is injected any
+more, so from there the fork repeats the clean run.  A fork that reaches
+the end of the window undecided is masked too.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._util import mask
-from repro.dsp.core import DspCore
+from repro.dsp.core import CoreState, DspCore
 from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.metrics.controllability import (
@@ -68,24 +79,6 @@ class ObservabilityEngine:
         self.rng_factory = resolve_factory(seed, rng_factory)
 
     # ------------------------------------------------------------------
-    def _run_ports(self, core: DspCore, words: Sequence[int],
-                   inject_cycle: Optional[int] = None,
-                   component: Optional[str] = None,
-                   value: Optional[int] = None,
-                   traces: Optional[List[Dict]] = None) -> List[int]:
-        """Run ``words``; returns the output-port stream."""
-        ports: List[int] = []
-        for t, word in enumerate(words):
-            overrides = None
-            if inject_cycle is not None and t == inject_cycle:
-                overrides = {component: value}
-            trace: Optional[Dict] = {} if traces is not None else None
-            ports.append(core.step(word, overrides=overrides,
-                                   trace=trace).port)
-            if traces is not None:
-                traces.append(trace)
-        return ports
-
     def measure(self, variant: InstructionVariant,
                 extra_wrapper: Sequence[Instruction] = ()) -> Dict[Tuple[str, int], float]:
         """Observability per (component, mode) column for ``variant``.
@@ -111,7 +104,8 @@ class ObservabilityEngine:
             words += [_NOP_WORD] * max(0, self.window - len(words))
 
             # Clean run, keeping per-cycle traces and post-cycle state
-            # snapshots (the latter for storage-corruption injection).
+            # snapshots: the latter are every injection's fork point and
+            # its masked verdict.
             traces: List[Dict] = []
             clean_ports: List[int] = []
             post_states = []
@@ -142,25 +136,38 @@ class ObservabilityEngine:
                         # if a later instruction reads the element.
                         forked_state = post_states[cycle].copy()
                         _set_state_element(forked_state, spec.state_key, bad)
-                        forked = self.build.make_core(forked_state, stuck)
-                        ports = clean_ports[:cycle + 1] + self._run_ports(
-                            forked, words[cycle + 1:]
-                        )
+                        start, overrides = cycle + 1, None
                     else:
-                        forked = self.build.make_core(snapshot.copy(),
-                                                      stuck)
-                        ports = self._run_ports(
-                            forked, words, inject_cycle=cycle,
-                            component=spec.name, value=bad,
-                        )
+                        forked_state = (post_states[cycle - 1] if cycle
+                                        else snapshot).copy()
+                        start, overrides = cycle, {spec.name: bad}
+                    forked = self.build.make_core(forked_state, stuck)
                     injected[key] = injected.get(key, 0) + 1
-                    if ports != clean_ports:
+                    if _observed(forked, words, start, overrides,
+                                 clean_ports, post_states):
                         observed[key] = observed.get(key, 0) + 1
 
         return {
             key: observed.get(key, 0) / count
             for key, count in injected.items()
         }
+
+
+def _observed(core: DspCore, words: Sequence[int], start: int,
+              overrides: Optional[Dict[str, int]],
+              clean_ports: Sequence[int],
+              post_states: Sequence[CoreState]) -> bool:
+    """Step the fork from cycle ``start`` (``overrides`` armed for that
+    cycle only) to its verdict: ``True`` at the first port that differs
+    from ``clean_ports``, ``False`` once its state equals the clean
+    ``post_states`` entry of the same cycle or the window ends."""
+    for t in range(start, len(words)):
+        if core.step(words[t], overrides=overrides).port != clean_ports[t]:
+            return True
+        if core.state == post_states[t]:
+            return False
+        overrides = None
+    return False
 
 
 def _set_state_element(state, state_key, value: int) -> None:

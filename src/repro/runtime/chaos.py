@@ -32,7 +32,10 @@ Design rules:
 The worker-process rule: a forked pool worker inherits the parent's
 monkey, but only worker-targeted classes (``kill_worker``) act there —
 everything else silently no-ops outside the installing process, so the
-parent's failure schedule stays deterministic.
+parent's failure schedule stays deterministic.  Firings are counted in
+memory the monkey shares with every process forked after it was made, so
+the parent reports a worker's firings and ``max_per_class`` bounds them
+across respawned workers.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ import hashlib
 import json
 import os
 import random
-import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.errors import CampaignError, ConfigError
 
@@ -139,15 +142,24 @@ class ChaosMonkey:
     """The installed injector: owns the schedule, counters and actions."""
 
     def __init__(self, config: ChaosConfig, horizon: int = 8):
+        import multiprocessing
+
         config.validate()
         self.config = config
         self.rng = random.Random(config.seed)
         self.pid = os.getpid()
-        self._lock = threading.Lock()
+        #: Firings per class so far, one slot per ``config.classes``
+        #: entry.  A worker class fires in a pool worker, whose memory
+        #: dies with it, so the counts live in memory made before any
+        #: fork: the parent, every worker and every respawned worker read
+        #: and bound one count.
+        self.fired = multiprocessing.Array("i", len(config.classes))
+        self._slot = {name: slot for slot, name in enumerate(config.classes)}
+        #: Guards the monkey in every process.  Being the counts' own
+        #: process-shared lock, a fork cannot copy it in a held state.
+        self._lock = self.fired.get_lock()
         #: Occurrence counters per injection point.
         self.occurrences: Dict[str, int] = {}
-        #: Firings per class so far.
-        self.fired: Dict[str, int] = {name: 0 for name in config.classes}
         #: Guaranteed first firing: the first occurrence of the class's
         #: point at/after this index triggers it (``horizon`` should be
         #: ≲ the workload size so the guarantee is reachable).
@@ -169,14 +181,15 @@ class ChaosMonkey:
             occurrence = self.occurrences.get(point, 0)
             self.occurrences[point] = occurrence + 1
             for name in self._classes_at(point):
-                if self.fired[name] >= self.config.max_per_class:
+                slot = self._slot[name]
+                fired = self.fired[slot]
+                if fired >= self.config.max_per_class:
                     continue
-                first_due = self.fired[name] == 0 \
-                    and occurrence >= self.planned[name]
-                again = self.fired[name] > 0 \
+                first_due = fired == 0 and occurrence >= self.planned[name]
+                again = fired > 0 \
                     and self.rng.random() < self.config.probability
                 if first_due or again:
-                    self.fired[name] += 1
+                    self.fired[slot] = fired + 1
                     self.events.append((point, name, occurrence))
                     return name
         return None
@@ -246,7 +259,7 @@ class ChaosMonkey:
             keys = list(cache._TRACE)
             if not keys:
                 with self._lock:  # nothing to poison: refund the firing
-                    self.fired["cache_poison"] -= 1
+                    self.fired[self._slot["cache_poison"]] -= 1
                     if self.events and self.events[-1][1] == "cache_poison":
                         self.events.pop()
                 return
@@ -261,7 +274,7 @@ class ChaosMonkey:
     def pending_file_mutations(self) -> List[str]:
         """File classes that still owe their guaranteed first firing."""
         return [name for name in ("corrupt", "truncate", "duplicate")
-                if name in self.fired and self.fired[name] == 0]
+                if name in self._slot and self.fired[self._slot[name]] == 0]
 
     def mutate_checkpoint(self, path: str) -> Optional[str]:
         """Apply at most one pending file-level mutation to ``path``.
@@ -274,14 +287,14 @@ class ChaosMonkey:
         if not candidates:
             candidates = [
                 name for name in ("corrupt", "truncate", "duplicate")
-                if name in self.fired
-                and self.fired[name] < self.config.max_per_class
+                if name in self._slot
+                and self.fired[self._slot[name]] < self.config.max_per_class
                 and self.rng.random() < self.config.probability
             ]
         for name in candidates:
             if self._mutate(path, name):
                 with self._lock:
-                    self.fired[name] += 1
+                    self.fired[self._slot[name]] += 1
                     self.events.append(("file", name, -1))
                 return name
         return None
@@ -316,8 +329,10 @@ class ChaosMonkey:
         return True
 
     def injection_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self.fired)
+        """Firings per class.  Read without the lock: a campaign reports
+        once its pools are gone, and a process that died holding the
+        lock would hold it for good."""
+        return dict(zip(self.config.classes, self.fired.get_obj()))
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +354,18 @@ def uninstall() -> None:
 
 def active() -> Optional[ChaosMonkey]:
     return _ACTIVE
+
+
+@contextmanager
+def quiesced() -> Iterator[None]:
+    """Hold the active monkey's lock, so no other process is inside it:
+    a pool terminated meanwhile cannot kill a worker that holds it."""
+    monkey = _ACTIVE
+    if monkey is None:
+        yield
+        return
+    with monkey._lock:
+        yield
 
 
 def inject(point: str, **ctx: Any) -> Optional[str]:

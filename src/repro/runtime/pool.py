@@ -27,7 +27,8 @@ Durability matches the serial backend's kill-anytime contract:
   leftover shards back into the canonical file before planning
   (:func:`merge_shards`);
 * shards are deleted once their records are safely in the canonical
-  checkpoint (end of a successful run, or after a merge), and a fresh
+  checkpoint (once every pending unit has its record there, from the
+  pool or the serial finish, or after a merge), and a fresh
   (non-resumed) campaign deletes any it finds before it starts.
 
 Work is dispatched in work-stealing chunks (``imap_unordered`` with a
@@ -238,9 +239,9 @@ def run_pooled(
     Returns ``{unit_id: UnitResult}`` for every unit that completed;
     the caller treats missing units as "finish serially".  Completed
     records are appended to the runner's canonical checkpoint as they
-    arrive; worker shards are cleaned up on success and left in place
-    (for :func:`merge_shards`) if the parent dies or an append fails
-    first.
+    arrive.  Worker shards stay in place: the caller deletes them once
+    every pending unit is in the canonical checkpoint, and a parent that
+    dies or fails an append first leaves them for :func:`merge_shards`.
     """
     global _POOL_CONTEXT
     from repro.runtime.runner import UnitResult
@@ -272,7 +273,7 @@ def run_pooled(
             pool = context.Pool(jobs, initializer=_worker_init)
         except Exception:
             return results          # no usable pool: all units run serially
-        with pool:
+        try:
             for envelope in _envelopes(pool, len(pending),
                                        _stall_budget(runner)):
                 record = envelope["record"]
@@ -288,16 +289,18 @@ def run_pooled(
                 if progress is not None:
                     progress(result, len(results), total)
             if len(results) == len(pending):
-                # A clean shutdown.  A failed pool is terminated by
-                # ``with`` instead: joining it could wait forever on the
-                # task a killed worker took with it.
+                # A clean shutdown.  A failed pool is only terminated:
+                # joining it could wait forever on the task a killed
+                # worker took with it.
                 pool.close()
                 pool.join()
+        finally:
+            # A worker killed inside the chaos monkey's lock would hold
+            # it for good, stalling the parent and every later worker.
+            with chaos.quiesced():
+                pool.terminate()
     finally:
         _POOL_CONTEXT = None
-        if checkpoint and len(results) == len(pending):
-            # Every shard record is in the canonical checkpoint now.
-            remove_shards(checkpoint)
     return results
 
 

@@ -411,7 +411,7 @@ class CampaignRunner:
         cutting the campaign at the first over-budget pending unit — so
         the two backends report the same units in the same order.
         """
-        from repro.runtime.pool import run_pooled
+        from repro.runtime.pool import remove_shards, run_pooled
 
         report = CampaignReport()
         kept: List[Any] = []            # unit or its resumed record, in order
@@ -441,6 +441,11 @@ class CampaignRunner:
             results[unit.unit_id] = result
             if self.store is not None:
                 self.store.append(result.record())
+        if self.store is not None:
+            # Every pending unit's record is in the canonical checkpoint
+            # now, so no worker shard holds anything it lacks, including
+            # those of workers an abandoned pool respawned.
+            remove_shards(self.store.path)
         for entry in kept:
             if isinstance(entry, UnitResult):
                 report.results[entry.unit_id] = entry

@@ -1,5 +1,7 @@
 """Tests for PODEM, time-frame unrolling, and random-resistant targeting."""
 
+import hashlib
+
 import pytest
 
 from repro.atpg.podem import Podem
@@ -8,7 +10,9 @@ from repro.atpg.random_resistant import (
     target_random_resistant,
 )
 from repro.atpg.unroll import unroll
+from repro.baselines.atpg_baseline import AtpgBaseline
 from repro.faults.combsim import CombFaultSimulator
+from repro.faults.hierarchical import DspFaultUniverse
 from repro.faults.model import Fault, collapse_faults
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.logic.builder import NetlistBuilder
@@ -126,6 +130,55 @@ def test_pattern_words_requires_detection():
     with pytest.raises(ValueError):
         from repro.atpg.podem import PodemResult
         PodemResult((), None, "aborted", 0).pattern_words(nl)
+
+
+# ----------------------------------------------------------------------
+# Record pin: every decision, backtrack, pattern and status of the search
+# ----------------------------------------------------------------------
+#: 1-in-N sample of each component's collapsed fault list.
+PIN_STRIDE = 4
+
+
+def record_digest(runs) -> str:
+    """Digest of ``(key, PodemResult)`` pairs: status, backtracks,
+    decisions and the full PI pattern, in run order."""
+    digest = hashlib.sha256()
+    for key, result in runs:
+        pattern = None if result.pattern is None \
+            else sorted(result.pattern.items())
+        digest.update(repr((key, result.status, result.backtracks,
+                            result.decisions, pattern)).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_podem_records_match_pin_on_every_component():
+    """Guided and unguided runs over a stride of every component's
+    collapsed faults (detections, redundancy proofs and aborts at 300
+    backtracks) reproduce the pinned search exactly."""
+    universe = DspFaultUniverse()
+    runs = []
+    for name in sorted(universe.comb_simulators):
+        netlist = universe.comb_simulators[name].netlist
+        faults = collapse_faults(netlist).faults[::PIN_STRIDE]
+        for guided in (False, True):
+            engine = Podem(netlist, backtrack_limit=300, guided=guided)
+            runs += [((name, guided, f.net, f.stuck_at), engine.generate(f))
+                     for f in faults]
+    statuses = {result.status for _, result in runs}
+    assert statuses == {"detected", "untestable", "aborted"}
+    assert record_digest(runs) == "50819669eb6292eb"
+
+
+def test_podem_records_match_pin_on_unrolled_core():
+    """The multi-site time-frame searches behind E5's
+    :meth:`AtpgBaseline.attack` records, on the unrolled core, reproduce
+    the pinned search exactly."""
+    baseline = AtpgBaseline(n_frames=4, backtrack_limit=40, fault_sample=8)
+    runs = [((f.net, f.stuck_at), baseline.engine.generate_multi(
+                baseline.unrolled.fault_sites(f)))
+            for f in baseline.survivors]
+    assert len(runs) == 7
+    assert record_digest(runs) == "9c8bc680809d7ae5"
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.runtime.chaos import (
     run_soak,
 )
 from repro.runtime.errors import ConfigError
+from repro.runtime.pool import fork_available
 from repro.runtime.runner import CampaignRunner, WorkUnit
 
 
@@ -137,6 +138,93 @@ def test_worker_filter_blocks_parent_classes():
     for i in range(50):
         assert monkey.inject("runner.unit", unit_id=f"u{i}") is None
     assert monkey.injection_counts()["kill"] == 0
+
+
+def _grade_units_in_worker(monkey, n_units):
+    """A pool worker's view: reach the worker injection point per unit."""
+    for i in range(n_units):
+        monkey.inject("pool.worker.unit", unit_id=f"u{i}")
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_kill_worker_firings_are_shared_with_forked_workers():
+    """``kill_worker`` fires in a forked worker and kills it.  The
+    parent must count that firing, and every later worker (a respawn
+    forked from the same parent) must see it, so that ``max_per_class``
+    bounds the kills of the whole campaign."""
+    import multiprocessing
+    import signal
+
+    config = ChaosConfig(seed=11, classes=("kill_worker",),
+                         probability=0.99, max_per_class=2)
+    monkey = ChaosMonkey(config, horizon=1)
+    context = multiprocessing.get_context("fork")
+    exits = []
+    for _ in range(5):
+        worker = context.Process(target=_grade_units_in_worker,
+                                 args=(monkey, 3))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        exits.append(worker.exitcode)
+    assert exits == [-signal.SIGKILL] * 2 + [0] * 3
+    assert monkey.injection_counts() == {"kill_worker": 2}
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_kill_worker_budget_holds_under_concurrent_workers():
+    """More live workers than cores race for the shared budget: a lost
+    update between the check and the increment would kill more than
+    ``max_per_class`` of them."""
+    import multiprocessing
+    import signal
+
+    config = ChaosConfig(seed=13, classes=("kill_worker",),
+                         probability=0.99, max_per_class=3)
+    monkey = ChaosMonkey(config, horizon=1)
+    context = multiprocessing.get_context("fork")
+    workers = [context.Process(target=_grade_units_in_worker,
+                               args=(monkey, 50))
+               for _ in range(3 * (os.cpu_count() or 1) + 2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+    exits = [worker.exitcode for worker in workers]
+    assert exits.count(-signal.SIGKILL) == 3
+    assert exits.count(0) == len(workers) - 3
+    assert monkey.injection_counts() == {"kill_worker": 3}
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_injection_counts_do_not_wait_on_a_dead_lock_holder():
+    """A process killed inside the monkey's lock holds it for good; the
+    soak report must still read the counts."""
+    import multiprocessing
+    import signal
+    import threading
+
+    monkey = ChaosMonkey(ChaosConfig(seed=3, classes=("kill_worker",)))
+
+    def die_holding_the_lock():
+        monkey._lock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    holder = multiprocessing.get_context("fork").Process(
+        target=die_holding_the_lock)
+    holder.start()
+    holder.join(timeout=30)
+    assert holder.exitcode == -signal.SIGKILL
+    counts = []
+    reader = threading.Thread(
+        target=lambda: counts.append(monkey.injection_counts()), daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert counts == [{"kill_worker": 0}]
 
 
 # ----------------------------------------------------------------------

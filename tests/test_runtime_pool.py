@@ -303,6 +303,77 @@ def test_pooled_run_finishes_after_a_worker_is_killed():
 
 
 @needs_fork
+def test_serial_finish_deletes_the_abandoned_pools_shards(tmp_path):
+    """After a killed worker makes the runner abandon the pool and
+    finish serially, every unit's record is in the canonical checkpoint:
+    no shard may outlive the run, whether the dead worker's, a live
+    one's or a respawned one's."""
+    import os
+    import signal
+
+    from repro.runtime.integrity import verify_campaign
+
+    path = str(tmp_path / "ck.jsonl")
+    parent = os.getpid()
+
+    def square(i):
+        if i == 0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i * i
+
+    units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: square(i))
+             for i in range(6)]
+    report = CampaignRunner(checkpoint=path, jobs=2,
+                            pool_stall_timeout=1.0).run(
+        units, fingerprint={"k": 1})
+    assert [report.value(u.unit_id) for u in units] \
+        == [i * i for i in range(6)]
+    assert shard_paths(path) == []
+    assert verify_campaign(report, checkpoint=path,
+                           expected_units=[u.unit_id for u in units]) == []
+
+
+@needs_fork
+def test_abandoned_pool_is_terminated_with_no_worker_inside_the_chaos_lock():
+    """Abandoning a pool terminates its live workers.  One killed while
+    it holds the chaos monkey's lock would hold it for good, and the
+    parent's next injection point, or a later pool's worker, would wait
+    on it forever.  So the pool is terminated only while no worker is
+    inside the lock."""
+    import os
+    import signal
+    import time
+
+    from repro.runtime import chaos
+    from repro.runtime.chaos import ChaosConfig, ChaosMonkey
+    from repro.runtime.pool import run_pooled
+
+    parent = os.getpid()
+
+    def unit(i):
+        if os.getpid() != parent:
+            if i == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if i == 1:          # still inside when the pool is abandoned
+                with chaos.active()._lock:
+                    time.sleep(1.5)
+        return i
+
+    monkey = chaos.install(ChaosMonkey(
+        ChaosConfig(seed=5, classes=("shard_loss",))))
+    try:
+        units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: unit(i))
+                 for i in range(4)]
+        results = run_pooled(
+            CampaignRunner(jobs=2, pool_stall_timeout=0.3), units)
+        assert "u0" not in results
+        assert monkey._lock.acquire(timeout=5)
+        monkey._lock.release()
+    finally:
+        chaos.uninstall()
+
+
+@needs_fork
 def test_pooled_append_error_propagates_and_resume_recovers(
         tmp_path, monkeypatch):
     """A failed canonical append in the parent ends the pooled run with

@@ -1,0 +1,207 @@
+"""Error-injection forks stop at their verdict: equal to full windows.
+
+:meth:`ObservabilityEngine.measure` and tier 1 of
+:meth:`HierarchicalFaultSimulator._propagates` stop a fork once its
+verdict is known: a port that differs from the clean run's (observed),
+or a state equal to the clean run's at the same cycle (masked).  The
+full-window loops they replaced stay here as references: every
+observability fork replays from cycle 0, and every fork steps to the end
+of its window.
+"""
+
+import random
+
+import pytest
+
+from repro._util import mask
+from repro.dsp.core import DspCore
+from repro.dsp.family import CoreBuild, CoreSpec
+from repro.dsp.isa import Instruction, Opcode, encode
+from repro.faults.hierarchical import (
+    HierarchicalFaultSimulator,
+    _set_bit_positions,
+    _spread,
+)
+from repro.logic.simulator import unpack_output
+from repro.metrics.controllability import (
+    component_cycle,
+    default_variants,
+    prepare_core,
+)
+from repro.metrics.observability import (
+    ObservabilityEngine,
+    _set_state_element,
+    observation_wrapper,
+)
+from repro.metrics.table import build_metrics_table
+from repro.selftest.generator import SelfTestGenerator
+from repro.selftest.vectors import expand_program
+from tests.test_core_family import FLEET
+
+_NOP_WORD = encode(Instruction(Opcode.NOP))
+
+
+# ----------------------------------------------------------------------
+# Observability
+# ----------------------------------------------------------------------
+def run_ports(core, words, inject_cycle=None, overrides=None):
+    """The port stream of ``words``, ``overrides`` armed at one cycle."""
+    return [core.step(word, overrides=overrides if t == inject_cycle
+                      else None).port
+            for t, word in enumerate(words)]
+
+
+def reference_measure(engine, variant, extra_wrapper=()):
+    """:meth:`ObservabilityEngine.measure` with full-window forks: a
+    combinational injection replays from cycle 0, and every fork's whole
+    port stream is compared with the clean one."""
+    build = engine.build
+    rng = engine.rng_factory(variant.label)
+    observed, injected = {}, {}
+    for _ in range(engine.n_good):
+        setup_rng = random.Random(rng.random())
+        core = prepare_core(variant, setup_rng, build=build)
+        snapshot = core.state.copy()
+        stuck = dict(core.stuck_bits)
+        wrapper = observation_wrapper(variant, build=build) \
+            + list(extra_wrapper)
+        words = [encode(variant.instruction(setup_rng))]
+        words += [encode(i) for i in wrapper]
+        words += [_NOP_WORD] * max(0, engine.window - len(words))
+        traces, clean_ports, post_states = [], [], []
+        for word in words:
+            trace = {}
+            clean_ports.append(core.step(word, trace=trace).port)
+            traces.append(trace)
+            post_states.append(core.state.copy())
+        for spec in build.components:
+            cycle = component_cycle(spec.name, build)
+            if cycle >= len(traces):
+                continue
+            activity = traces[cycle].get(spec.name)
+            if activity is None:
+                continue
+            key = (spec.name, activity.mode)
+            n_bits = spec.output_width
+            for _ in range(engine.errors_per_bit * n_bits):
+                bad = rng.randrange(1 << n_bits)
+                if bad == activity.output:
+                    bad ^= 1 + rng.randrange((1 << n_bits) - 1)
+                    bad &= mask(n_bits)
+                if spec.kind == "register":
+                    state = post_states[cycle].copy()
+                    _set_state_element(state, spec.state_key, bad)
+                    forked = build.make_core(state, stuck)
+                    ports = clean_ports[:cycle + 1] \
+                        + run_ports(forked, words[cycle + 1:])
+                else:
+                    forked = build.make_core(snapshot.copy(), stuck)
+                    ports = run_ports(forked, words, cycle,
+                                      {spec.name: bad})
+                injected[key] = injected.get(key, 0) + 1
+                if ports != clean_ports:
+                    observed[key] = observed.get(key, 0) + 1
+    return {key: observed.get(key, 0) / count
+            for key, count in injected.items()}
+
+
+def _point(depth):
+    return next(spec for spec in FLEET if spec.pipeline_depth == depth)
+
+
+#: The paper core (4-deep) and the first 3- and 5-deep ``FLEET`` points.
+POINTS = [CoreSpec.paper(), _point(3), _point(5)]
+OUT_AB = (Instruction(Opcode.OUTA), Instruction(Opcode.OUTB))
+
+
+@pytest.fixture
+def step_count(monkeypatch):
+    """Counts every :meth:`DspCore.step` call while the test runs."""
+    counter = [0]
+    step = DspCore.step
+
+    def counted(self, *args, **kwargs):
+        counter[0] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(DspCore, "step", counted)
+    return counter
+
+
+@pytest.mark.parametrize("extra", [(), OUT_AB], ids=["plain", "outa-outb"])
+@pytest.mark.parametrize("spec", POINTS,
+                         ids=[spec.label() for spec in POINTS])
+def test_observability_verdict_exit_matches_full_window(spec, extra,
+                                                        step_count):
+    engine = ObservabilityEngine(n_good=1, seed=41, build=CoreBuild.get(spec))
+    variants = default_variants()
+    got = [engine.measure(v, extra_wrapper=extra) for v in variants]
+    steps = step_count[0]
+    want = [reference_measure(engine, v, extra) for v in variants]
+    assert got == want
+    # Both step the same clean runs, so fewer steps mean forks stopped early.
+    assert steps < step_count[0] - steps
+
+
+# ----------------------------------------------------------------------
+# Hierarchical tier 1
+# ----------------------------------------------------------------------
+def reference_propagates(sim, name, faulty_word, t, ctx, limit):
+    """Tier 1 with a full window.  Also reports whether the fork's state
+    met a clean checkpoint while the verdict was still open."""
+    fork = sim._fork_at(ctx, t)
+    end = min(limit, t + sim.propagation_window)
+    if fork.step(ctx.words[t],
+                 overrides={name: faulty_word}).port != ctx.clean_ports[t]:
+        return True, False
+    converged = False
+    for cycle in range(t + 1, end):
+        converged = converged or fork.state == ctx.checkpoints.get(cycle)
+        if fork.step(ctx.words[cycle]).port != ctx.clean_ports[cycle]:
+            return True, converged
+    return False, converged
+
+
+@pytest.fixture(scope="module")
+def e1_stream():
+    """An E1 program (metrics, Phase 1/2) expanded over 5 loop passes."""
+    table = build_metrics_table(n_controllability_samples=8,
+                                n_observability_good=1, seed=2004)
+    program = SelfTestGenerator(
+        table=table, o_engine=ObservabilityEngine(n_good=1, seed=2006),
+    ).generate().program
+    return expand_program(program, 5)
+
+
+def test_tier1_verdict_exit_matches_full_window(e1_stream):
+    """Every tier-1 start of every combinational fault."""
+    sim = HierarchicalFaultSimulator()
+    ctx = sim.prepare(e1_stream)
+    starts = converged = 0
+    for name, faults in sim.universe.comb_faults.items():
+        comb = sim.universe.comb_simulators[name]
+        output_nets = comb.netlist.buses[sim.universe.spec(name).output_bus]
+        for fault in faults:
+            for block_start in ctx.block_starts:
+                rec = ctx.block_records[block_start].get(name)
+                if rec is None or not rec["cycles"]:
+                    continue
+                good = ctx.good_values(comb, name, block_start)
+                detected, changed = comb.simulate_fault(
+                    fault, good, len(rec["cycles"]))
+                limit = ctx.block_end(block_start)
+                bits = [changed.get(n, good[n]) for n in output_nets]
+                for idx in _spread(_set_bit_positions(detected),
+                                   sim.max_starts_per_block):
+                    word = unpack_output(bits, idx)
+                    t = rec["cycles"][idx]
+                    want, met = reference_propagates(sim, name, word, t,
+                                                     ctx, limit)
+                    assert sim._propagates(name, word, t, ctx, limit) \
+                        == want, (name, fault, t)
+                    # Back on the clean run, a fork is never observed.
+                    assert not (want and met), (name, fault, t)
+                    starts += 1
+                    converged += met
+    assert starts > 10000
+    assert converged > 0

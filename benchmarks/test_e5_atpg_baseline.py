@@ -69,62 +69,3 @@ def test_sequential_atpg_baseline(benchmark):
         ),
         campaign_counts=outcome.report.counts(),
     ))
-
-
-def test_e5_guided_backtrace_reduces_backtracks(benchmark):
-    """ISSUE 8 acceptance gate: the SCOAP-guided backtrace must not
-    increase total PODEM backtracks on the E5 survivor set, and must
-    never contradict the unguided engine's proofs (an abort on either
-    side is 'no verdict', not a disagreement)."""
-    kwargs = dict(
-        n_frames=scaled(4, 5, 8),
-        backtrack_limit=scaled(40, 300, 1000),
-        fault_sample=scaled(8, 60, 300),
-        jobs=None,
-    )
-    plain = AtpgBaselineCampaign(**kwargs)
-    plain_outcome = plain.run()
-    campaign = AtpgBaselineCampaign(guided=True, **kwargs)
-    cache_before = cache_stats()
-    start = time.perf_counter()
-    outcome = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
-    TRAJECTORY.record(
-        experiment="E5", label=f"atpg guided jobs={campaign.runner.jobs}",
-        jobs=campaign.runner.jobs,
-        units=outcome.report.counts()["executed"],
-        wall_seconds=round(time.perf_counter() - start, 3),
-        cache=cache_delta(cache_before, cache_stats()),
-    )
-    guided, unguided = outcome.result, plain_outcome.result
-
-    print()
-    print(f"unguided: {unguided.total_backtracks} backtracks, "
-          f"{unguided.total_decisions} decisions")
-    print(f"guided:   {guided.total_backtracks} backtracks, "
-          f"{guided.total_decisions} decisions")
-
-    # Proof parity per fault: detected-vs-untestable is a contradiction.
-    proofs = {"detected", "untestable"}
-    for unit_id, plain_result in plain_outcome.report.results.items():
-        guided_result = outcome.report.results.get(unit_id)
-        if guided_result is None:
-            continue
-        a = (plain_result.value or {}).get("status")
-        g = (guided_result.value or {}).get("status")
-        if a in proofs and g in proofs:
-            assert a == g, f"{unit_id}: unguided={a} guided={g}"
-
-    assert guided.total_backtracks <= unguided.total_backtracks
-
-    saved = unguided.total_backtracks - guided.total_backtracks
-    REGISTRY.record(ExperimentResult(
-        experiment_id="E5g",
-        description="testability-guided PODEM backtrace vs unguided",
-        paper_value="n/a (engineering gate, ISSUE 8)",
-        measured_value=(
-            f"{guided.total_backtracks} vs {unguided.total_backtracks} "
-            f"backtracks ({saved} saved) on {guided.n_faults} faults, "
-            f"verdicts contradiction-free"
-        ),
-        campaign_counts=outcome.report.counts(),
-    ))

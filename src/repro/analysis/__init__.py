@@ -2,8 +2,8 @@
 
 The first resident is :mod:`repro.analysis.testability` — SCOAP
 controllability/observability and COP detection probabilities — which
-feeds the testability-guided PODEM backtrace, the NET008–NET011 lint
-rules and the ``repro testability`` CLI report.
+feeds the NET008–NET011 lint rules and the ``repro testability`` CLI
+report.
 """
 
 from repro.analysis.testability import (

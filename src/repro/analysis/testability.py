@@ -109,8 +109,8 @@ class TestabilityAnalysis:
     """Per-net SCOAP and COP numbers for one netlist.
 
     Index every array with a net id.  Instances are produced by
-    :func:`analyze_testability`; consumers (guided PODEM, lint, CLI)
-    read the arrays directly.
+    :func:`analyze_testability`; consumers (lint, CLI) read the arrays
+    directly.
     """
 
     def __init__(self, netlist: Netlist, seq_cost: float,

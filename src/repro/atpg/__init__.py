@@ -7,20 +7,16 @@
 * :mod:`repro.atpg.unroll` — time-frame expansion of sequential netlists
   into combinational ones (the fault is replicated per frame).
 * :mod:`repro.atpg.random_resistant` — identify faults that survive random
-  patterns and target them with PODEM (the paper's Phase 3 enhancement).
+  patterns, for PODEM to target (the paper's Phase 3 enhancement).
 """
 
 from repro.atpg.podem import Podem, PodemResult
 from repro.atpg.unroll import unroll
-from repro.atpg.random_resistant import (
-    find_random_resistant,
-    target_random_resistant,
-)
+from repro.atpg.random_resistant import find_random_resistant
 
 __all__ = [
     "Podem",
     "PodemResult",
     "unroll",
     "find_random_resistant",
-    "target_random_resistant",
 ]

@@ -22,14 +22,11 @@ Multiple fault sites with individual polarities are supported so one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.faults.model import Fault
 from repro.logic.gates import GateType
 from repro.logic.netlist import Gate, Netlist
-
-if TYPE_CHECKING:
-    from repro.analysis.testability import TestabilityAnalysis
 
 #: Controlling value per gate type (None = no controlling value).
 _CONTROLLING = {
@@ -50,8 +47,8 @@ class PodemResult:
     """Outcome of one PODEM run.
 
     ``backtracks`` counts decision reversals and ``decisions`` counts PI
-    assignments tried; together they make guided-vs-unguided search
-    effort measurable (E5 benchmark registry) instead of anecdotal.
+    assignments tried; together they measure the search effort (E5's
+    attack records carry both).
     """
 
     fault_sites: Tuple[Fault, ...]
@@ -84,20 +81,12 @@ class PodemResult:
 class Podem:
     """PODEM test generation for stuck-at faults on a combinational netlist.
 
-    With ``guided=True`` the objective and backtrace choices are steered
-    by a static SCOAP cost model (:mod:`repro.analysis.testability`):
-    excitation targets the cheapest-to-justify site, propagation picks
-    the D-frontier gate closest to an output (min CO) and justification
-    walks through the easiest input when one controlling value suffices
-    — or the *hardest* input first when every input is needed, so doomed
-    branches fail fast.  ``analysis`` supplies a precomputed model
-    (otherwise one is derived from the netlist); unguided behaviour is
-    bit-identical to the classic first-X heuristics.
+    Objective and backtrace use the classic first-X heuristics: excite
+    the first unassigned site, drive the first X side input of the first
+    D-frontier gate, and justify through the first X gate input.
     """
 
-    def __init__(self, netlist: Netlist, backtrack_limit: int = 2000,
-                 guided: bool = False,
-                 analysis: Optional["TestabilityAnalysis"] = None):
+    def __init__(self, netlist: Netlist, backtrack_limit: int = 2000):
         if netlist.dffs:
             raise ValueError(
                 "PODEM needs a combinational netlist; unroll sequential "
@@ -113,11 +102,6 @@ class Podem:
         }
         self._pi_set = set(netlist.inputs)
         self._po_set = set(netlist.outputs)
-        self.guided = guided
-        if guided and analysis is None:
-            from repro.analysis.testability import analyze_testability
-            analysis = analyze_testability(netlist)
-        self.analysis = analysis if guided else None
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
@@ -215,27 +199,17 @@ class Podem:
                    cone: List[Gate]) -> Optional[Tuple[int, int]]:
         """Next (net, value) goal, or ``None`` on conflict."""
         g1, g0, f1, f0 = planes
-        analysis = self.analysis
         # 1. Excitation: at least one site must carry the opposite of its
         # stuck value in the good machine.
         excited = any(g0[n] if s else g1[n] for n, s in sites.items())
         if not excited:
-            best: Optional[Tuple[int, int]] = None
-            best_cost = 0.0
             for net, stuck in sites.items():
-                if g1[net] | g0[net]:
-                    continue
-                if analysis is None:
+                if not (g1[net] | g0[net]):
                     return net, stuck ^ 1
-                cost = analysis.cc(net, stuck ^ 1)
-                if best is None or cost < best_cost:
-                    best, best_cost = (net, stuck ^ 1), cost
-            return best  # None when every site is pinned at its stuck value
+            return None  # every site is pinned at its stuck value
         # 2. Propagation: an X side-input of a D-frontier gate (all
         # D-frontier gates lie inside the cone by construction).  A side
         # input is X in both machines: a site is never X in the faulty one.
-        best_goal: Optional[Tuple[int, int]] = None
-        best_key: Tuple[float, float] = (0.0, 0.0)
         for gate in cone:
             out = gate.output
             if (g1[out] | g0[out]) and (f1[out] | f0[out]):
@@ -249,27 +223,12 @@ class Podem:
             non_controlling = (control ^ 1) if control is not None else 0
             for i in gate.inputs:
                 if not (g1[i] | g0[i] | f1[i] | f0[i]):
-                    if analysis is None:
-                        return i, non_controlling
-                    # Guided: drive the D-frontier gate closest to an
-                    # output (min CO), and within it set the hardest
-                    # side input first so hopeless branches die early.
-                    key = (analysis.co[out],
-                           -analysis.cc(i, non_controlling))
-                    if best_goal is None or key < best_key:
-                        best_goal, best_key = (i, non_controlling), key
-        return best_goal
+                    return i, non_controlling
+        return None
 
     def _backtrace(self, net: int, value: int, g1: List[int],
                    g0: List[int]) -> Optional[Tuple[int, int]]:
-        """Map an internal objective to a PI assignment.
-
-        Guided mode replaces the first-X input choice with SCOAP costs:
-        when one controlling input suffices, walk through the *easiest*
-        one; when every input must take the non-controlling value, walk
-        through the *hardest* one first.
-        """
-        analysis = self.analysis
+        """Map an internal objective to a PI assignment."""
         current, target = net, value
         for _ in range(self.netlist.n_nets + 1):
             if current in self._pi_set:
@@ -284,30 +243,12 @@ class Podem:
             x_inputs = [i for i in gate.inputs if not (g1[i] | g0[i])]
             if not x_inputs:
                 return None
+            # Justify through the first X input.  An AND/OR-type input
+            # takes the de-inverted target as it is: the controlling value
+            # one input can set, or the non-controlling value every input
+            # must take.  A parity gate folds in a known input.
+            current = x_inputs[0]
             if gate.kind in (GateType.XOR, GateType.XNOR):
                 other = [i for i in gate.inputs if g1[i] | g0[i]]
-                want = target ^ (g1[other[0]] if other else 0)
-                if analysis is not None:
-                    current = min(x_inputs,
-                                  key=lambda n, w=want: analysis.cc(n, w))
-                else:
-                    current = x_inputs[0]
-                target = want
-                continue
-            control = _CONTROLLING.get(gate.kind)
-            if control is not None and target == control:
-                if analysis is not None:
-                    current = min(
-                        x_inputs, key=lambda n, c=control: analysis.cc(n, c))
-                else:
-                    current = x_inputs[0]
-                target = control
-            else:
-                want = target if control is None else control ^ 1
-                if analysis is not None:
-                    current = max(x_inputs,
-                                  key=lambda n, w=want: analysis.cc(n, w))
-                else:
-                    current = x_inputs[0]
-                target = want
+                target ^= g1[other[0]] if other else 0
         return None

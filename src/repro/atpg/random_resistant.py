@@ -1,21 +1,20 @@
-"""Random-pattern-resistant fault identification and targeting.
+"""Random-pattern-resistant fault identification.
 
 Phase 3's third enhancement: "Some components may contain random resistant
 faults, which still may not be detected after looping through the test
 program a reasonable amount of times...  ATPG is used specifically on that
-component to find which test patterns are needed."
+component to find which test patterns are needed."  This module finds
+those faults; :class:`repro.atpg.podem.Podem` targets each one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults
 from repro.logic.netlist import Netlist
-from repro.atpg.podem import Podem, PodemResult
 
 
 def find_random_resistant(
@@ -55,31 +54,3 @@ def find_random_resistant(
         blocks.append(words)
     first = sim.run_with_dropping(blocks)
     return [f for f, t in first.items() if t is None]
-
-
-@dataclass
-class TargetedFault:
-    """ATPG outcome for one random-resistant fault."""
-
-    fault: Fault
-    result: PodemResult
-
-    @property
-    def pattern(self) -> Optional[Dict[int, int]]:
-        return self.result.pattern
-
-
-def target_random_resistant(
-    netlist: Netlist,
-    faults: Sequence[Fault],
-    backtrack_limit: int = 2000,
-    guided: bool = False,
-) -> List[TargetedFault]:
-    """Run PODEM on each random-resistant fault of a component.
-
-    ``guided=True`` steers the search with the SCOAP cost model from
-    :mod:`repro.analysis.testability` — apt here, since random-resistant
-    faults are exactly the ones the static model predicts to be hard.
-    """
-    engine = Podem(netlist, backtrack_limit=backtrack_limit, guided=guided)
-    return [TargetedFault(fault=f, result=engine.generate(f)) for f in faults]

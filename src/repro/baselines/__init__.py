@@ -8,12 +8,11 @@
   (the paper measured 8.51% fault coverage with Tetramax).
 """
 
-from repro.baselines.pseudorandom import pseudorandom_bist_words, run_pseudorandom_bist
+from repro.baselines.pseudorandom import pseudorandom_bist_words
 from repro.baselines.atpg_baseline import run_atpg_baseline, AtpgBaselineResult
 
 __all__ = [
     "pseudorandom_bist_words",
-    "run_pseudorandom_bist",
     "run_atpg_baseline",
     "AtpgBaselineResult",
 ]

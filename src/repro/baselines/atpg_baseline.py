@@ -42,11 +42,9 @@ class AtpgBaselineResult:
     n_detected_random_phase: int = 0
     patterns: List[List[int]] = field(default_factory=list)
     #: each pattern is a per-frame list of 17-bit instruction words
-    #: total PODEM search effort over the deterministic phase, for
-    #: guided-vs-unguided comparisons in the benchmark registry
+    #: total PODEM search effort over the deterministic phase
     total_backtracks: int = 0
     total_decisions: int = 0
-    guided: bool = False
 
     @property
     def fault_coverage(self) -> float:
@@ -80,11 +78,9 @@ class AtpgBaseline:
         seed: int = 5,
         random_phase_sequences: int = 1,
         random_phase_length: int = 32,
-        guided: bool = False,
     ):
         self.core = netlist if netlist is not None else make_gatelevel_core()
         self.n_frames = n_frames
-        self.guided = guided
         faults = list(collapse_faults(self.core).faults)
         if fault_sample is not None and fault_sample < len(faults):
             faults = random.Random(seed).sample(faults, fault_sample)
@@ -108,7 +104,7 @@ class AtpgBaseline:
         self.n_detected_random_phase = len(faults) - len(self.survivors)
         self.unrolled = unroll(self.core, n_frames)
         self.engine = Podem(self.unrolled.netlist,
-                            backtrack_limit=backtrack_limit, guided=guided)
+                            backtrack_limit=backtrack_limit)
         self._instr_nets = [self.unrolled.frame_bus(frame, "instr")
                             for frame in range(n_frames)]
 
@@ -161,7 +157,6 @@ class AtpgBaseline:
             patterns=patterns,
             total_backtracks=total_backtracks,
             total_decisions=total_decisions,
-            guided=self.guided,
         )
 
 
@@ -173,7 +168,6 @@ def run_atpg_baseline(
     seed: int = 5,
     random_phase_sequences: int = 1,
     random_phase_length: int = 32,
-    guided: bool = False,
 ) -> AtpgBaselineResult:
     """Run the commercial-tool recipe on the flat core.
 
@@ -192,6 +186,6 @@ def run_atpg_baseline(
         netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
         fault_sample=fault_sample, seed=seed,
         random_phase_sequences=random_phase_sequences,
-        random_phase_length=random_phase_length, guided=guided,
+        random_phase_length=random_phase_length,
     )
     return baseline.result(baseline.attack(f) for f in baseline.survivors)

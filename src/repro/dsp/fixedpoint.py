@@ -6,8 +6,8 @@ decimal point."  Products are therefore 8.8 (16 bits), sign-extended to the
 18-bit internal format 10.8 used by the accumulators.
 
 All storage stays in unsigned two's-complement encoding (see
-:mod:`repro._util`); these helpers convert to and from ``float`` for
-examples, documentation and tests — the datapath itself never touches
+:mod:`repro._util`); the 4.4 helpers convert operands to and from
+``float`` for examples and tests — the datapath itself never touches
 floats.
 """
 
@@ -17,8 +17,6 @@ from repro._util import to_signed, to_unsigned
 
 #: Fractional bits of the 8-bit 4.4 operand format.
 OPERAND_FRAC = 4
-#: Fractional bits of the 18-bit 10.8 accumulator format.
-ACC_FRAC = 8
 #: Operand width (register file word).
 OPERAND_WIDTH = 8
 #: Accumulator width.
@@ -37,17 +35,3 @@ def float_to_q44(value: float) -> int:
     lo = -(1 << (OPERAND_WIDTH - 1))
     scaled = max(lo, min(hi, scaled))
     return to_unsigned(scaled, OPERAND_WIDTH)
-
-
-def q108_to_float(word: int) -> float:
-    """Interpret an 18-bit word as 10.8 fixed point."""
-    return to_signed(word, ACC_WIDTH) / (1 << ACC_FRAC)
-
-
-def float_to_q108(value: float) -> int:
-    """Encode a float as 10.8 fixed point (saturating at the format limits)."""
-    scaled = round(value * (1 << ACC_FRAC))
-    hi = (1 << (ACC_WIDTH - 1)) - 1
-    lo = -(1 << (ACC_WIDTH - 1))
-    scaled = max(lo, min(hi, scaled))
-    return to_unsigned(scaled, ACC_WIDTH)

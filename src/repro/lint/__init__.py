@@ -23,8 +23,8 @@ in-process::
     report = lint_netlist(netlist)
     assert not report.errors, report.render()
 
-Campaign adapters screen their netlists automatically (warn-only) when
-they construct fault universes; set ``REPRO_LINT=0`` to disable.
+Campaign adapters screen their netlists automatically (warn-only, ERROR
+rules only) when they construct fault universes.
 """
 
 # Importing the rule modules registers every rule; the registry is what
@@ -39,8 +39,7 @@ from repro.lint.findings import (
     finding,
     rule,
     rule_catalog,
-    rules_for,
-    rules_for_subject,
+    run_rules,
 )
 from repro.lint.modes import (
     MODE_EXTRACTORS,
@@ -72,8 +71,7 @@ __all__ = [
     "mode_reachability_crosscheck",
     "rule",
     "rule_catalog",
-    "rules_for",
-    "rules_for_subject",
+    "run_rules",
     "static_mode_reachability",
     "static_unreachable_columns",
     "warn_on_netlist",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List
 
 from repro.runtime.errors import ConfigError
 
@@ -87,8 +87,8 @@ class Rule:
     check: Callable[..., Iterable[Finding]]
     #: What the check function is called with.  Defaults to the domain
     #: subject (a netlist / a program); rules with a different subject
-    #: (e.g. ``"table"`` for the metrics-table cross-check) are skipped
-    #: by the per-domain entry points and run by their own caller.
+    #: (``"isa"``, or ``"table"`` for the metrics-table cross-check) run
+    #: from their own entry point.
     subject: str = ""
 
 
@@ -120,24 +120,13 @@ def rule(rule_id: str, domain: str, severity: Severity,
     return register
 
 
-def rules_for(domain: str) -> List[Rule]:
-    """Domain rules runnable on the domain subject, in registration order."""
-    return [r for r in REGISTRY.values()
-            if r.domain == domain and r.subject == domain]
-
-
-def rules_for_subject(subject: str) -> List[Rule]:
-    """All rules taking ``subject`` as their check argument."""
-    return [r for r in REGISTRY.values() if r.subject == subject]
-
-
-def finding(rule_id: str, location: str, message: str, hint: str = "",
-            severity: Optional[Severity] = None) -> Finding:
-    """Build a :class:`Finding` with the rule's registered defaults."""
+def finding(rule_id: str, location: str, message: str,
+            hint: str = "") -> Finding:
+    """Build a :class:`Finding` carrying its rule's registered severity."""
     entry = REGISTRY[rule_id]
     return Finding(
         rule=rule_id,
-        severity=severity if severity is not None else entry.severity,
+        severity=entry.severity,
         domain=entry.domain,
         location=location,
         message=message,
@@ -238,3 +227,20 @@ class LintReport:
             "suppressed": [f.to_record() for f in self.suppressed],
             "counts": self.counts(),
         }
+
+
+def run_rules(subject: str, target: Any,
+              min_severity: Severity = Severity.INFO) -> LintReport:
+    """Run every rule on ``subject`` subjects (``target`` is the check
+    argument) whose registered severity is ``min_severity`` or above, in
+    registration order.
+
+    A finding carries its rule's severity, so selecting the rules before
+    they run keeps exactly the findings a filter after them would keep,
+    and a rule below the threshold costs nothing.
+    """
+    report = LintReport()
+    for entry in REGISTRY.values():
+        if entry.subject == subject and entry.severity >= min_severity:
+            report.extend(entry.check(target))
+    return report

@@ -37,7 +37,7 @@ from repro.lint.findings import (
     Severity,
     finding,
     rule,
-    rules_for_subject,
+    run_rules,
 )
 
 Column = Tuple[str, int]
@@ -171,17 +171,9 @@ def check_table_crosscheck(table) -> Iterator[Finding]:
 
 def lint_isa(min_severity: Severity = Severity.INFO) -> LintReport:
     """Run the ISA-subject rules (static mode reachability)."""
-    report = LintReport()
-    for entry in rules_for_subject("isa"):
-        report.extend(f for f in entry.check(None)
-                      if f.severity >= min_severity)
-    return report
+    return run_rules("isa", None, min_severity)
 
 
 def lint_table(table, min_severity: Severity = Severity.INFO) -> LintReport:
     """Run the metrics-table-subject rules (the static/dynamic cross-check)."""
-    report = LintReport()
-    for entry in rules_for_subject("table"):
-        report.extend(f for f in entry.check(table)
-                      if f.severity >= min_severity)
-    return report
+    return run_rules("table", table, min_severity)

@@ -25,7 +25,6 @@ fault universe.
 
 from __future__ import annotations
 
-import os
 import warnings
 import weakref
 from typing import Dict, Iterator, List, Optional, Set
@@ -36,7 +35,7 @@ from repro.lint.findings import (
     Severity,
     finding,
     rule,
-    rules_for,
+    run_rules,
 )
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
@@ -460,7 +459,7 @@ def check_random_resistant_sites(netlist: Netlist) -> Iterator[Finding]:
                 f"{DETECT_PROB_FLOOR:.0e} floor",
                 hint="random patterns are not expected to catch this "
                      "fault; schedule it for deterministic ATPG "
-                     "(repro.atpg, guided=True)",
+                     "(repro.atpg.Podem)",
             )
 
 
@@ -498,12 +497,8 @@ def check_statically_untestable(netlist: Netlist) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 def lint_netlist(netlist: Netlist,
                  min_severity: Severity = Severity.INFO) -> LintReport:
-    """Run every netlist rule; findings below ``min_severity`` are dropped."""
-    report = LintReport()
-    for entry in rules_for("netlist"):
-        report.extend(f for f in entry.check(netlist)
-                      if f.severity >= min_severity)
-    return report
+    """Run the netlist rules of ``min_severity`` or above."""
+    return run_rules("netlist", netlist, min_severity)
 
 
 class LintWarning(UserWarning):
@@ -526,11 +521,11 @@ def warn_on_netlist(netlist: Netlist, context: str = "",
     working on imperfect netlists).  The default threshold is ERROR:
     the paper core's netlists legitimately carry warning-level findings
     (dead tie-off gates, outliers), and a hook that cries wolf on clean
-    inputs trains everyone to ignore it.  Disable with ``REPRO_LINT=0``.
-    Returns the report, or ``None`` when screening was skipped.
+    inputs trains everyone to ignore it.  Only the rules at the threshold
+    run, so the costly testability rules stay out of construction.
+    Returns the report, or ``None`` when the instance was already
+    screened.
     """
-    if os.environ.get("REPRO_LINT", "1") == "0":
-        return None
     if netlist in _screened:
         return None
     _screened.add(netlist)

@@ -36,7 +36,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bist.template import RandomLoad
 from repro.dsp.isa import ControlWord, Instruction, Opcode, control_word
-from repro.lint.findings import Finding, LintReport, Severity, finding, rule, rules_for
+from repro.lint.findings import Finding, LintReport, Severity, finding, rule, run_rules
 from repro.lint.modes import MODE_EXTRACTORS, component_mode, static_unreachable_columns
 from repro.selftest.program import ProgramLine, TestProgram
 
@@ -296,9 +296,5 @@ def check_covers_mode(program: TestProgram) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 def lint_program(program: TestProgram,
                  min_severity: Severity = Severity.INFO) -> LintReport:
-    """Run every program rule; findings below ``min_severity`` are dropped."""
-    report = LintReport()
-    for entry in rules_for("program"):
-        report.extend(f for f in entry.check(program)
-                      if f.severity >= min_severity)
-    return report
+    """Run the program rules of ``min_severity`` or above."""
+    return run_rules("program", program, min_severity)

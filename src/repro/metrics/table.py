@@ -14,7 +14,7 @@ components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsp.components import ComponentSpec
 from repro.dsp.family import PAPER_BUILD, CoreBuild
@@ -171,12 +171,25 @@ def build_metrics_table(
     o_engine = ObservabilityEngine(n_good=n_observability_good, seed=seed + 1,
                                    build=build)
     for row in rows:
-        c_values = c_engine.measure(row)
-        o_values = o_engine.measure(row)
-        for column in cols:
-            if column in c_values or column in o_values:
-                table.set_cell(row, column, MetricsCell(
-                    c=c_values.get(column, 0.0),
-                    o=o_values.get(column, 0.0),
-                ))
+        for column, cell in measure_row(c_engine, o_engine, row, cols):
+            table.set_cell(row, column, cell)
     return table
+
+
+def measure_row(c_engine: ControllabilityEngine,
+                o_engine: ObservabilityEngine, row: InstructionVariant,
+                columns: Sequence[Column]
+                ) -> Iterator[Tuple[Column, MetricsCell]]:
+    """Yield one row's ``(column, cell)`` pairs in ``columns`` order:
+    every column the variant has a C or an O value for, the missing one
+    read as 0.
+
+    Each engine draws the row's stream from its seed and the row label,
+    so a row measures the same alone, in any order or in a pool worker.
+    """
+    c_values = c_engine.measure(row)
+    o_values = o_engine.measure(row)
+    for column in columns:
+        if column in c_values or column in o_values:
+            yield column, MetricsCell(c=c_values.get(column, 0.0),
+                                      o=o_values.get(column, 0.0))

@@ -191,12 +191,6 @@ def cached_good_values(netlist: Netlist,
     ignores names: two identical structures that bind the same bus name
     to different nets must not share traces.
     """
-    # Chaos "cache_storm" / "cache_poison" (no-op unless installed):
-    # an eviction storm must be invisible in campaign results (the
-    # cache is a pure memo), and a poisoned trace must be caught by the
-    # golden-equivalence invariant — both are exercised by the soak.
-    from repro.runtime.chaos import inject as _chaos
-    _chaos("cache.lookup")
     layout = tuple(
         (name, tuple(netlist.buses[name])) for name in sorted(bus_patterns)
     )

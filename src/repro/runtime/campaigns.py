@@ -189,7 +189,11 @@ class MetricsCampaign:
         jobs: Optional[int] = None,
         build: CoreBuild = PAPER_BUILD,
     ):
-        from repro.metrics.controllability import default_variants
+        from repro.metrics.controllability import (
+            ControllabilityEngine,
+            default_variants,
+        )
+        from repro.metrics.observability import ObservabilityEngine
         self.build = build
         self.variants = list(variants) if variants is not None \
             else default_variants()
@@ -198,6 +202,12 @@ class MetricsCampaign:
         self.n_controllability_samples = n_controllability_samples
         self.n_observability_good = n_observability_good
         self.seed = seed
+        # The same engines as build_metrics_table's, so every unit
+        # measures its variant exactly as the one-shot table does.
+        self._c_engine = ControllabilityEngine(
+            n_samples=n_controllability_samples, seed=seed, build=build)
+        self._o_engine = ObservabilityEngine(
+            n_good=n_observability_good, seed=seed + 1, build=build)
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -215,29 +225,11 @@ class MetricsCampaign:
         return fp
 
     def _measure(self, variant) -> Dict:
-        from repro.metrics.controllability import ControllabilityEngine
-        from repro.metrics.observability import ObservabilityEngine
-        from repro.runtime.rng import rng_factory
-        # Streams are derived from (seed, variant label), never from
-        # process-global RNG state, so a pool worker measuring any
-        # subset of variants replays the serial numbers exactly.
-        c_values = ControllabilityEngine(
-            n_samples=self.n_controllability_samples, seed=self.seed,
-            rng_factory=rng_factory(self.seed),
-            build=self.build,
-        ).measure(variant)
-        o_values = ObservabilityEngine(
-            n_good=self.n_observability_good, seed=self.seed + 1,
-            rng_factory=rng_factory(self.seed + 1),
-            build=self.build,
-        ).measure(variant)
-        cells = {}
-        for column in self.columns:
-            if column in c_values or column in o_values:
-                key = f"{column[0]}|{column[1]}"
-                cells[key] = [c_values.get(column, 0.0),
-                              o_values.get(column, 0.0)]
-        return {"cells": cells}
+        from repro.metrics.table import measure_row
+        cells = measure_row(self._c_engine, self._o_engine, variant,
+                            self.columns)
+        return {"cells": {f"{name}|{mode}": [cell.c, cell.o]
+                          for (name, mode), cell in cells}}
 
     def units(self) -> List[WorkUnit]:
         return [
@@ -297,7 +289,6 @@ class AtpgBaselineCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        guided: bool = False,
     ):
         self.netlist = netlist
         #: The baseline's parameters, which are also the fingerprint.
@@ -308,7 +299,6 @@ class AtpgBaselineCampaign:
             "seed": seed,
             "random_phase_sequences": random_phase_sequences,
             "random_phase_length": random_phase_length,
-            "guided": guided,
         }
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
         self._baseline = _Lazy(self._prepare)

@@ -4,11 +4,10 @@ The repo grades a DSP core by injecting faults and checking what
 propagates to an observable output.  This module turns that discipline
 on the campaign runtime itself: a seed-driven :class:`ChaosMonkey`
 injects *infrastructure* failures — simulated SIGKILLs, torn checkpoint
-writes, disk-full errors, hung units, corrupted/truncated/duplicated
-checkpoint records, lost worker shards, cache eviction storms — at named
-injection points wired into :mod:`~repro.runtime.runner`,
-:mod:`~repro.runtime.pool`, :mod:`~repro.runtime.checkpoint` and
-:mod:`~repro.runtime.cache`.
+writes, disk-full errors, hung units, killed pool workers,
+corrupted/truncated/duplicated checkpoint records, lost worker shards —
+at named injection points wired into :mod:`~repro.runtime.runner`,
+:mod:`~repro.runtime.pool` and :mod:`~repro.runtime.checkpoint`.
 
 Design rules:
 
@@ -70,8 +69,6 @@ CLASS_POINTS = {
     "hang": "runner.unit",            # attempt blocks past unit_timeout
     "torn": "checkpoint.append",      # partial line + SIGKILL mid-write
     "io": "checkpoint.append",        # ENOSPC-style append failure
-    "cache_storm": "cache.lookup",    # every cache evicted at once
-    "cache_poison": "cache.lookup",   # bit flip inside a cached trace
     "kill_worker": "pool.worker.unit",  # real SIGKILL of a pool worker
     "shard_loss": "pool.merge",       # worker shard vanishes pre-merge
     "corrupt": "file",                # bit flip in a checkpoint record
@@ -221,11 +218,6 @@ class ChaosMonkey:
         if name == "kill_worker":
             import signal
             os.kill(os.getpid(), signal.SIGKILL)
-        if name == "cache_storm":
-            from repro.runtime import cache
-            cache.clear_caches()
-        if name == "cache_poison":
-            self._poison_cache()
         if name == "shard_loss":
             paths = list(ctx.get("paths") or ())
             if paths:
@@ -251,22 +243,6 @@ class ChaosMonkey:
                 os.fsync(handle.fileno())
         except OSError:
             pass
-
-    def _poison_cache(self) -> None:
-        """Flip one bit inside a cached good-machine trace (in place)."""
-        from repro.runtime import cache
-        with cache._LOCK:
-            keys = list(cache._TRACE)
-            if not keys:
-                with self._lock:  # nothing to poison: refund the firing
-                    self.fired[self._slot["cache_poison"]] -= 1
-                    if self.events and self.events[-1][1] == "cache_poison":
-                        self.events.pop()
-                return
-            values = cache._TRACE[keys[self.rng.randrange(len(keys))]]
-            if values:
-                index = self.rng.randrange(len(values))
-                values[index] ^= 1 << self.rng.randrange(16)
 
     # ------------------------------------------------------------------
     # File-level mutations (applied between runs, at crash boundaries)

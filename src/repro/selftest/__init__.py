@@ -21,7 +21,6 @@ from repro.selftest.phase1 import Phase1Result, run_phase1
 from repro.selftest.phase2 import Phase2Result, run_phase2
 from repro.selftest.generator import SelfTestGenerator, GeneratedSelfTest
 from repro.selftest.vectors import expand_program, run_with_misr
-from repro.selftest.testplan import TestPlan, paper_plan, plan_for_target
 
 __all__ = [
     "ProgramLine",
@@ -34,7 +33,4 @@ __all__ = [
     "GeneratedSelfTest",
     "expand_program",
     "run_with_misr",
-    "TestPlan",
-    "paper_plan",
-    "plan_for_target",
 ]

@@ -356,23 +356,3 @@ def test_statically_untestable_confirmed_by_podem():
                     f"{spec.name}: {fault.describe(nl)}"
                 checked += 1
     assert checked > 0  # the multiplier tie-offs and limiter pads exist
-
-
-# ----------------------------------------------------------------------
-# Guided vs unguided PODEM: verdict parity
-# ----------------------------------------------------------------------
-def test_guided_and_unguided_verdicts_agree():
-    """Guidance may change the search path (and hence which faults
-    abort at a tight limit) but must never contradict a proof: a fault
-    detected by one engine cannot be proved untestable by the other."""
-    from repro.atpg.podem import Podem
-    from repro.rtl.arith import make_addsub
-    nl = make_addsub(6)
-    plain = Podem(nl, backtrack_limit=200)
-    guided = Podem(nl, backtrack_limit=200, guided=True)
-    proofs = {"detected", "untestable"}
-    for fault in collapse_faults(nl).faults:
-        a = plain.generate(fault).status
-        g = guided.generate(fault).status
-        if a in proofs and g in proofs:
-            assert a == g, fault.describe(nl)

@@ -5,10 +5,7 @@ import hashlib
 import pytest
 
 from repro.atpg.podem import Podem
-from repro.atpg.random_resistant import (
-    find_random_resistant,
-    target_random_resistant,
-)
+from repro.atpg.random_resistant import find_random_resistant
 from repro.atpg.unroll import unroll
 from repro.baselines.atpg_baseline import AtpgBaseline
 from repro.faults.combsim import CombFaultSimulator
@@ -47,25 +44,6 @@ def test_podem_detects_every_testable_fault(maker):
     assert not undetected, [f.describe(nl) for f in undetected]
 
 
-@pytest.mark.parametrize("maker", [
-    lambda: make_addsub(6),
-    lambda: make_limiter(),
-])
-def test_guided_podem_detects_every_testable_fault(maker):
-    """The SCOAP-guided backtrace produces verified patterns and proves
-    the same redundancies as the unguided engine."""
-    nl = maker()
-    engine = Podem(nl, backtrack_limit=5000, guided=True)
-    undetected = []
-    for fault in collapse_faults(nl).faults:
-        result = engine.generate(fault)
-        if result.detected:
-            assert verify_pattern(nl, fault, result), fault.describe(nl)
-        elif result.status == "aborted":
-            undetected.append(fault)
-    assert not undetected, [f.describe(nl) for f in undetected]
-
-
 def test_podem_counts_decisions_and_backtracks():
     nl = make_addsub(6)
     engine = Podem(nl, backtrack_limit=5000)
@@ -74,30 +52,6 @@ def test_podem_counts_decisions_and_backtracks():
     assert result.detected
     assert result.decisions > 0
     assert result.backtracks >= 0
-
-
-def test_guided_engine_accepts_shared_analysis():
-    """Passing a precomputed TestabilityAnalysis skips the lazy one."""
-    from repro.analysis.testability import analyze_testability
-    nl = make_addsub(6)
-    analysis = analyze_testability(nl)
-    engine = Podem(nl, guided=True, analysis=analysis)
-    assert engine.analysis is analysis
-    fault = Fault(nl.net_id("a[0]"), 0)
-    result = engine.generate(fault)
-    assert result.detected
-    assert verify_pattern(nl, fault, result)
-
-
-def test_target_random_resistant_guided():
-    nl = make_multiplier(8, 18)
-    resistant = find_random_resistant(nl, n_patterns=4096)
-    targeted = target_random_resistant(nl, resistant[:6],
-                                       backtrack_limit=2000, guided=True)
-    for t in targeted:
-        assert t.result.status in ("detected", "untestable", "aborted")
-        if t.result.detected:
-            assert verify_pattern(nl, t.fault, t.result)
 
 
 def test_podem_rejects_sequential():
@@ -152,21 +106,21 @@ def record_digest(runs) -> str:
 
 
 def test_podem_records_match_pin_on_every_component():
-    """Guided and unguided runs over a stride of every component's
-    collapsed faults (detections, redundancy proofs and aborts at 300
-    backtracks) reproduce the pinned search exactly."""
+    """Runs over a stride of every component's collapsed faults
+    (detections, redundancy proofs and aborts at 300 backtracks)
+    reproduce the pinned search exactly."""
     universe = DspFaultUniverse()
     runs = []
     for name in sorted(universe.comb_simulators):
         netlist = universe.comb_simulators[name].netlist
         faults = collapse_faults(netlist).faults[::PIN_STRIDE]
-        for guided in (False, True):
-            engine = Podem(netlist, backtrack_limit=300, guided=guided)
-            runs += [((name, guided, f.net, f.stuck_at), engine.generate(f))
-                     for f in faults]
+        engine = Podem(netlist, backtrack_limit=300)
+        runs += [((name, f.net, f.stuck_at), engine.generate(f))
+                 for f in faults]
+    assert len(runs) == 614
     statuses = {result.status for _, result in runs}
     assert statuses == {"detected", "untestable", "aborted"}
-    assert record_digest(runs) == "50819669eb6292eb"
+    assert record_digest(runs) == "b96ad8f72ff942c4"
 
 
 def test_podem_records_match_pin_on_unrolled_core():
@@ -261,9 +215,9 @@ def test_find_random_resistant_shrinks_with_patterns():
 def test_target_random_resistant_statuses():
     nl = make_multiplier(8, 18)
     resistant = find_random_resistant(nl, n_patterns=4096)
-    targeted = target_random_resistant(nl, resistant[:6],
-                                       backtrack_limit=2000)
-    for t in targeted:
-        assert t.result.status in ("detected", "untestable", "aborted")
-        if t.result.detected:
-            assert verify_pattern(nl, t.fault, t.result)
+    engine = Podem(nl, backtrack_limit=2000)
+    for fault in resistant[:6]:
+        result = engine.generate(fault)
+        assert result.status in ("detected", "untestable", "aborted")
+        if result.detected:
+            assert verify_pattern(nl, fault, result)

@@ -217,15 +217,14 @@ def test_sweep_fails_when_a_point_has_a_quarantined_unit(
 
 
 def test_chaos_fails_when_an_enabled_class_never_fires(tmp_path, capsys):
-    # The soak units never look anything up in the caches, so
-    # ``cache_poison`` has no injection point to fire at: a clean exit
-    # would be a false pass.
+    # A one-job soak never starts a pool worker, so ``kill_worker`` has
+    # no injection point to fire at: a clean exit would be a false pass.
     assert main(["chaos", "--seed", "1", "--campaigns", "2",
-                 "--units", "6", "--inject", "cache_poison",
+                 "--units", "6", "--jobs", "1", "--inject", "kill_worker",
                  "--scratch", str(tmp_path / "scratch")]) == 1
     captured = capsys.readouterr()
-    assert "never fired: cache_poison" in captured.out
-    assert "UNFIRED: chaos class cache_poison" in captured.err
+    assert "never fired: kill_worker" in captured.out
+    assert "UNFIRED: chaos class kill_worker" in captured.err
 
 
 def test_chaos_rejects_unknown_class(capsys):

@@ -184,6 +184,34 @@ def test_min_severity_filters_warnings():
     assert rules_fired(lint_netlist(nl, Severity.ERROR)) == set()
 
 
+@pytest.fixture(scope="module")
+def paper_full_reports():
+    """Every paper component netlist and the flat core, each with its
+    report from every netlist rule."""
+    from repro.dsp.components import COMPONENTS
+    from repro.dsp.gatelevel import make_gatelevel_core
+    netlists = [spec.netlist() for spec in COMPONENTS
+                if spec.factory is not None]
+    netlists.append(make_gatelevel_core())
+    return [(nl, lint_netlist(nl, Severity.INFO)) for nl in netlists]
+
+
+@pytest.mark.parametrize("severity", list(Severity),
+                         ids=[s.label for s in Severity])
+def test_min_severity_prefilter_equals_filtering_the_full_report(
+        paper_full_reports, severity):
+    """Running only the rules at ``severity`` or above keeps exactly the
+    findings of the full run at that severity, in the same order."""
+    from repro.lint.findings import REGISTRY
+    assert len(paper_full_reports) == 12
+    seen = {f.severity for _, full in paper_full_reports for f in full}
+    assert {Severity.WARNING, Severity.INFO} <= seen
+    for nl, full in paper_full_reports:
+        assert all(f.severity is REGISTRY[f.rule].severity for f in full)
+        expected = [f for f in full if f.severity >= severity]
+        assert lint_netlist(nl, severity).findings == expected, nl.name
+
+
 # ----------------------------------------------------------------------
 # NET008..NET011 — structural testability rules
 # ----------------------------------------------------------------------
@@ -325,14 +353,6 @@ def test_warn_on_netlist_silent_on_clean_netlist():
         warnings.simplefilter("error")
         report = warn_on_netlist(clean_netlist())
     assert report is not None and not report.findings
-
-
-def test_warn_on_netlist_disabled_by_env(monkeypatch):
-    _reset_screened_for_tests()
-    monkeypatch.setenv("REPRO_LINT", "0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert warn_on_netlist(broken_netlist()) is None
 
 
 def test_fault_universe_construction_is_screened():

@@ -134,6 +134,36 @@ def test_hierarchical_campaign_matches_direct_run():
     assert counts["quarantined"] == 0 and counts["ok"] == counts["total"]
 
 
+def test_clearing_caches_after_every_unit_leaves_the_report_unchanged():
+    """The shared caches are pure memos: a campaign that empties them
+    after every unit reports exactly what an uninterrupted twin does."""
+    from repro.runtime.cache import CACHE_KINDS, cache_stats, clear_caches
+    words = program_words(6)
+    twin = make_campaign(words, None).run()
+    misses = {}
+
+    def clear_after(result, done, total):
+        stats = cache_stats()
+        misses[result.unit_id] = {k: stats[f"{k}_misses"]
+                                  for k in CACHE_KINDS}
+        clear_caches()
+
+    cleared = make_campaign(words, None).run(progress=clear_after)
+
+    def rows(outcome):
+        return [(r.unit_id, r.status, r.value)
+                for r in outcome.report.results.values()]
+
+    assert rows(cleared) == rows(twin)
+    assert by_description(cleared.result) == by_description(twin.result)
+    assert list(misses) == [unit_id for unit_id, _, _ in rows(twin)]
+    # Not vacuous: every combinational unit re-derived its site's cone
+    # from empty caches, and some re-simulated a good-machine trace.
+    comb = [m for unit_id, m in misses.items() if unit_id.startswith("comb:")]
+    assert comb and all(m["cone"] for m in comb)
+    assert sum(1 for m in comb if m["trace"]) > 1
+
+
 # ----------------------------------------------------------------------
 # Metrics campaign
 # ----------------------------------------------------------------------

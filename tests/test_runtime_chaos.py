@@ -305,24 +305,6 @@ def test_hang_times_out_then_retry_succeeds(tmp_path):
     assert report.counts()["leaked"] >= 1       # the hung thread
 
 
-def test_cache_storm_is_invisible_in_results():
-    from repro.runtime import cache
-    cache.clear_caches()
-    chaos.install(ChaosMonkey(
-        ChaosConfig(seed=1, classes=("cache_storm",), probability=0.3,
-                    max_per_class=5),
-        horizon=1,
-    ))
-    with_storm = CampaignRunner().run(units(6))
-    chaos.uninstall()
-    calm = CampaignRunner().run(units(6))
-
-    def rows(r):
-        return [(u.unit_id, u.status, u.value) for u in r.results.values()]
-
-    assert rows(with_storm) == rows(calm)
-
-
 # ----------------------------------------------------------------------
 # The soak harness end to end
 # ----------------------------------------------------------------------
@@ -368,12 +350,12 @@ def test_soak_report_json_shape(tmp_path):
 
 
 def test_soak_not_ok_when_an_enabled_class_never_fires(tmp_path):
-    # Soak units never look anything up in the caches, so
-    # ``cache_poison`` has no injection point to fire at.
+    # A serial soak never starts a pool worker, so ``kill_worker`` has
+    # no injection point to fire at.
     report = run_soak(seed=5, campaigns=1, n_units=6,
-                      classes=("kill", "cache_poison"),
+                      classes=("kill", "kill_worker"), jobs=1,
                       scratch=str(tmp_path / "s"))
     assert report.n_violations == 0
-    assert report.unfired() == ["cache_poison"]
+    assert report.unfired() == ["kill_worker"]
     assert not report.ok()
-    assert "never fired: cache_poison" in report.summary()
+    assert "never fired: kill_worker" in report.summary()

@@ -1,4 +1,4 @@
-"""Tests for interval signatures and test planning."""
+"""Tests for interval signatures."""
 
 import pytest
 
@@ -7,12 +7,6 @@ from repro.bist.signatures import (
     aliasing_probability,
     diagnose_interval,
     interval_signatures,
-)
-from repro.selftest.testplan import (
-    TestPlan,
-    iterations_for_target,
-    paper_plan,
-    plan_for_target,
 )
 
 
@@ -70,44 +64,3 @@ def test_aliasing_probability():
     assert aliasing_probability(8, 2) == pytest.approx(2 ** -16)
     with pytest.raises(ValueError):
         aliasing_probability(0)
-
-
-# ----------------------------------------------------------------------
-# Test plans
-# ----------------------------------------------------------------------
-def test_paper_plan_numbers():
-    plan = paper_plan()
-    assert plan.n_vectors == 204000
-    assert plan.test_time_seconds == pytest.approx(0.408e-3)
-    assert "0.408 ms" in plan.describe()
-
-
-def test_plan_with_one_shots():
-    plan = TestPlan(program_length=30, n_iterations=10, n_one_shot=21)
-    assert plan.n_vectors == 321
-    assert "one-shot" in plan.describe()
-
-
-def test_iterations_for_target():
-    # 100 faults, detected linearly over 1000 vectors, program length 20.
-    first_detect = {f"f{i}": i * 10 for i in range(100)}
-    iterations = iterations_for_target(first_detect, 1000, 20, 0.5)
-    # 50% coverage needs ~500 vectors = 25 iterations.
-    assert 24 <= iterations <= 27
-    assert iterations_for_target(first_detect, 1000, 20, 1.0) is not None
-    none_reachable = {f"f{i}": None for i in range(10)}
-    assert iterations_for_target(none_reachable, 100, 5, 0.5) is None
-
-
-def test_iterations_for_target_validates():
-    with pytest.raises(ValueError):
-        iterations_for_target({}, 10, 5, 0.0)
-
-
-def test_plan_for_target_builds_plan():
-    first_detect = {f"f{i}": i for i in range(50)}
-    plan = plan_for_target(first_detect, 100, 10, 0.9, clock_hz=100e6)
-    assert plan is not None
-    assert plan.n_iterations >= 5
-    assert plan.clock_hz == 100e6
-    assert plan_for_target({"a": None}, 10, 5, 0.9) is None

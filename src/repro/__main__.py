@@ -266,7 +266,7 @@ def _cmd_trace(args) -> int:
         _export_trace(session, args)
         if outcome.report.timings:
             _print_timings(outcome.report.timings)
-        return 0
+        return _quarantine_status(outcome.report.counts()["quarantined"])
     finally:
         obs.disable()
 
@@ -285,7 +285,7 @@ def _cmd_profile(args) -> int:
         selftest = _build_selftest(args)
         words = expand_program(selftest.program, args.iterations)
         campaign = HierarchicalCampaign(words, jobs=args.jobs)
-        campaign.run()
+        outcome = campaign.run()
         rows = [
             (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
             for name, calls, seconds, mean_ms in session.profiler.rows()
@@ -300,7 +300,7 @@ def _cmd_profile(args) -> int:
             print("cache counters:")
             for name, value in cache_lines.items():
                 print(f"  {name:<24}{value}")
-        return 0
+        return _quarantine_status(outcome.report.counts()["quarantined"])
     finally:
         obs.disable()
 

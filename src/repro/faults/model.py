@@ -15,7 +15,7 @@ fault simulator takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
@@ -134,8 +134,16 @@ def collapse_faults(netlist: Netlist,
     restricted to gate inputs with fanout 1 (a fanout stem fault is not
     equivalent to any single branch fault).  Constant-generator outputs
     stuck at their own value are dropped as untestable-by-construction.
+
+    The union-find runs on integer keys ``2 * net + stuck_at``, which
+    sort as :class:`Fault` does; a ``Fault`` is built only for each
+    class representative.
     """
-    universe = list(faults) if faults is not None else full_fault_list(netlist)
+    if faults is None:
+        universe = [2 * net + p for net in _fault_sites(netlist)
+                    for p in (0, 1)]
+    else:
+        universe = [2 * f.net + f.stuck_at for f in faults]
     fanout_counts: Dict[int, int] = {}
     for gate in netlist.gates:
         for n in gate.inputs:
@@ -143,9 +151,9 @@ def collapse_faults(netlist: Netlist,
     for dff in netlist.dffs:
         fanout_counts[dff.d] = fanout_counts.get(dff.d, 0) + 1
 
-    parent: Dict[Fault, Fault] = {}
+    parent: Dict[int, int] = {}
 
-    def find(f: Fault) -> Fault:
+    def find(f: int) -> int:
         root = f
         while parent.get(root, root) != root:
             root = parent[root]
@@ -153,41 +161,39 @@ def collapse_faults(netlist: Netlist,
             parent[f], f = root, parent[f]
         return root
 
-    def union(a: Fault, b: Fault) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # Keep the fault closer to the outputs as representative: the
-            # gate output fault (b-side) wins.
-            parent[ra] = rb
-
-    in_universe: Set[Fault] = set(universe)
+    in_universe: Set[int] = set(universe)
     for gate in netlist.gates:
         pairs = _EQUIVALENCES.get(gate.kind)
         if not pairs:
             continue
         for in_pol, out_pol in pairs:
-            out_fault = Fault(gate.output, out_pol)
+            out_fault = 2 * gate.output + out_pol
             if out_fault not in in_universe:
                 continue
             for in_net in gate.inputs:
                 if fanout_counts.get(in_net, 0) != 1:
                     continue
-                in_fault = Fault(in_net, in_pol)
+                in_fault = 2 * in_net + in_pol
                 if in_fault in in_universe:
-                    union(in_fault, out_fault)
+                    ra, rb = find(in_fault), find(out_fault)
+                    if ra != rb:
+                        # Keep the fault closer to the outputs as
+                        # representative: the gate output fault wins.
+                        parent[ra] = rb
 
-    untestable: Set[Fault] = set()
+    untestable: Set[int] = set()
     for gate in netlist.gates:
         if gate.kind is GateType.CONST0:
-            untestable.add(Fault(gate.output, 0))
+            untestable.add(2 * gate.output)
         elif gate.kind is GateType.CONST1:
-            untestable.add(Fault(gate.output, 1))
+            untestable.add(2 * gate.output + 1)
 
-    class_sizes: Dict[Fault, int] = {}
+    sizes: Dict[int, int] = {}
     for f in universe:
         root = find(f)
         if root in untestable or f in untestable:
             continue
-        class_sizes[root] = class_sizes.get(root, 0) + 1
-    reps = sorted(class_sizes)
-    return FaultList(netlist=netlist, faults=reps, class_sizes=class_sizes)
+        sizes[root] = sizes.get(root, 0) + 1
+    reps = {key: Fault(key >> 1, key & 1) for key in sorted(sizes)}
+    return FaultList(netlist=netlist, faults=list(reps.values()),
+                     class_sizes={reps[key]: n for key, n in sizes.items()})

@@ -10,18 +10,23 @@ assignments — typically 5–10× faster — with results bit-identical to
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+)
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Gate, Netlist
 
 #: Most statements one generated function may hold.  ``exec`` keeps a
 #: whole source's syntax tree and compiler state alive at once, so one
-#: function per netlist makes compile memory grow with the netlist:
-#: compiling the flat core's evaluator and forcing kernel unsplit peaks
-#: a grading process at ~56 MB, against ~34 MB in chunks of this size.
-#: Every component netlist (the largest, the shifter, has 565 gates)
-#: still compiles its two-valued evaluator to a single function.
+#: function per netlist makes compile memory grow with the netlist.
+#: Grading the flat core's full universe, which forces 3,615 of its
+#: 3,686 nets, peaks a process that also compiles the core's evaluator
+#: at ~55 MB unsplit, against ~34 MB in chunks of this size; a kernel
+#: for a 1-in-4 fault sample (1,185 forced nets) peaks at ~45 MB
+#: against ~31 MB.  Every component netlist (the largest, the shifter,
+#: has 565 gates) still compiles its two-valued evaluator to a single
+#: function.
 MAX_STATEMENTS = 1000
 
 
@@ -114,12 +119,16 @@ class CompiledForcingKernel:
     """One clock cycle of a sequential netlist with per-lane forcing.
 
     Values pack one independent machine per bit (a *lane*), as in
-    :class:`~repro.logic.sequential.SequentialSimulator`.  Every fault
-    site — primary input, gate output and DFF Q — is pinned as
-    ``(x & A[n]) | O[n]`` from the per-net mask lists ``A`` and ``O``, so
-    one compiled kernel serves any set of stuck-at faults: a stuck-at-0
-    lane clears its bit of ``A[net]``, a stuck-at-1 lane sets its bit of
-    ``O[net]``, and an unforced net has ``A[n] = m`` and ``O[n] = 0``.
+    :class:`~repro.logic.sequential.SequentialSimulator`.  ``sites`` maps
+    each net the kernel forces to the stuck-at polarities it carries
+    there: a stuck-at-0 site is pinned as ``x & A[n]`` and a stuck-at-1
+    site as ``x | O[n]``, from the per-net mask lists ``A`` and ``O``; a
+    stuck-at-0 lane clears its bit of ``A[net]``, a stuck-at-1 lane sets
+    its bit of ``O[net]``, and a lane forced nowhere on a site keeps
+    ``A[n] = m`` and ``O[n] = 0`` there.  Every other net compiles to its
+    plain gate expression and reads no mask.  ``sites=None`` forces every
+    fault site — primary input, gate output and DFF Q — in both
+    polarities, so that one kernel serves any set of stuck-at faults.
     DFF Qs are pinned at the start of every cycle, so a stuck state bit
     stays stuck across clock edges.
 
@@ -128,14 +137,34 @@ class CompiledForcingKernel:
     m)``, reads any net, then calls ``latch(v)`` to clock every DFF.
     """
 
-    def __init__(self, netlist: Netlist):
+    def __init__(self, netlist: Netlist,
+                 sites: Optional[Mapping[int, Iterable[int]]] = None):
         self.netlist = netlist
         sources = list(netlist.inputs) + [dff.q for dff in netlist.dffs]
-        statements = [f"v[{n}] = v[{n}] & A[{n}] | O[{n}]" for n in sources]
-        for gate in netlist.levelize():
+        gates = netlist.levelize()
+        if sites is None:
+            both = (0, 1)
+            sites = {n: both for n in sources + [g.output for g in gates]}
+        #: net -> the stuck-at polarities this kernel can force there.
+        self.sites: Dict[int, FrozenSet[int]] = {
+            n: frozenset(polarities) for n, polarities in sites.items()}
+
+        def force(n: int) -> str:
+            polarities = self.sites.get(n, ())
+            return ((f" & A[{n}]" if 0 in polarities else "")
+                    + (f" | O[{n}]" if 1 in polarities else ""))
+
+        statements = []
+        for n in sources:
+            pin = force(n)
+            if pin:
+                statements.append(f"v[{n}] = v[{n}]{pin}")
+        for gate in gates:
             expr = _gate_expression(gate.kind, [f"v[{i}]" for i in gate.inputs])
             out = gate.output
-            statements.append(f"v[{out}] = ({expr}) & A[{out}] | O[{out}]")
+            pin = force(out)
+            statements.append(f"v[{out}] = ({expr}){pin}" if pin
+                              else f"v[{out}] = {expr}")
         self.step = compile_statements("v, A, O, m", statements)
         # One tuple assignment: every D is read before any Q is written.
         latch = []
@@ -144,6 +173,13 @@ class CompiledForcingKernel:
             ds = "".join(f"v[{dff.d}], " for dff in netlist.dffs)
             latch.append(f"{qs}= {ds}")
         self.latch = compile_statements("v", latch)
+
+    def covers(self, sites: Mapping[int, Iterable[int]]) -> bool:
+        """Whether this kernel forces every polarity of every net in
+        ``sites``."""
+        none: FrozenSet[int] = frozenset()
+        return all(self.sites.get(n, none).issuperset(polarities)
+                   for n, polarities in sites.items())
 
     def reset(self, width_mask: int) -> List[int]:
         """A fresh value list with every DFF at its ``init`` value."""

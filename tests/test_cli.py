@@ -161,6 +161,30 @@ def test_grade_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
     assert "FAILED: 1 unit(s) quarantined" in captured.err
 
 
+def test_trace_grade_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
+                                                      capsys):
+    """A traced grading campaign exits 1 on a quarantined unit, as
+    ``grade`` does; the trace is still written."""
+    quarantine_first_grading_unit(monkeypatch)
+    trace = tmp_path / "t.jsonl"
+    assert main(["trace", "grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "1 quarantined" in captured.out
+    assert "FAILED: 1 unit(s) quarantined" in captured.err
+    assert trace.stat().st_size > 0
+
+
+def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
+    """The profile table still prints, and the exit is 1."""
+    quarantine_first_grading_unit(monkeypatch)
+    assert main(["profile", "--samples", "4", "--good", "1",
+                 "--iterations", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "section" in captured.out
+    assert "FAILED: 1 unit(s) quarantined" in captured.err
+
+
 def test_grade_force_overrides_fingerprint_mismatch(tmp_path, capsys):
     checkpoint = tmp_path / "grade.jsonl"
     base = ["grade", "--samples", "30", "--good", "2",

@@ -9,16 +9,19 @@ coverage per datapath region (the flat core's gates carry region
 provenance labels).
 
 The flat grade of that stream is also pinned fault by fault, by a
-digest of its per-fault first-detect map.
+digest of its per-fault first-detect map, and so is a grade of a
+1,000-cycle stream long enough for the grader to repack its lanes.
 
 The second half is a seeded differential sweep over structurally random
 netlists (:mod:`repro.logic.random_nets`): the interpreted simulator,
 the compiled evaluator, the sequential engine and the compiled forcing
-kernel must agree bit-for-bit, pattern-parallel, across hundreds of
-seeds, and the one-pass fault-parallel grader must reproduce a serial
-one-fault-at-a-time reference exactly.  Any disagreeing netlist is
-dumped to ``tests/artifacts/`` as a JSON repro artifact (re-loadable via
-``repro.lint.artifacts.netlist_from_doc``) before the assertion fires.
+kernel (forcing every site, or only some) must agree bit-for-bit,
+pattern-parallel, across hundreds of seeds, and the one-pass
+fault-parallel grader must reproduce a serial one-fault-at-a-time
+reference exactly, on streams short and long enough to repack.  Any
+disagreeing netlist is dumped to ``tests/artifacts/`` as a JSON repro
+artifact (re-loadable via ``repro.lint.artifacts.netlist_from_doc``)
+before the assertion fires.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.bist.template import RandomLoad, TemplateArchitecture
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.dsp.isa import Instruction, Opcode
@@ -36,7 +40,9 @@ from repro.faults.hierarchical import HierarchicalFaultSimulator
 from repro.faults.model import full_fault_list
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.lint.artifacts import netlist_from_doc
+from repro.logic.builder import NetlistBuilder
 from repro.logic.compiled import CompiledEvaluator, CompiledForcingKernel
+from repro.logic.gates import GateType
 from repro.logic.random_nets import netlist_to_doc, random_netlist
 from repro.logic.sequential import SequentialSimulator
 from repro.logic.simulator import CombSimulator
@@ -51,7 +57,7 @@ COMPARED = (
 TOLERANCE = 0.12
 
 
-def stream():
+def stream(iterations=8):
     program = [
         RandomLoad(0), RandomLoad(1),
         Instruction(Opcode.MPYA, rega=0, regb=1, dest=2),
@@ -63,7 +69,7 @@ def stream():
         Instruction(Opcode.OUTA),
         Instruction(Opcode.OUTB),
     ]
-    return TemplateArchitecture(program).expand(8)
+    return TemplateArchitecture(program).expand(iterations)
 
 
 #: Full-universe flat grade of :func:`stream`: cycles, faults, detected
@@ -71,6 +77,9 @@ def stream():
 #: None)`` rows.  Recorded with the earlier grader, which simulated 63
 #: fault machines per pass through the interpreted simulator.
 FLAT_GOLDEN = (80, 4737, 1987, "9fdbbf8f1f50ec9e")
+#: The same for ``stream(100)``, 1,000 cycles.  Recorded with the dense
+#: grader, which stepped every lane and forced every site to the end.
+FLAT_LONG_GOLDEN = (1000, 4737, 3084, "9cbafec91563f52c")
 
 
 def detect_map_digest(first_detect_cycle):
@@ -105,6 +114,36 @@ def test_flat_grade_matches_golden_fault_by_fault(flat_run):
     got = (result.n_cycles, len(result.first_detect_cycle),
            len(result.detected), detect_map_digest(result.first_detect_cycle))
     assert got == FLAT_GOLDEN
+
+
+def test_long_flat_grade_repacks_and_matches_golden():
+    """Half the lanes are detected well before the end of 1,000 cycles,
+    so the grader repacks; the map is still the dense grader's."""
+    flat = make_gatelevel_core()
+    with obs.enabled_session(trace=False) as session:
+        result = SeqFaultSimulator(flat).run_sequence({"instr": stream(100)})
+    got = (result.n_cycles, len(result.first_detect_cycle),
+           len(result.detected), detect_map_digest(result.first_detect_cycle))
+    assert got == FLAT_LONG_GOLDEN
+    assert session.registry.counters["sim.seq.repacks"].value >= 1
+
+
+def test_96_cycle_flat_grade_never_repacks(flat_run):
+    """96 cycles (``perfbench``'s ``flat_exact`` length) leave too few
+    cycles after the first window to pay back a compile, so no repack
+    fires even with most lanes detected by then."""
+    flat, golden = flat_run
+    early = {f: c for f, c in golden.first_detect_cycle.items()
+             if c is not None and c < 64}
+    never = [f for f, c in golden.first_detect_cycle.items() if c is None]
+    faults = list(early) + never[:len(early) // 2]
+    with obs.enabled_session(trace=False) as session:
+        result = SeqFaultSimulator(flat).run_sequence(
+            {"instr": stream(10)[:96]}, faults=faults)
+    assert 2 * len(early) >= len(faults)  # the live-lane rule alone holds
+    assert "sim.seq.repacks" not in session.registry.counters
+    assert session.registry.counters["sim.seq.cycles"].value == 96
+    assert {f: result.first_detect_cycle[f] for f in early} == early
 
 
 def test_per_component_coverage_agreement(both_runs):
@@ -230,6 +269,42 @@ def test_sequential_engine_vs_reference_stepping(seed):
         == {dff.q: kernel_values[dff.q] for dff in netlist.dffs}
 
 
+@pytest.mark.parametrize("seed", range(0, N_SEQ_CASES, 3))
+def test_site_kernel_vs_every_site_kernel(seed):
+    """A kernel that forces only some sites steps exactly as the kernel
+    that forces every site, under masks that force lanes only there."""
+    netlist = _seq_netlist(seed)
+    rng = random.Random(("sites", seed).__repr__())
+    faults = rng.sample(full_fault_list(netlist), 12)
+    sites = defaultdict(set)
+    for fault in faults:
+        sites[fault.net].add(fault.stuck_at)
+    mask = (1 << (len(faults) + 1)) - 1
+    keep = [mask] * netlist.n_nets
+    set_ = [0] * netlist.n_nets
+    for k, fault in enumerate(faults):
+        if fault.stuck_at:
+            set_[fault.net] |= 2 << k
+        else:
+            keep[fault.net] &= ~(2 << k)
+    dense = CompiledForcingKernel(netlist)
+    narrow = CompiledForcingKernel(netlist, sites)
+    assert narrow.covers(sites) and dense.covers(narrow.sites)
+    other = next(f for f in full_fault_list(netlist) if f not in faults)
+    assert not narrow.covers({other.net: {other.stuck_at}})
+    want, got = dense.reset(mask), narrow.reset(mask)
+    for cycle in range(6):
+        inputs = _stimulus(netlist, (seed, cycle), len(faults) + 1)
+        for values in (want, got):
+            for net, value in inputs.items():
+                values[net] = value
+        dense.step(want, keep, set_, mask)
+        narrow.step(got, keep, set_, mask)
+        assert got == want, cycle
+        dense.latch(want)
+        narrow.latch(got)
+
+
 def _serial_first_detect(netlist, words, faults):
     """Reference grader: each fault alone, stepped with ``forced`` on the
     sequential engine, compared against the good machine's outputs."""
@@ -251,16 +326,28 @@ def _serial_first_detect(netlist, words, faults):
     }
 
 
-@pytest.mark.parametrize("seed", range(N_SEQ_CASES))
-def test_one_pass_grader_vs_serial_reference(seed):
+#: Random netlists whose 320-word stream detects half their faults by a
+#: window boundary with at least ``REPACK_MIN_CYCLES`` to go.
+REPACK_SEQ_CASES = (0, 3, 5)
+
+
+@pytest.mark.parametrize("seed, n_words", [
+    *[pytest.param(seed, 12, id=str(seed)) for seed in range(N_SEQ_CASES)],
+    *[pytest.param(seed, 320, id=f"long{seed}") for seed in REPACK_SEQ_CASES],
+])
+def test_one_pass_grader_vs_serial_reference(seed, n_words):
     """Every fault in one lane set gives the same first-detect map as
-    grading each fault on its own."""
+    grading each fault on its own; the long streams repack on the way."""
     netlist = _seq_netlist(seed)
-    rng = random.Random(("grade", seed).__repr__())
-    words = [rng.randrange(1 << len(netlist.inputs)) for _ in range(12)]
+    name = "grade" if n_words == 12 else "grade-long"
+    rng = random.Random((name, seed).__repr__())
+    words = [rng.randrange(1 << len(netlist.inputs)) for _ in range(n_words)]
     faults = full_fault_list(netlist)
-    got = SeqFaultSimulator(netlist).run_sequence(
-        {"in": words}, faults=faults).first_detect_cycle
+    with obs.enabled_session(trace=False) as session:
+        got = SeqFaultSimulator(netlist).run_sequence(
+            {"in": words}, faults=faults).first_detect_cycle
+    repacks = session.registry.counters.get("sim.seq.repacks")
+    assert (repacks is not None) == (n_words > 12)
     want = _serial_first_detect(netlist, words, faults)
     if got != want:
         bad = [f"{f.describe(netlist)}: {got[f]} vs {want[f]}"
@@ -269,6 +356,36 @@ def test_one_pass_grader_vs_serial_reference(seed):
                              mismatched_faults=bad)
         pytest.fail(f"seed {seed}: {len(bad)} fault(s) disagree "
                     f"(first: {bad[:5]}); repro dumped to {path}")
+
+
+def _counter(bits, observed):
+    """A ``bits``-bit counter that counts while ``in`` is 1 and shows only
+    the ``observed`` bits: a fault below them corrupts the count long
+    before an output shows it."""
+    b = NetlistBuilder(f"counter{bits}")
+    (carry,) = b.input_bus("in", 1)
+    d = [b.net(f"d{i}") for i in range(bits)]
+    q = [b.dff(d[i], name=f"q[{i}]") for i in range(bits)]
+    for i in range(bits):
+        b.netlist.add_gate(GateType.XOR, d[i], (q[i], carry))
+        carry = b.and_(q[i], carry)
+    for i in observed:
+        b.netlist.add_output(q[i])
+    return b.finish()
+
+
+def test_repeated_repacks_vs_serial_reference():
+    """Two repacks, each carrying survivors whose flip-flops already
+    hold a corrupted count, still give the serial reference's map."""
+    netlist = _counter(8, observed=(5, 7))
+    rng = random.Random("counter")
+    words = [int(rng.random() < 0.75) for _ in range(600)]
+    faults = full_fault_list(netlist)
+    with obs.enabled_session(trace=False) as session:
+        got = SeqFaultSimulator(netlist).run_sequence(
+            {"in": words}, faults=faults).first_detect_cycle
+    assert session.registry.counters["sim.seq.repacks"].value == 2
+    assert got == _serial_first_detect(netlist, words, faults)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])

@@ -1,5 +1,10 @@
 """Tests for the stuck-at fault universe and equivalence collapsing."""
 
+import hashlib
+import json
+
+from repro.dsp.components import COMPONENTS
+from repro.dsp.gatelevel import make_gatelevel_core
 from repro.faults.model import Fault, collapse_faults, full_fault_list
 from repro.logic.builder import NetlistBuilder
 from repro.rtl.arith import make_addsub
@@ -92,3 +97,29 @@ def test_collapsed_is_subset_of_full():
     collapsed = collapse_faults(nl)
     assert set(collapsed.faults) <= full
     assert collapsed.n_collapsed < len(full)
+
+
+#: Netlists and digest of every paper component's and the flat core's
+#: collapsed universe: each representative in list order, with its class
+#: size.  Recorded with the collapse that ran its union-find over
+#: ``Fault`` objects rather than integer keys.
+COLLAPSE_PIN = (12, "04335bbb0a778423")
+
+
+def test_collapse_matches_pin_on_paper_netlists():
+    netlists = [spec.netlist() for spec in COMPONENTS
+                if spec.factory is not None]
+    netlists.append(make_gatelevel_core())
+    doc = []
+    for nl in netlists:
+        collapsed = collapse_faults(nl)
+        assert set(collapsed.class_sizes) == set(collapsed.faults), nl.name
+        doc.append([nl.name, [[f.net, f.stuck_at, collapsed.class_sizes[f]]
+                              for f in collapsed.faults]])
+    text = json.dumps(doc, separators=(",", ":"))
+    assert (len(netlists), hashlib.sha256(text.encode()).hexdigest()[:16]) \
+        == COLLAPSE_PIN
+    # An explicit uncollapsed universe collapses to the same list.
+    explicit = collapse_faults(nl, full_fault_list(nl))
+    assert explicit.faults == collapsed.faults
+    assert explicit.class_sizes == collapsed.class_sizes

@@ -151,13 +151,13 @@ def test_observability_records_sections_and_counters():
     nl = accumulator4()
     stimulus = {"in": [1, 2, 3, 4, 5, 6, 7, 8]}
     obs.disable()
-    off = SeqFaultSimulator(nl).run_sequence(stimulus,
-                                             stop_when_all_detected=False)
+    off = SeqFaultSimulator(nl).run_sequence(stimulus)
     assert obs.profile_timings() == {}
     with obs.enabled_session(trace=False) as session:
         sim = SeqFaultSimulator(nl)
-        on = sim.run_sequence(stimulus, stop_when_all_detected=False)
-        assert on.undetected  # so the second call grades, for all 8 cycles
+        on = sim.run_sequence(stimulus)
+        # Some fault survives, so both calls step all 8 cycles.
+        assert on.undetected
         sim.run_sequence(stimulus, faults=on.undetected)
     assert on.first_detect_cycle == off.first_detect_cycle
     timings = session.profiler.timings()
@@ -168,3 +168,37 @@ def test_observability_records_sections_and_counters():
     assert counters["sim.seq.faults_graded"].value \
         == n_faults + len(on.undetected)
     assert counters["sim.seq.cycles"].value == 2 * len(stimulus["in"])
+
+
+def test_observability_identical_across_a_repack():
+    """A stream long enough to repack gives the same map with obs armed
+    and disarmed; armed, each repack is one ``sim.seq.repack`` section."""
+    nl = accumulator4()
+    rng = random.Random(9)
+    stimulus = {"in": [rng.randrange(16) for _ in range(320)]}
+    obs.disable()
+    off = SeqFaultSimulator(nl).run_sequence(stimulus)
+    with obs.enabled_session(trace=False) as session:
+        on = SeqFaultSimulator(nl).run_sequence(stimulus)
+    assert on.first_detect_cycle == off.first_detect_cycle
+    repacks = session.registry.counters["sim.seq.repacks"].value
+    assert repacks >= 1
+    assert session.profiler.timings()["sim.seq.repack"]["calls"] == repacks
+
+
+def test_kernel_recompiles_only_for_uncovered_targets():
+    """A call whose targets sit on the instance kernel's sites reuses it;
+    a target off those sites compiles a kernel for the new call."""
+    nl = accumulator4()
+    faults = SeqFaultSimulator(nl).fault_list.faults
+    half = faults[:len(faults) // 2]
+    stimulus = {"in": [1, 2, 3, 4]}
+    with obs.enabled_session(trace=False) as session:
+        sim = SeqFaultSimulator(nl)
+        sim.run_sequence(stimulus, faults=half)
+        sim.run_sequence(stimulus, faults=half[1:])
+        assert session.profiler.timings()["sim.seq.compile"]["calls"] == 1
+        result = sim.run_sequence(stimulus, faults=faults)
+        assert session.profiler.timings()["sim.seq.compile"]["calls"] == 2
+    fresh = SeqFaultSimulator(nl).run_sequence(stimulus, faults=faults)
+    assert result.first_detect_cycle == fresh.first_detect_cycle

@@ -34,7 +34,7 @@ everything else silently no-ops outside the installing process, so the
 parent's failure schedule stays deterministic.  Firings are counted in
 memory the monkey shares with every process forked after it was made, so
 the parent reports a worker's firings and ``max_per_class`` bounds them
-across respawned workers.
+across every worker of every pool the campaign forks.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class ChaosMonkey:
         #: Firings per class so far, one slot per ``config.classes``
         #: entry.  A worker class fires in a pool worker, whose memory
         #: dies with it, so the counts live in memory made before any
-        #: fork: the parent, every worker and every respawned worker read
-        #: and bound one count.
+        #: fork: the parent and every worker of every pool read and
+        #: bound one count.
         self.fired = multiprocessing.Array("i", len(config.classes))
         self._slot = {name: slot for slot, name in enumerate(config.classes)}
         #: Guards the monkey in every process.  Being the counts' own
@@ -335,7 +335,7 @@ def active() -> Optional[ChaosMonkey]:
 @contextmanager
 def quiesced() -> Iterator[None]:
     """Hold the active monkey's lock, so no other process is inside it:
-    a pool terminated meanwhile cannot kill a worker that holds it."""
+    a worker killed meanwhile cannot die holding it."""
     monkey = _ACTIVE
     if monkey is None:
         yield
@@ -500,7 +500,7 @@ def run_one_chaos_campaign(
         return CampaignRunner(
             checkpoint=checkpoint, unit_timeout=unit_timeout,
             max_retries=3, backoff_base=0.001, backoff_max=0.01,
-            jobs=jobs, pool_stall_timeout=10.0,
+            jobs=jobs,
         )
 
     golden = CampaignRunner(unit_timeout=None).run(

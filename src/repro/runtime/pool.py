@@ -4,8 +4,8 @@ Campaign work units are closures over live simulator state, which rules
 out pickling them through a task queue.  The backend instead relies on
 ``fork`` start-method semantics: the pending units (and any state the
 campaign warmed up — recorded traces, compiled evaluators, PODEM
-setups) are published in a module-level context *before* the pool is
-created, every forked worker inherits them copy-on-write, and the only
+setups) are published in a module-level context *before* the workers
+are forked, every worker inherits them copy-on-write, and the only
 things that cross process boundaries are unit **indices** (parent →
 worker) and JSON-serialisable result **envelopes** (worker → parent).
 An envelope carries the unit's checkpoint record plus two bookkeeping
@@ -14,6 +14,20 @@ payloads: the worker's cache hit/miss counter delta for the unit
 ``cache_stats()`` aggregates truthfully under ``jobs > 1``) and, when
 an observability session is armed (:mod:`repro.obs`), the worker's
 drained span buffer, metric snapshot and profiler timings.
+
+Each worker has a pipe of its own, so the pool shares no queue or lock
+between workers, and a worker's death blocks no other.  The parent
+hands an idle worker one unit index at a time and waits on every busy
+worker's pipe at once.  A worker that dies (a hard crash, a SIGKILL)
+shows as EOF, or as a failed send, on its own pipe.  It is not
+replaced: the other workers carry on, and the one unit it held is left
+out of the results for the runner's serial finish.  Each worker grades
+its units with the same retry/backoff/timeout/quarantine state machine
+as the serial runner (``CampaignRunner._run_unit``).  A unit that times
+out in a worker leaks a daemon thread *in that worker*; the thread dies
+with the worker at shutdown, which is exactly the isolation the
+in-process backend cannot provide.  Shutdown kills and reaps every
+worker, which cannot hang.
 
 Durability matches the serial backend's kill-anytime contract:
 
@@ -31,27 +45,18 @@ Durability matches the serial backend's kill-anytime contract:
   pool or the serial finish, or after a merge), and a fresh
   (non-resumed) campaign deletes any it finds before it starts.
 
-Work is dispatched in work-stealing chunks (``imap_unordered`` with a
-chunk size that keeps every worker busy) and each worker grades its
-units with the same retry/backoff/timeout/quarantine state machine as
-the serial runner (``CampaignRunner._run_unit``).  A unit that times
-out in a worker leaks a daemon thread *in that worker* — the thread
-dies with the worker process at pool shutdown, which is exactly the
-isolation the in-process backend cannot provide.
-
-If the pool cannot be used at all (no ``fork`` support) or dies
-mid-campaign (a worker hard-crashes), :func:`run_pooled` returns the
-results it has; the runner finishes the remainder serially.  A unit
-enters those results only once the parent has appended its record to
-the canonical checkpoint; a failed append propagates out of the run.
+If no worker can be forked (no ``fork`` support, or the fork itself
+fails), :func:`run_pooled` returns no results and the runner runs every
+unit serially.  A unit enters the results only once the parent has
+appended its record to the canonical checkpoint; a failed append
+propagates out of the run.
 """
 
 from __future__ import annotations
 
 import glob
 import os
-import time
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.runtime import cache, chaos
@@ -59,10 +64,8 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError, ConfigError
 
 #: Module-level context published by the parent immediately before the
-#: pool forks; inherited copy-on-write by every worker.
+#: workers fork; inherited copy-on-write by every worker.
 _POOL_CONTEXT: Optional[Dict[str, Any]] = None
-#: Per-worker state built by the pool initializer (after the fork).
-_WORKER_STATE: Optional[Dict[str, Any]] = None
 
 
 # ----------------------------------------------------------------------
@@ -156,38 +159,49 @@ def remove_shards(checkpoint_path: str) -> None:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_init() -> None:
+def _worker_main(conn, inherited: List[Any]) -> None:
+    """A worker's life: grade each unit index the parent sends and send
+    back its envelope, until the parent kills it.
+
+    ``inherited`` holds the parent's ends of the pipes this worker was
+    forked with (its own and those of earlier workers); closing them
+    leaves the parent the only holder, so a worker whose parent died
+    first sees EOF and exits.
+    """
+    for other in inherited:
+        other.close()
+    runner, shard = _worker_init()
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        conn.send(_worker_run(runner, shard, index))
+
+
+def _worker_init():
     """Build this worker's runner and open its checkpoint shard.
 
     Runs after the fork, so ``_POOL_CONTEXT`` (units, runner settings,
     warmed-up campaign state reachable from the unit closures) is
-    already in this process's memory.
+    already in this process's memory.  Returns ``(runner, shard)``;
+    the shard is ``None`` when the campaign has no checkpoint.
     """
-    global _WORKER_STATE
     from repro.runtime.runner import CampaignRunner
 
     context = _POOL_CONTEXT
     assert context is not None, "worker forked without a pool context"
-    config = context["config"]
     shard = None
     if context["checkpoint"]:
         shard = CheckpointStore(
             shard_path_for(context["checkpoint"], os.getpid())
         )
-        shard.create(context["fingerprint"])
-    _WORKER_STATE = {
-        "runner": CampaignRunner(
-            unit_timeout=config["unit_timeout"],
-            max_retries=config["max_retries"],
-            backoff_base=config["backoff_base"],
-            backoff_factor=config["backoff_factor"],
-            backoff_max=config["backoff_max"],
-        ),
-        "shard": shard,
-    }
+        shard.create(None)
+    runner = CampaignRunner(**context["config"])
     # Observability state was inherited copy-on-write from the parent;
     # drop it so this worker's payloads only ever carry its own work.
     obs.reset_after_fork()
+    return runner, shard
 
 
 def _counter_delta(before: Dict[str, int],
@@ -197,7 +211,8 @@ def _counter_delta(before: Dict[str, int],
             for key in after if after[key] != before.get(key, 0)}
 
 
-def _worker_run(index: int) -> Dict[str, Any]:
+def _worker_run(runner, shard: Optional[CheckpointStore],
+                index: int) -> Dict[str, Any]:
     """Grade one pending unit (by index) and return its result envelope.
 
     The envelope is ``{"record", "cache", "obs"}``: the checkpoint
@@ -207,17 +222,16 @@ def _worker_run(index: int) -> Dict[str, Any]:
     unit, and the drained observability payload (``None`` unless a
     session is armed).
     """
-    state = _WORKER_STATE
     unit = _POOL_CONTEXT["units"][index]
     # Chaos "kill_worker": a real SIGKILL of this worker process,
-    # mid-unit — the parent's stall detection must notice the death,
-    # salvage what completed, and finish the remainder serially.
+    # mid-unit — the parent must see the EOF on this worker's pipe and
+    # finish the unit serially.
     chaos.inject("pool.worker.unit", unit_id=unit.unit_id)
     cache_before = cache.counter_snapshot()
-    result = state["runner"]._run_unit(unit)
+    result = runner._run_unit(unit)
     record = result.record()
-    if state["shard"] is not None:
-        state["shard"].append(record)
+    if shard is not None:
+        shard.append(record)
     return {
         "record": record,
         "cache": _counter_delta(cache_before, cache.counter_snapshot()),
@@ -234,14 +248,17 @@ def run_pooled(
     progress: Optional[Callable[[Any, int, int], None]] = None,
     total: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Execute ``pending`` units on a forked pool of ``runner.jobs`` workers.
+    """Execute ``pending`` units on ``min(runner.jobs, len(pending))``
+    forked workers.
 
     Returns ``{unit_id: UnitResult}`` for every unit that completed;
-    the caller treats missing units as "finish serially".  Completed
-    records are appended to the runner's canonical checkpoint as they
-    arrive.  Worker shards stay in place: the caller deletes them once
-    every pending unit is in the canonical checkpoint, and a parent that
-    dies or fails an append first leaves them for :func:`merge_shards`.
+    the caller finishes the missing ones serially (the unit a dead
+    worker held, or every unit when no worker could be forked).
+    Completed records are appended to the runner's canonical checkpoint
+    as they arrive.  Worker shards stay in place: the caller deletes
+    them once every pending unit is in the canonical checkpoint, and a
+    parent that dies or fails an append first leaves them for
+    :func:`merge_shards`.
     """
     global _POOL_CONTEXT
     from repro.runtime.runner import UnitResult
@@ -249,13 +266,12 @@ def run_pooled(
     if not fork_available():
         return {}
     import multiprocessing
+    from multiprocessing.connection import wait
 
     checkpoint = runner.store.path if runner.store is not None else None
-    fingerprint: Optional[Dict[str, Any]] = None
     _POOL_CONTEXT = {
         "units": pending,
         "checkpoint": checkpoint,
-        "fingerprint": fingerprint,
         "config": {
             "unit_timeout": runner.unit_timeout,
             "max_retries": runner.max_retries,
@@ -264,18 +280,37 @@ def run_pooled(
             "backoff_max": runner.backoff_max,
         },
     }
-    jobs = min(runner.jobs, len(pending))
     results: Dict[str, Any] = {}
     total = total if total is not None else len(pending)
     context = multiprocessing.get_context("fork")
+    workers: Dict[Any, Any] = {}    # parent's pipe end -> its worker
     try:
-        try:
-            pool = context.Pool(jobs, initializer=_worker_init)
-        except Exception:
-            return results          # no usable pool: all units run serially
-        try:
-            for envelope in _envelopes(pool, len(pending),
-                                       _stall_budget(runner)):
+        for _ in range(min(runner.jobs, len(pending))):
+            conn, child_conn = context.Pipe()
+            process = context.Process(target=_worker_main,
+                                      args=(child_conn, [conn, *workers]),
+                                      daemon=True)
+            try:
+                process.start()
+            except OSError:
+                conn.close()
+                break               # cannot fork: use the workers there are
+            finally:
+                # Only the worker may hold its end: the parent's EOF on
+                # ``conn`` then means the worker is gone.
+                child_conn.close()
+            workers[conn] = process
+        units = iter(range(len(pending)))
+        busy = {conn for conn in workers if _hand_out(conn, units)}
+        while busy:
+            for conn in wait(list(busy)):
+                try:
+                    envelope = conn.recv()
+                except (EOFError, OSError):
+                    busy.discard(conn)  # dead mid-unit: its unit runs serially
+                    continue
+                if not _hand_out(conn, units):
+                    busy.discard(conn)
                 record = envelope["record"]
                 cache.merge_counts(envelope.get("cache") or {})
                 obs.merge_worker_payload(envelope.get("obs"))
@@ -288,91 +323,30 @@ def run_pooled(
                 results[result.unit_id] = result
                 if progress is not None:
                     progress(result, len(results), total)
-            if len(results) == len(pending):
-                # A clean shutdown.  A failed pool is only terminated:
-                # joining it could wait forever on the task a killed
-                # worker took with it.
-                pool.close()
-                pool.join()
-        finally:
-            # A worker killed inside the chaos monkey's lock would hold
-            # it for good, stalling the parent and every later worker.
-            with chaos.quiesced():
-                pool.terminate()
     finally:
+        # Workers may still be mid-unit (a failed append, a ChaosKill).
+        # One killed inside the chaos monkey's lock would hold it for
+        # good, stalling the parent and every later worker.
+        with chaos.quiesced():
+            for process in workers.values():
+                process.kill()
+            for process in workers.values():
+                process.join()
+        for conn in workers:
+            conn.close()
         _POOL_CONTEXT = None
     return results
 
 
-def _envelopes(pool, n_units: int, stall_budget: float):
-    """Yield the workers' result envelopes as they arrive.
-
-    Ends early, without raising, when the pool fails: a worker
-    hard-crashed, the pool machinery broke, or a worker died and no
-    result arrived within ``stall_budget`` seconds.  The runner then
-    finishes the remaining units serially.
-    """
-    import multiprocessing
-
-    # chunksize must stay 1: with a larger chunk the pool returns a
-    # flattening *generator* instead of the IMapUnorderedIterator whose
-    # ``next(timeout)`` the dead-worker poll below needs.  (It is also
-    # the finest work-stealing granularity — a slow unit cannot
-    # straggle a whole chunk.)
-    stream = pool.imap_unordered(_worker_run, range(n_units), chunksize=1)
-    workers = _live_worker_pids(pool)
-    worker_died = False
-    received = 0
-    last_progress = time.monotonic()
-    while received < n_units:
-        # `multiprocessing.Pool` silently respawns a SIGKILLed worker but
-        # never redelivers the task it was holding — a plain `for
-        # envelope in stream` would block forever.  Poll with a timeout
-        # and give up once a worker has died and no result has arrived
-        # within the stall budget.  The pool's handler thread usually
-        # reaps and replaces the dead worker between two polls, so a
-        # death shows as a change in the set of live worker pids; once
-        # seen it counts for the rest of the run.
-        try:
-            envelope = stream.next(timeout=_POOL_POLL_SECONDS)
-        except multiprocessing.TimeoutError:
-            worker_died = worker_died or _live_worker_pids(pool) != workers
-            stalled = time.monotonic() - last_progress
-            if worker_died and stalled >= stall_budget:
-                return
-            continue
-        except Exception:
-            return
-        received += 1
-        last_progress = time.monotonic()
-        yield envelope
-
-
-#: How often the parent polls the result stream for worker death.
-_POOL_POLL_SECONDS = 0.25
-
-
-def _stall_budget(runner) -> float:
-    """Seconds without progress (while a worker is dead) before the
-    pool is abandoned.  Derived from the per-unit retry/backoff budget
-    when the runner does not pin ``pool_stall_timeout`` explicitly."""
-    if runner.pool_stall_timeout is not None:
-        return runner.pool_stall_timeout
-    if runner.unit_timeout is not None:
-        per_attempt = runner.unit_timeout * (runner.max_retries + 2)
-        return max(5.0, (per_attempt + sum(runner.backoff_schedule())) * 4)
-    return 60.0
-
-
-def _live_worker_pids(pool) -> Optional[FrozenSet[int]]:
-    """The pids of the pool processes that have not exited.
-
-    Reads the pool's private process list — there is no public API for
-    this short of ``concurrent.futures`` (whose ``BrokenProcessPool``
-    machinery cannot run closures over forked state).  Returns ``None``
-    for an unreadable pool.
-    """
+def _hand_out(conn, units) -> bool:
+    """Send the next pending unit index down ``conn``.  ``False`` when
+    none is left, or when the send fails because the worker is dead:
+    that unit is then finished serially."""
+    index = next(units, None)
+    if index is None:
+        return False
     try:
-        return frozenset(p.pid for p in pool._pool if p.exitcode is None)
-    except Exception:  # noqa: BLE001 — private API, best effort
-        return None
+        conn.send(index)
+    except OSError:
+        return False
+    return True

@@ -208,13 +208,15 @@ class CampaignRunner:
     can assert the schedule without waiting it out.
 
     ``jobs`` selects the execution backend: ``1`` (the default) runs
-    units serially in-process; ``jobs > 1`` dispatches pending units to
-    a forked process pool (:mod:`repro.runtime.pool`) in work-stealing
-    chunks, with per-worker JSONL checkpoint shards merged back into
-    the canonical checkpoint.  ``jobs=None`` honours the ``REPRO_JOBS``
-    environment variable (default 1, ``auto`` = CPU count).  Both
-    backends produce the same :class:`CampaignReport` — same unit ids,
-    statuses and values, in the same order.
+    units serially in-process; ``jobs > 1`` forks up to that many
+    workers (:mod:`repro.runtime.pool`) and hands each idle one the next
+    pending unit, with per-worker JSONL checkpoint shards merged back
+    into the canonical checkpoint.  A worker that dies is not replaced;
+    the unit it held goes straight to the serial finish, with no stall.
+    ``jobs=None`` honours the ``REPRO_JOBS`` environment variable
+    (default 1, ``auto`` = CPU count).  Both backends produce the same
+    :class:`CampaignReport` — same unit ids, statuses and values, in
+    the same order.
     """
 
     def __init__(
@@ -228,7 +230,6 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         jobs: Optional[int] = 1,
-        pool_stall_timeout: Optional[float] = None,
     ):
         from repro.runtime.pool import resolve_jobs
         if max_retries < 0:
@@ -236,10 +237,6 @@ class CampaignRunner:
         check_settings(checkpoint, unit_timeout)
         self.store = CheckpointStore(checkpoint) if checkpoint else None
         self.unit_timeout = unit_timeout
-        #: Give up on the process pool after this many seconds without a
-        #: completed unit *while a worker is dead* (``None`` = derive a
-        #: bound from the retry/backoff budget; see ``pool.run_pooled``).
-        self.pool_stall_timeout = pool_stall_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -435,8 +432,8 @@ class CampaignRunner:
                                  total=len(units))
         leftover = [u for u in pending if u.unit_id not in results]
         for unit in leftover:
-            # The pool stopped early (fork unavailable, worker crash):
-            # the serial backend finishes the remainder, exactly.
+            # No worker could be forked, or the unit's worker died: the
+            # serial backend finishes it, exactly.
             result = self._run_unit(unit)
             results[unit.unit_id] = result
             if self.store is not None:
@@ -444,7 +441,7 @@ class CampaignRunner:
         if self.store is not None:
             # Every pending unit's record is in the canonical checkpoint
             # now, so no worker shard holds anything it lacks, including
-            # those of workers an abandoned pool respawned.
+            # a dead worker's.
             remove_shards(self.store.path)
         for entry in kept:
             if isinstance(entry, UnitResult):

@@ -250,7 +250,8 @@ def test_pooled_resume_recovers_shard_only_records(tmp_path):
 @needs_fork
 def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
     """If the pool backend returns partial results the runner finishes
-    the remainder in-process (graceful degradation of the backend)."""
+    the remainder in-process, exactly, as it does for a dead worker's
+    unit."""
     import repro.runtime.pool as pool_mod
 
     real = pool_mod.run_pooled
@@ -273,10 +274,9 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
 
 @needs_fork
 def test_pooled_run_finishes_after_a_worker_is_killed():
-    """A SIGKILLed worker is reaped and replaced by the pool between the
-    parent's polls, and the unit it held is never redelivered.  The
-    parent must still see the death, give up on the pool after its
-    stall budget, and finish the lost unit serially."""
+    """A SIGKILLed worker shows as EOF on its own pipe.  The unit it held
+    must go straight to the serial finish, with no stall, while the
+    other worker grades the rest."""
     import os
     import signal
     import threading
@@ -290,12 +290,12 @@ def test_pooled_run_finishes_after_a_worker_is_killed():
 
     units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: square(i))
              for i in range(6)]
-    runner = CampaignRunner(jobs=2, pool_stall_timeout=1.0)
+    runner = CampaignRunner(jobs=2)
     reports = []
     thread = threading.Thread(
         target=lambda: reports.append(runner.run(units)), daemon=True)
     thread.start()
-    thread.join(timeout=60)
+    thread.join(timeout=10)
     assert not thread.is_alive(), "pooled run hung on a killed worker"
     report = reports[0]
     assert [report.value(u.unit_id) for u in units] \
@@ -304,10 +304,9 @@ def test_pooled_run_finishes_after_a_worker_is_killed():
 
 @needs_fork
 def test_serial_finish_deletes_the_abandoned_pools_shards(tmp_path):
-    """After a killed worker makes the runner abandon the pool and
-    finish serially, every unit's record is in the canonical checkpoint:
-    no shard may outlive the run, whether the dead worker's, a live
-    one's or a respawned one's."""
+    """After a killed worker's unit is finished serially, every unit's
+    record is in the canonical checkpoint: no shard may outlive the run,
+    whether the dead worker's or a live one's."""
     import os
     import signal
 
@@ -323,8 +322,7 @@ def test_serial_finish_deletes_the_abandoned_pools_shards(tmp_path):
 
     units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: square(i))
              for i in range(6)]
-    report = CampaignRunner(checkpoint=path, jobs=2,
-                            pool_stall_timeout=1.0).run(
+    report = CampaignRunner(checkpoint=path, jobs=2).run(
         units, fingerprint={"k": 1})
     assert [report.value(u.unit_id) for u in units] \
         == [i * i for i in range(6)]
@@ -334,39 +332,60 @@ def test_serial_finish_deletes_the_abandoned_pools_shards(tmp_path):
 
 
 @needs_fork
-def test_abandoned_pool_is_terminated_with_no_worker_inside_the_chaos_lock():
-    """Abandoning a pool terminates its live workers.  One killed while
+def test_abandoned_pool_is_terminated_with_no_worker_inside_the_chaos_lock(
+        tmp_path, monkeypatch):
+    """A failed canonical append ends the pooled run while the other
+    worker is still mid-unit, so the parent kills it.  One killed while
     it holds the chaos monkey's lock would hold it for good, and the
     parent's next injection point, or a later pool's worker, would wait
-    on it forever.  So the pool is terminated only while no worker is
+    on it forever.  So busy workers are killed only while no worker is
     inside the lock."""
+    import multiprocessing
     import os
-    import signal
+    import threading
     import time
 
     from repro.runtime import chaos
     from repro.runtime.chaos import ChaosConfig, ChaosMonkey
-    from repro.runtime.pool import run_pooled
 
+    path = str(tmp_path / "ck.jsonl")
     parent = os.getpid()
+    real_append = CheckpointStore.append
+
+    def append_failing(store, record):
+        if os.getpid() == parent and store.path == path:
+            raise OSError(28, "No space left on device")
+        real_append(store, record)
 
     def unit(i):
         if os.getpid() != parent:
-            if i == 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if i == 1:          # still inside when the pool is abandoned
+            if i == 0:          # its append fails while u1 holds the lock
+                time.sleep(0.5)
+            if i == 1:
                 with chaos.active()._lock:
-                    time.sleep(1.5)
+                    time.sleep(2.0)
         return i
+
+    units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: unit(i))
+             for i in range(4)]
+    errors = []
+
+    def run():
+        try:
+            CampaignRunner(checkpoint=path, jobs=2).run(units)
+        except OSError as exc:
+            errors.append(exc)
 
     monkey = chaos.install(ChaosMonkey(
         ChaosConfig(seed=5, classes=("shard_loss",))))
     try:
-        units = [WorkUnit(unit_id=f"u{i}", run=lambda i=i: unit(i))
-                 for i in range(4)]
-        results = run_pooled(
-            CampaignRunner(jobs=2, pool_stall_timeout=0.3), units)
-        assert "u0" not in results
+        monkeypatch.setattr(CheckpointStore, "append", append_failing)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "pooled run hung on a failed append"
+        assert len(errors) == 1 and "No space left" in str(errors[0])
+        assert multiprocessing.active_children() == []
         assert monkey._lock.acquire(timeout=5)
         monkey._lock.release()
     finally:
@@ -488,15 +507,32 @@ def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
 
 
 @needs_fork
-def test_pooled_unit_span_ids_equal_serial(tmp_path):
+@pytest.mark.parametrize("killed_unit", [None, 0],
+                         ids=["no-death", "worker-killed"])
+def test_pooled_unit_span_ids_equal_serial(tmp_path, killed_unit):
     """Span ids are keyed by unit id, not by process: a unit graded in
-    a pool worker gets the span id (and parent) it has serially."""
+    a pool worker gets the span id (and parent) it has serially, and so
+    do the units graded after a worker died (``killed_unit`` SIGKILLs
+    its worker, and the parent finishes it serially).  Each unit takes
+    a little time, so every live worker grades some of them."""
+    import os
+    import signal
+    import time
+
     from repro import obs
+
+    parent = os.getpid()
+
+    def work(i):
+        if i == killed_unit and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.02)
+        return {"i": i}
 
     def unit_spans(jobs, path):
         with obs.enabled_session(trace=True, metrics=False,
                                  profile=False, seed=3) as session:
-            units = [WorkUnit(unit_id=f"w{i}", run=lambda i=i: {"i": i})
+            units = [WorkUnit(unit_id=f"w{i}", run=lambda i=i: work(i))
                      for i in range(8)]
             CampaignRunner(checkpoint=path, jobs=jobs).run(units)
             return [r for r in session.tracer.records

@@ -4,7 +4,8 @@ All datapath values in this project are stored as plain Python integers in
 two's-complement *unsigned* encoding for a declared bit width.  These helpers
 convert between the unsigned encoding and signed interpretation, build masks,
 and slice bit fields.  They are deliberately tiny and allocation-free since
-they sit on the hot path of both the behavioural and gate-level simulators.
+they sit on the hot path of both the behavioural and gate-level simulators;
+the hot ones build their masks inline rather than calling :func:`mask`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ def truncate(value: int, width: int) -> int:
 
 def to_signed(value: int, width: int) -> int:
     """Interpret the low ``width`` bits of ``value`` as two's complement."""
-    value &= mask(width)
-    if value & (1 << (width - 1)):
-        return value - (1 << width)
-    return value
+    sign = 1 << (width - 1)
+    return ((value & ((sign << 1) - 1)) ^ sign) - sign
 
 
 def to_unsigned(value: int, width: int) -> int:
@@ -35,7 +34,7 @@ def to_unsigned(value: int, width: int) -> int:
 
     The value is truncated modulo ``2**width``, matching hardware wrap-around.
     """
-    return value & mask(width)
+    return value & ((1 << width) - 1)
 
 
 def sign_extend(value: int, from_width: int, to_width: int) -> int:
@@ -56,7 +55,7 @@ def bits(value: int, high: int, low: int) -> int:
     """Return the bit field ``value[high:low]`` inclusive, like Verilog."""
     if high < low:
         raise ValueError(f"bad bit slice [{high}:{low}]")
-    return (value >> low) & mask(high - low + 1)
+    return (value >> low) & ((1 << (high - low + 1)) - 1)
 
 
 def set_field(word: int, high: int, low: int, field: int) -> int:

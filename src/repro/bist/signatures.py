@@ -10,7 +10,7 @@ aliasing bound for a ``w``-bit MISR is ``2^-w`` per compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bist.misr import Misr
 

@@ -18,9 +18,16 @@ through ``MacReg``.  ``MUX7`` selects between them for write-back and the
 Like the MAC datapath, every traced component's output can be overridden
 for a cycle (error injection), and persistent stuck bits can be applied to
 any architectural state element (used for word-level register fault
-simulation).  A step runs one path whether or not a hook is armed: each
-component builds its trace/override inputs only when one is, so a plain
-step pays for neither.
+simulation).  A step runs one path whether or not a hook is armed.  A
+component's hook site is armed when a trace is armed or the component's
+own name is overridden, and only an armed site builds its trace/override
+inputs: a plain step pays for no hook, and a one-component injection for
+that component's hook alone.  The decoder's control word is packed and
+unpacked only when the decoder is traced or overridden.
+
+The pipeline latches and step results are values: no code assigns to
+their fields after construction, so :meth:`CoreState.copy` shares the
+latches, and a step returns a pre-built :class:`StepResult`.
 
 A :class:`~repro.dsp.family.CoreBuild` sets the widths, register count
 and pipeline depth of the simulated family point; the default is the
@@ -29,7 +36,7 @@ paper core described above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 from repro._util import mask
@@ -42,7 +49,13 @@ from repro.dsp.isa import (
     Opcode,
     decode,
 )
-from repro.dsp.mac import MacDatapath, Overrides, Trace, apply_hooks
+from repro.dsp.mac import (
+    NO_OVERRIDES,
+    MacDatapath,
+    Overrides,
+    Trace,
+    apply_hooks,
+)
 
 _WORD_MASK = mask(INSTRUCTION_WIDTH)
 
@@ -50,6 +63,8 @@ _WORD_MASK = mask(INSTRUCTION_WIDTH)
 @dataclass
 class IdEx:
     """ID/EX pipeline latch: decoded instruction plus fetched operands."""
+
+    __slots__ = ("instr", "ctrl", "opa", "opb")
 
     instr: Instruction
     ctrl: ControlWord
@@ -64,6 +79,8 @@ class ExWb:
     Carries only the instruction and its controls — the data travels in
     the architectural MacReg and buffer registers, which MUX7 reads in WB.
     """
+
+    __slots__ = ("instr", "ctrl")
 
     instr: Instruction
     ctrl: ControlWord
@@ -86,23 +103,21 @@ class CoreState:
     out_latch: Tuple[int, int] = (0, 0)
 
     def copy(self) -> "CoreState":
-        return CoreState(
-            regs=list(self.regs),
-            acc_a=self.acc_a,
-            acc_b=self.acc_b,
-            temp=self.temp,
-            macreg=self.macreg,
-            buffer=self.buffer,
-            if_id=self.if_id,
-            id_ex=replace(self.id_ex) if self.id_ex else None,
-            ex_wb=replace(self.ex_wb) if self.ex_wb else None,
-            out_latch=self.out_latch,
-        )
+        """A state that steps independently of this one.
+
+        Only the register file is copied: a step replaces the latches
+        and never assigns to their fields, so the copy shares them.
+        """
+        return CoreState(list(self.regs), self.acc_a, self.acc_b, self.temp,
+                         self.macreg, self.buffer, self.if_id, self.id_ex,
+                         self.ex_wb, self.out_latch)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepResult:
     """Externally visible outcome of one clock cycle."""
+
+    __slots__ = ("out_valid", "out_value")
 
     out_valid: bool
     out_value: int  # 8-bit output port (0 when not driven)
@@ -111,6 +126,18 @@ class StepResult:
     def port(self) -> int:
         """The raw output port value (what a MISR would compact)."""
         return self.out_value if self.out_valid else 0
+
+    def __reduce__(self):
+        # pickle and copy restore __slots__ by assignment, which a frozen
+        # dataclass refuses; rebuild through __init__ instead.
+        return StepResult, (self.out_valid, self.out_value)
+
+
+#: Every outcome a step can have, ``_STEP_RESULTS[out_valid][out_value]``:
+#: the port is masked to the operand width, at most 8 bits.
+_STEP_RESULTS = tuple(
+    tuple(StepResult(bool(valid), value) for value in range(256))
+    for valid in (0, 1))
 
 
 #: State elements addressable by stuck-bit injection: ``("reg", i)``,
@@ -175,11 +202,14 @@ class DspCore:
              trace: Optional[Trace] = None) -> StepResult:
         """Advance the core by one clock cycle, fetching ``instr_word``.
 
-        Armed hooks fire in pipeline order: MUX7, the MAC, MacReg,
-        buffer, decoder, both register reads, temp.
+        A hook site is armed when ``trace`` is armed or its component is
+        in ``overrides``.  Armed hooks fire in pipeline order: MUX7, the
+        MAC, MacReg, buffer, decoder, both register reads, temp.
         """
         s = self.state
-        hooked = trace is not None or bool(overrides)
+        traced = trace is not None
+        if overrides is None:
+            overrides = NO_OVERRIDES
         reg_mask = self._reg_mask
         addr_mask = self._addr_mask
 
@@ -195,7 +225,7 @@ class DspCore:
         if wb is not None:
             sel = wb.ctrl.mux7_buffer
             wb_value = s.buffer if sel else s.macreg
-            if hooked:
+            if traced or "mux7" in overrides:
                 wb_value = apply_hooks(
                     "mux7", {"a": s.macreg, "b": s.buffer, "sel": sel},
                     wb_value, overrides, trace, sel)
@@ -212,25 +242,25 @@ class DspCore:
         if s.id_ex is not None:
             stage = s.id_ex
             ctrl = stage.ctrl
-            mac = MacDatapath.evaluate(
-                stage.opa, stage.opb, ctrl, s.acc_a, s.acc_b,
-                trace=trace, overrides=overrides, params=self._mac_params,
-            )
+            mac = MacDatapath.evaluate(stage.opa, stage.opb, ctrl, s.acc_a,
+                                       s.acc_b, trace, overrides,
+                                       self._mac_params)
             s.acc_a = mac.acc_a & self._acc_mask
             s.acc_b = mac.acc_b & self._acc_mask
 
             macreg_value = mac.limited
             buffer_value = stage.instr.imm if ctrl.buf_imm else stage.opb
-            if hooked:
+            if traced or "macreg" in overrides:
                 macreg_value = apply_hooks(
                     "macreg", {"d": macreg_value, "q": s.macreg},
                     macreg_value, overrides, trace)
+            if traced or "buffer" in overrides:
                 buffer_value = apply_hooks(
                     "buffer", {"d": buffer_value, "q": s.buffer},
                     buffer_value, overrides, trace)
             s.macreg = macreg_value & reg_mask
             s.buffer = buffer_value & reg_mask
-            new_ex_wb = ExWb(instr=stage.instr, ctrl=ctrl)
+            new_ex_wb = ExWb(stage.instr, ctrl)
             if ctrl.reg_we:
                 bypass_value = (buffer_value if ctrl.mux7_buffer
                                 else macreg_value) & reg_mask
@@ -244,7 +274,7 @@ class DspCore:
         if fetched is not None:
             instr = decode(fetched)
             ctrl = self._control_words[instr.opcode]
-            if hooked:
+            if traced or "decoder" in overrides:
                 ctrl = ControlWord.unpack(apply_hooks(
                     "decoder", {"in": int(instr.opcode)}, ctrl.pack(),
                     overrides, trace))
@@ -267,13 +297,13 @@ class DspCore:
                     opa = value
                 if regb == dest:
                     opb = value
-            if hooked:
+            if traced or "regread_a" in overrides:
                 opa = apply_hooks("regread_a", {"addr": instr.rega}, opa,
                                   overrides, trace)
+            if traced or "regread_b" in overrides:
                 opb = apply_hooks("regread_b", {"addr": instr.regb}, opb,
                                   overrides, trace)
-            new_id_ex = IdEx(instr=instr, ctrl=ctrl, opa=opa & reg_mask,
-                             opb=opb & reg_mask)
+            new_id_ex = IdEx(instr, ctrl, opa & reg_mask, opb & reg_mask)
 
         # ---------------- register write & latch advance --------------
         if wb_dest is not None:
@@ -281,7 +311,7 @@ class DspCore:
 
         if ex_bypass is not None:
             temp = ex_bypass[1]
-            if hooked:
+            if traced or "temp" in overrides:
                 temp = apply_hooks("temp", {"d": temp, "q": s.temp}, temp,
                                    overrides, trace)
             s.temp = temp & reg_mask
@@ -300,9 +330,8 @@ class DspCore:
             # the value latched at the end of the previous one.
             prev_valid, prev_value = s.out_latch
             s.out_latch = (1 if out_valid else 0, out_value)
-            return StepResult(out_valid=bool(prev_valid),
-                              out_value=prev_value)
-        return StepResult(out_valid=out_valid, out_value=out_value)
+            return _STEP_RESULTS[prev_valid][prev_value]
+        return _STEP_RESULTS[out_valid][out_value]
 
     # ------------------------------------------------------------------
     def run(self, words, overrides_by_cycle=None) -> List[StepResult]:

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._util import bits, set_field
 

@@ -19,16 +19,18 @@ simulator build on.  The unrolled MUXg instances of the paper
 (``muxg_shifter`` / ``muxg_limiter``) are traced as separate components.
 
 There is one evaluation path.  Each component computes its output
-inline; it builds an inputs dict and calls :func:`apply_hooks` only when
-a trace or an override is armed, so the hooks cost nothing when off.
+inline.  A component's hook site is armed when a trace is armed or the
+component's own name is overridden; only an armed site builds its inputs
+dict and calls :func:`apply_hooks`, so an evaluation pays for the hooks
+it arms and for no other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Union
 
-from repro._util import mask
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
 from repro.dsp.isa import ControlWord
 from repro.rtl.arith import addsub_reference
@@ -78,14 +80,18 @@ Trace = Dict[str, ComponentActivity]
 #: fixed word, or with a function of the component's inputs dict.
 Overrides = Mapping[str, Union[int, Callable[[Dict[str, int]], int]]]
 
+#: The overrides of an evaluation that overrides nothing.
+NO_OVERRIDES: Overrides = MappingProxyType({})
+
 
 def apply_hooks(name: str, inputs: Dict[str, int], output: int,
                 overrides: Optional[Overrides], trace: Optional[Trace],
                 mode: int = 0) -> int:
     """Apply ``name``'s override, if any, and record its trace entry.
 
-    Callers reach this only when a hook is armed; ``inputs`` is built for
-    it alone.  Returns the (possibly overridden) output.
+    A hook site calls this only when it is armed: a trace is armed, or
+    ``name`` is in ``overrides``.  ``inputs`` is built for this call
+    alone.  Returns the (possibly overridden) output.
     """
     if overrides and name in overrides:
         override = overrides[name]
@@ -98,6 +104,8 @@ def apply_hooks(name: str, inputs: Dict[str, int], output: int,
 @dataclass
 class MacResult:
     """Outcome of one MAC evaluation."""
+
+    __slots__ = ("acc_a", "acc_b", "limited")
 
     acc_a: int      # accumulator values after the (possible) write
     acc_b: int
@@ -129,7 +137,9 @@ class MacDatapath:
         in dataflow order.
         """
         p = params
-        hooked = trace is not None or bool(overrides)
+        traced = trace is not None
+        if overrides is None:
+            overrides = NO_OVERRIDES
         muxa_zero = ctrl.muxa_zero
         muxb_shift = ctrl.muxb_shift
         sub = ctrl.sub
@@ -138,31 +148,31 @@ class MacDatapath:
         acc_we = ctrl.acc_we
 
         product = multiplier_reference(opa, opb, p.operand_width, p.acc_width)
-        if hooked:
+        if traced or "multiplier" in overrides:
             product = apply_hooks("multiplier", {"a": opa, "b": opb},
                                   product, overrides, trace)
         x = 0 if muxa_zero else product
-        if hooked:
+        if traced or "muxa" in overrides:
             x = apply_hooks("muxa", {"data": product, "en": muxa_zero}, x,
                             overrides, trace, muxa_zero)
         shift_in = acc_b if accsel else acc_a
-        if hooked:
+        if traced or "muxg_shifter" in overrides:
             shift_in = apply_hooks(
                 "muxg_shifter", {"a": acc_a, "b": acc_b, "sel": accsel},
                 shift_in, overrides, trace, accsel)
-        amt = opa & mask(p.amt_width)
+        amt = opa & ((1 << p.amt_width) - 1)
         shifted = shifter_reference(shift_in, amt, shmode, p.acc_width,
                                     p.amt_width)
-        if hooked:
+        if traced or "shifter" in overrides:
             shifted = apply_hooks(
                 "shifter", {"data": shift_in, "amt": amt, "mode": shmode},
                 shifted, overrides, trace, shmode)
         y = shifted if muxb_shift else 0
-        if hooked:
+        if traced or "muxb" in overrides:
             y = apply_hooks("muxb", {"data": shifted, "en": muxb_shift}, y,
                             overrides, trace, muxb_shift)
         result = addsub_reference(y, x, sub, p.acc_width)
-        if hooked:
+        if traced or "addsub" in overrides:
             result = apply_hooks("addsub", {"a": y, "b": x, "sub": sub},
                                  result, overrides, trace, sub)
         truncated = result
@@ -170,38 +180,40 @@ class MacDatapath:
             trunc = ctrl.trunc
             truncated = truncater_reference(result, trunc, p.acc_width,
                                             p.frac)
-            if hooked:
+            if traced or "truncater" in overrides:
                 truncated = apply_hooks(
                     "truncater", {"data": result, "en": trunc}, truncated,
                     overrides, trace, trunc)
         next_a = truncated if (acc_we and not accsel) else acc_a
         next_b = truncated if (acc_we and accsel) else acc_b
-        if hooked:
+        if traced or "acca" in overrides:
             next_a = apply_hooks(
                 "acca", {"d": truncated, "en": acc_we & (1 - accsel),
                          "q": acc_a},
                 next_a, overrides, trace)
+        if traced or "accb" in overrides:
             next_b = apply_hooks(
                 "accb", {"d": truncated, "en": acc_we & accsel, "q": acc_b},
                 next_b, overrides, trace)
         # The limiter never reads the lowest fractional bits, so the
         # limiter-side MUXg instance is physically a narrower mux
         # (synthesis trims the dead low lanes).
-        limit_in = (next_b if accsel else next_a) >> p.frac_drop
-        if hooked:
+        frac_drop = p.frac_drop
+        limit_in = (next_b if accsel else next_a) >> frac_drop
+        if traced or "muxg_limiter" in overrides:
             limit_in = apply_hooks(
                 "muxg_limiter",
-                {"a": next_a >> p.frac_drop, "b": next_b >> p.frac_drop,
+                {"a": next_a >> frac_drop, "b": next_b >> frac_drop,
                  "sel": accsel},
                 limit_in, overrides, trace, accsel)
         if p.has_limiter:
-            limited = limiter_reference(limit_in << p.frac_drop, p.acc_width,
-                                        p.operand_width, p.frac_drop)
-            if hooked:
+            limited = limiter_reference(limit_in << frac_drop, p.acc_width,
+                                        p.operand_width, frac_drop)
+            if traced or "limiter" in overrides:
                 limited = apply_hooks(
-                    "limiter", {"data": limit_in << p.frac_drop}, limited,
+                    "limiter", {"data": limit_in << frac_drop}, limited,
                     overrides, trace)
         else:
             # No saturator: MacReg takes the raw window slice.
-            limited = limit_in & mask(p.operand_width)
-        return MacResult(acc_a=next_a, acc_b=next_b, limited=limited)
+            limited = limit_in & ((1 << p.operand_width) - 1)
+        return MacResult(next_a, next_b, limited)

@@ -35,7 +35,7 @@ from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
 from repro.rtl.arith import ripple_adder
 from repro.rtl.decoder import truth_table_logic
-from repro.rtl.multiplier import make_multiplier_mod, multiplier_mod_reference
+from repro.rtl.multiplier import multiplier_mod_reference
 
 WIDTH = 8
 _W_MASK = mask(WIDTH)

@@ -9,7 +9,7 @@ per-component breakdowns for the DSP-core experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 from repro.runtime.errors import ConfigError
 
 

@@ -22,7 +22,7 @@ equivalence class with score 1.0; out-of-model defects rank by closeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.faults.hierarchical import (
     ComponentFault,

@@ -21,8 +21,8 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.dsp.family import (

@@ -7,8 +7,8 @@ project's netlists and feed the Fig. 5/6 structure benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.logic.netlist import Netlist
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.logic.netlist import Netlist
-from repro.logic.simulator import CombSimulator, pack_patterns, unpack_output
+from repro.logic.simulator import CombSimulator, unpack_output
 from repro.runtime.errors import ConfigError
 
 

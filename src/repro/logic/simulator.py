@@ -9,9 +9,9 @@ built from.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.logic.gates import GateType, eval_gate
+from repro.logic.gates import eval_gate
 from repro.logic.netlist import Netlist
 
 

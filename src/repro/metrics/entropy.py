@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 #: Widest signal for which exact histogram entropy is used by default.
 EXACT_WIDTH_LIMIT = 8

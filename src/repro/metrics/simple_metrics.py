@@ -25,7 +25,7 @@ from repro.metrics.entropy import (
     combine_independent,
     controllability_from_samples,
 )
-from repro.metrics.table import C_THETA, O_THETA, MetricsCell
+from repro.metrics.table import MetricsCell
 
 Column = Tuple[str, int]
 

@@ -33,7 +33,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.schema import TRACE_SCHEMA
 

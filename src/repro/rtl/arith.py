@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro._util import to_unsigned
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
 
@@ -176,6 +175,4 @@ def make_addsub(width: int, name: str = "addsub",
 
 def addsub_reference(a: int, bb: int, sub: int, width: int) -> int:
     """Word-level model of :func:`make_addsub`."""
-    if sub:
-        return to_unsigned(a - bb, width)
-    return to_unsigned(a + bb, width)
+    return (a - bb if sub else a + bb) & ((1 << width) - 1)

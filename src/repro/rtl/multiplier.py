@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro._util import to_signed, to_unsigned
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
 from repro.rtl.arith import ripple_adder
@@ -70,8 +69,10 @@ def make_multiplier(n: int = 8, out_width: int = 18,
 
 def multiplier_reference(a: int, bb: int, n: int = 8, out_width: int = 18) -> int:
     """Word-level model of :func:`make_multiplier`."""
-    product = to_signed(a, n) * to_signed(bb, n)
-    return to_unsigned(product, out_width)
+    sign = 1 << (n - 1)
+    full = (sign << 1) - 1
+    product = (((a & full) ^ sign) - sign) * (((bb & full) ^ sign) - sign)
+    return product & ((1 << out_width) - 1)
 
 
 def make_multiplier_mod(n: int = 8, name: str = "multiplier_mod") -> Netlist:

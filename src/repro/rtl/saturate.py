@@ -10,7 +10,6 @@ negative).
 
 from __future__ import annotations
 
-from repro._util import bits, mask, to_signed
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
 
@@ -54,12 +53,12 @@ def make_limiter(in_width: int = 18, out_width: int = 8, frac_drop: int = 4,
 def limiter_reference(data: int, in_width: int = 18, out_width: int = 8,
                       frac_drop: int = 4) -> int:
     """Word-level model of :func:`make_limiter`."""
-    value = to_signed(data, in_width)
-    window = value >> frac_drop  # arithmetic shift keeps the sign
-    max_out = (1 << (out_width - 1)) - 1
-    min_out = -(1 << (out_width - 1))
-    if window > max_out:
-        return max_out & mask(out_width)
-    if window < min_out:
-        return min_out & mask(out_width)
-    return bits(data, frac_drop + out_width - 1, frac_drop)
+    sign = 1 << (in_width - 1)
+    # The arithmetic shift keeps the sign.
+    window = (((data & ((sign << 1) - 1)) ^ sign) - sign) >> frac_drop
+    half = 1 << (out_width - 1)
+    if window >= half:
+        return half - 1     # most positive: 0x7F at 8 bits
+    if window < -half:
+        return half         # most negative: 0x80 at 8 bits
+    return (data >> frac_drop) & ((half << 1) - 1)

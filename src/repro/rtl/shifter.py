@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro._util import mask, to_signed, to_unsigned
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
-from repro.rtl.arith import incrementer
 
 #: mode encoding → human-readable label
 SHIFT_MODES = {0: "00", 1: "01", 2: "10", 3: "11"}
@@ -184,17 +182,19 @@ def make_shifter(width: int = 18, amt_width: int = 4,
 def shifter_reference(data: int, amt: int, mode: int,
                       width: int = 18, amt_width: int = 4) -> int:
     """Word-level model of :func:`make_shifter`."""
-    data &= mask(width)
-    signed_data = to_signed(data, width)
+    full = (1 << width) - 1
+    sign = 1 << (width - 1)
+    data &= full
     if mode == 0:
         return data
-    if mode == 2:
-        return (data << 1) & mask(width)
-    if mode == 3:
-        return to_unsigned(signed_data >> 1, width)
     if mode == 1:
-        amount = to_signed(amt, amt_width)
+        amt_sign = 1 << (amt_width - 1)
+        amount = ((amt & ((amt_sign << 1) - 1)) ^ amt_sign) - amt_sign
         if amount >= 0:
-            return (data << amount) & mask(width)
-        return to_unsigned(signed_data >> (-amount), width)
+            return (data << amount) & full
+        return (((data ^ sign) - sign) >> -amount) & full
+    if mode == 2:
+        return (data << 1) & full
+    if mode == 3:
+        return (((data ^ sign) - sign) >> 1) & full
     raise ValueError(f"bad shifter mode {mode}")

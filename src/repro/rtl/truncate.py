@@ -7,7 +7,6 @@ zeroing the 8 fractional bits when the truncate control bit is set.
 
 from __future__ import annotations
 
-from repro._util import mask
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
 
@@ -38,7 +37,7 @@ def make_truncater(width: int = 18, frac: int = 8,
 
 def truncater_reference(data: int, en: int, width: int = 18, frac: int = 8) -> int:
     """Word-level model of :func:`make_truncater`."""
-    data &= mask(width)
+    data &= (1 << width) - 1
     if en:
-        return data & ~mask(frac)
+        return data & ~((1 << frac) - 1)
     return data

@@ -40,7 +40,6 @@ across every worker of every pool the campaign forks.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import time

@@ -28,7 +28,6 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 

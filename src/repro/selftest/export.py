@@ -12,7 +12,7 @@ driving the exported gate-level core.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.dsp.core import DspCore
 from repro.dsp.isa import Instruction, Opcode, encode

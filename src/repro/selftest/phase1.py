@@ -11,8 +11,8 @@ columns each one is responsible for, and the columns left for Phase 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.metrics.controllability import InstructionVariant
 from repro.metrics.table import MetricsTable

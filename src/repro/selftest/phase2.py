@@ -18,7 +18,7 @@ b. *Unreachable modes.*  "Eliminate columns whose control bits are not set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.dsp.isa import Instruction, Opcode

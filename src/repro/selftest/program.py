@@ -14,12 +14,12 @@ assembled binary, symbolic code, and the covered-columns comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bist.lfsr import Lfsr
 from repro.bist.template import RandomLoad, TemplateArchitecture, TemplateItem
-from repro.dsp.isa import Instruction, disassemble, encode
+from repro.dsp.isa import disassemble, encode
 
 Column = Tuple[str, int]
 

@@ -1,7 +1,5 @@
 """Tests for the BIST/ATPG baselines and the experiment harness."""
 
-import os
-
 import pytest
 
 from repro.baselines.atpg_baseline import AtpgBaselineResult, run_atpg_baseline

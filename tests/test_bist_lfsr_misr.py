@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bist.lfsr import Lfsr, PRIMITIVE_TAPS
+from repro.bist.lfsr import Lfsr
 from repro.bist.misr import Misr
 
 

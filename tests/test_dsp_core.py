@@ -1,8 +1,11 @@
 """Tests for the four-stage pipelined core: timing, hazards, output port."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.dsp.core import CoreState, DspCore
+from repro.dsp.core import DspCore
 from repro.dsp.isa import Instruction, Opcode, assemble_program, encode
 
 
@@ -220,3 +223,14 @@ def test_temp_register_traced_on_writeback():
         seen_temp |= "temp" in trace
     assert seen_temp
     assert core.state.temp == 0x10
+
+
+def test_step_results_and_states_pickle_and_copy():
+    """Step results are shared, frozen and slotted; latches are slotted.
+    Both still round-trip through pickle and copy."""
+    core = DspCore()
+    word = encode(Instruction(Opcode.MACA_ADD, rega=1, regb=2, dest=3))
+    results = [core.step(word) for _ in range(3)]
+    for value in results + [core.state]:
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value

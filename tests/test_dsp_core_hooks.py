@@ -3,9 +3,10 @@
 ``DspCore.step`` and ``MacDatapath.evaluate`` run one code path whether
 or not a hook (trace, per-component override) is armed.  These tests
 hold that path to recorded behaviour: a hook-free run equals a traced
-one cycle for cycle, hooks fire in dataflow order, and a seeded battery
-of plain, traced, overridden and stuck-bit cycles over every ``FLEET``
-point hashes to a pinned digest.
+one cycle for cycle, hooks fire in dataflow order, an override arms its
+own component's hook and no other, a state copy steps independently of
+its source, and a seeded battery of plain, traced, overridden and
+stuck-bit cycles over every ``FLEET`` point hashes to a pinned digest.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ import zlib
 
 import pytest
 
+import repro.dsp.core
+import repro.dsp.mac
 from repro._util import mask
 from repro.dsp.core import DspCore
 from repro.dsp.family import CoreBuild
@@ -143,3 +146,65 @@ def test_hooks_fire_in_dataflow_order():
     core.step(word, overrides=overrides, trace=trace)
     assert calls == HOOK_ORDER
     assert list(trace) == HOOK_ORDER
+
+
+@pytest.fixture
+def hook_calls(monkeypatch):
+    """Names of the ``apply_hooks`` calls the core and the MAC make."""
+    calls = []
+    apply_hooks = repro.dsp.mac.apply_hooks
+
+    def counting(name, *args):
+        calls.append(name)
+        return apply_hooks(name, *args)
+
+    monkeypatch.setattr(repro.dsp.core, "apply_hooks", counting)
+    monkeypatch.setattr(repro.dsp.mac, "apply_hooks", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", HOOK_ORDER)
+def test_one_override_arms_one_hook(hook_calls, name):
+    """With a producer in every stage, a plain step calls no hook and an
+    int override on one component calls that component's hook alone."""
+    core = DspCore()
+    word = encode(Instruction(Opcode.MACA_ADD, rega=1, regb=2, dest=3))
+    for _ in range(3):
+        core.step(word)
+    assert hook_calls == []
+    core.step(word, overrides={name: 1}, trace=None)
+    assert hook_calls == [name]
+
+
+@pytest.mark.parametrize("spec", FLEET, ids=FLEET_IDS)
+def test_copy_steps_independently_of_its_source(spec):
+    """A copy taken at any cycle shares no mutable state with its source:
+    stepping the copy (overridden, with stuck bits) leaves the source as
+    it was, and stepping the source then leaves the copy as it was."""
+    build = CoreBuild.get(spec)
+    rng = random.Random(spec.label())
+    width = max(spec.acc_width, 12)
+    words = _program(spec, rng, 60)
+    for cycle in sorted(rng.sample(range(4, 52), 6)):
+        source = build.make_core()
+        for word in words[:cycle]:
+            source.step(word)
+        state = source.state.copy()
+        assert state.regs is not source.state.regs
+        source_key = _state_key(source.state)
+        assert _state_key(state) == source_key
+        # The stuck register holds its copied value with bit 0 flipped,
+        # so the copy differs from the source from its first cycle on.
+        reg = rng.randrange(spec.n_registers)
+        stuck = {("reg", reg): (0, source.state.regs[reg] ^ 1),
+                 ("acc_a",): (mask(spec.acc_width), 1)}
+        fork = build.make_core(state=state, stuck_bits=stuck)
+        for word in words[cycle:cycle + 4]:
+            overrides = {rng.choice(HOOK_ORDER): rng.getrandbits(width)}
+            fork.step(word, overrides=overrides)
+        assert _state_key(source.state) == source_key
+        fork_key = _state_key(fork.state)
+        assert fork_key != source_key
+        for word in words[cycle:cycle + 4]:
+            source.step(word)
+        assert _state_key(fork.state) == fork_key

@@ -1,7 +1,5 @@
 """Gate-level core: structure and cycle-accurate equivalence with the ISS."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -9,7 +9,6 @@ from repro.dsp.isa import (
     ControlWord,
     Instruction,
     LD_RND,
-    N_REGISTERS,
     Opcode,
     PAPER_MNEMONICS,
     UNUSED_OPCODES,

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro._util import mask, to_signed, to_unsigned
+from repro._util import mask, to_signed
 from repro.dsp.fixedpoint import float_to_q44, q44_to_float
 from repro.dsp.isa import Opcode, control_word
 from repro.dsp.mac import MacDatapath

@@ -2,8 +2,6 @@
 
 import re
 
-import pytest
-
 from repro.bist.template import RandomLoad, TemplateArchitecture
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.dsp.isa import Instruction, Opcode

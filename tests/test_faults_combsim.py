@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro._util import mask
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults, full_fault_list
 from repro.logic.builder import NetlistBuilder

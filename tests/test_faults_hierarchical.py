@@ -13,7 +13,6 @@ from repro.faults.hierarchical import (
     _set_bit_positions,
     _spread,
 )
-from repro.faults.model import Fault
 
 
 def small_universe():

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.__main__ import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "lint"

@@ -11,7 +11,6 @@ from repro.logic.simulator import CombSimulator, pack_patterns
 from repro.runtime import cache
 from repro.runtime.cache import (
     cache_stats,
-    cached_good_values,
     clear_caches,
     compiled_evaluator,
     compiled_evaluator3,

@@ -7,7 +7,6 @@ raise and *never* resurrect a corrupted record.
 """
 
 import json
-import os
 import random
 
 import pytest

@@ -1,8 +1,6 @@
 """Tests for Phase 1 (greedy cover) and Phase 2 (sequences) on synthetic
 metrics tables, mirroring the paper's worked examples."""
 
-import pytest
-
 from repro.dsp.isa import Opcode
 from repro.metrics.controllability import InstructionVariant
 from repro.metrics.table import MetricsCell, MetricsTable

@@ -5,7 +5,7 @@ import pytest
 from repro.bist.lfsr import Lfsr
 from repro.bist.template import RandomLoad
 from repro.dsp.isa import Instruction, Opcode, decode
-from repro.selftest.program import ProgramLine, TestProgram
+from repro.selftest.program import TestProgram
 from repro.selftest.vectors import (
     expand_program,
     golden_signature,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bist.signatures import (
-    IntervalSignatures,
     aliasing_probability,
     diagnose_interval,
     interval_signatures,

@@ -102,6 +102,16 @@ def _export_trace(session, args) -> None:
         print(f"chrome trace: {n} events -> {args.chrome}")
 
 
+def _print_tier2(session) -> None:
+    """How many of tier 2's component evaluations ran at gate level."""
+    counters = session.registry.snapshot()["counters"]
+    checks = counters.get("sim.hier.tier2_checks")
+    if checks:
+        print(f"tier 2: {checks} checks, "
+              f"{counters['sim.hier.tier2_cycles']} cycles, "
+              f"{counters['sim.hier.tier2_gate_cycles']} at gate level")
+
+
 def _quarantine_status(quarantined: int) -> int:
     """Exit status of a finished campaign: 1 when any unit was
     quarantined, since its fault then counts as undetected and every
@@ -263,6 +273,7 @@ def _cmd_trace(args) -> int:
             )
             outcome = campaign.run()
         print(f"campaign: {outcome.report.summary()}")
+        _print_tier2(session)
         _export_trace(session, args)
         if outcome.report.timings:
             _print_timings(outcome.report.timings)
@@ -300,6 +311,7 @@ def _cmd_profile(args) -> int:
             print("cache counters:")
             for name, value in cache_lines.items():
                 print(f"  {name:<24}{value}")
+        _print_tier2(session)
         return _quarantine_status(outcome.report.counts()["quarantined"])
     finally:
         obs.disable()

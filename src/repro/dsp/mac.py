@@ -68,9 +68,11 @@ PAPER_MAC = MacParams()
 class ComponentActivity:
     """One component evaluation: named input ports, output word, mode key."""
 
+    __slots__ = ("inputs", "output", "mode")
+
     inputs: Dict[str, int]
     output: int
-    mode: int = 0
+    mode: int
 
 
 #: A trace is component name → activity for one evaluation.

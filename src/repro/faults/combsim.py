@@ -72,9 +72,9 @@ class CombFaultSimulator:
         is shared — callers must not mutate it.
 
         Neither this nor :meth:`faulty_output_word` runs
-        :func:`check_stimulus`: the hierarchical grader's tier 2 calls
-        both once per simulated cycle, with inputs recorded from the
-        core.
+        :func:`check_stimulus`: their inputs come from the core.  The
+        hierarchical grader calls this once per recorded block, and both
+        on each tier-2 cycle whose inputs the block does not hold.
         """
         def compute() -> List[int]:
             with obs.section("sim.comb.good_machine"):
@@ -166,7 +166,8 @@ class CombFaultSimulator:
         """Single-pattern faulty evaluation: one input word per bus in,
         the faulty value of ``output_bus`` out.  Used by mixed-level
         propagation (continuous fault injection inside the behavioural
-        core)."""
+        core) on the cycles whose inputs the recorded block does not
+        hold."""
         good = self.good_values(
             {name: [word] for name, word in input_words.items()}, 1
         )

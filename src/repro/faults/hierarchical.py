@@ -15,9 +15,13 @@ metrics do:
    cycle *t*, the core state at *t* is still fault-free, so the simulator
    forks the behavioural core from the nearest checkpoint, replays to *t*,
    and runs forward with the fault *continuously* injected — the
-   component's output is overridden each cycle with its gate-level faulty
-   evaluation.  The fault is detected when the output-port stream diverges
-   from the fault-free run within the propagation window.
+   component's output is overridden each cycle with its faulty word under
+   the fork's inputs.  The component is combinational, so wherever those
+   inputs equal the ones the clean run recorded for the cycle, the word
+   is read from step 1's pattern-parallel result; only the other cycles
+   are evaluated at gate level.  The fault is detected when the
+   output-port stream diverges from the fault-free run within the
+   propagation window.
 
 3. **Storage faults (word level).**  Register/accumulator/register-file
    faults use exact word-level models: stuck storage bits are persistent
@@ -33,6 +37,7 @@ fault simulation on the simple datapath.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -45,6 +50,7 @@ from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, collapse_faults
+from repro.logic.simulator import unpack_output
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +298,8 @@ def _spread(items: List[int], k: int) -> List[int]:
         return []
     if len(items) <= k:
         return items
+    if k == 1:
+        return items[:1]
     step = (len(items) - 1) / (k - 1)
     picked = []
     for i in range(k):
@@ -465,8 +473,6 @@ class HierarchicalFaultSimulator:
 
     def _grade_comb_fault(self, ctx: TraceContext, name: str,
                           fault: Fault) -> Optional[int]:
-        from repro.logic.simulator import unpack_output
-
         sim = self.universe.comb_simulators[name]
         spec = self.universe.spec(name)
         output_nets = sim.netlist.buses[spec.output_bus]
@@ -499,10 +505,9 @@ class HierarchicalFaultSimulator:
             # when single-cycle errors are masked, e.g. absorbed by
             # limiter saturation until they accumulate in an accumulator.
             for idx in _spread(indices, self.max_continuous_starts):
-                t = cycles[idx]
-                if self._propagates_continuous(name, spec, sim, fault, t,
-                                               ctx, limit):
-                    return t
+                if self._propagates_continuous(name, spec, sim, fault, rec,
+                                               output_bits, idx, ctx, limit):
+                    return cycles[idx]
         return None
 
     def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:
@@ -539,24 +544,49 @@ class HierarchicalFaultSimulator:
                 return True
         return False
 
-    def _propagates_continuous(self, name, spec, sim, fault, t,
-                               ctx: TraceContext, limit: int) -> bool:
-        """Exact mixed-level check: the component's output is overridden
-        *every* cycle of the window with its gate-level faulty evaluation
-        under the fork's live inputs."""
-        obs.incr("sim.hier.tier2_checks")
+    def _propagates_continuous(self, name, spec, sim, fault, rec,
+                               output_bits, idx, ctx: TraceContext,
+                               limit: int) -> bool:
+        """Exact mixed-level check from the block's excitation ``idx``:
+        the component's output is overridden *every* cycle of the window
+        with its faulty evaluation under the fork's live inputs.
+
+        The component is combinational, so equal inputs give an equal
+        faulty word whatever the fork's state.  On a cycle whose inputs
+        equal the ones the clean run recorded (``rec``), the word is
+        read from ``output_bits``, the block's pattern-parallel faulty
+        outputs; only a cycle whose inputs differ, or that the clean run
+        did not record, is evaluated at gate level.
+        """
+        cycles: List[int] = rec["cycles"]
+        recorded = list(rec["inputs"].items())
+        t = cycles[idx]
         fork = self._fork_at(ctx, t)
+        evaluations = gate_level = 0
 
         def faulty_output(inputs: Dict[str, int]) -> int:
+            nonlocal evaluations, gate_level
+            evaluations += 1
+            # ``cycle`` is the loop variable below: the cycle being stepped.
+            i = bisect_left(cycles, cycle)
+            if i < len(cycles) and cycles[i] == cycle and all(
+                    inputs[port] == words[i] for port, words in recorded):
+                return unpack_output(output_bits, i)
+            gate_level += 1
             return sim.faulty_output_word(fault, inputs, spec.output_bus)
 
         overrides = {name: faulty_output}
         end = min(limit, t + self.propagation_window)
+        observed = False
         for cycle in range(t, end):
             if fork.step(ctx.words[cycle], overrides=overrides).port \
                     != ctx.clean_ports[cycle]:
-                return True
-        return False
+                observed = True
+                break
+        obs.incr("sim.hier.tier2_checks")
+        obs.incr("sim.hier.tier2_cycles", evaluations)
+        obs.incr("sim.hier.tier2_gate_cycles", gate_level)
+        return observed
 
     # ------------------------------------------------------------------
     def grade_storage_fault(self, ctx: TraceContext, fault: StorageFault,

@@ -19,6 +19,7 @@ or timing out is quarantined, and the campaign report counts it.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -98,9 +99,14 @@ class HierarchicalCampaign:
         }
         # Family points stamp the core identity; the paper core omits it
         # so checkpoints recorded before core families existed still
-        # resume.
+        # resume.  The tier rules are stamped likewise, only off their
+        # defaults.
         if not sim.build.spec.is_paper:
             fp["core"] = sim.build.spec.label()
+        defaults = inspect.signature(type(sim)).parameters
+        for key in ("max_starts_per_block", "max_continuous_starts"):
+            if getattr(sim, key) != defaults[key].default:
+                fp[key] = getattr(sim, key)
         return fp
 
     def _fault_map(self) -> Dict[str, Any]:

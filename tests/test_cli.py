@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -183,6 +185,15 @@ def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "section" in captured.out
     assert "FAILED: 1 unit(s) quarantined" in captured.err
+
+
+def test_profile_reports_how_much_of_tier2_ran_at_gate_level(capsys):
+    assert main(["profile", "--samples", "4", "--good", "1",
+                 "--iterations", "1"]) == 0
+    found = re.search(r"^tier 2: (\d+) checks, (\d+) cycles, (\d+) at gate "
+                      r"level$", capsys.readouterr().out, re.MULTILINE)
+    checks, cycles, gate_level = map(int, found.groups())
+    assert 0 < checks <= cycles and gate_level < cycles
 
 
 def test_grade_force_overrides_fingerprint_mismatch(tmp_path, capsys):

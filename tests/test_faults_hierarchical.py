@@ -1,9 +1,11 @@
 """Tests for the hierarchical core fault simulator."""
 
+import random
+
 import pytest
 
 from repro.bist.template import RandomLoad, TemplateArchitecture
-from repro.dsp.isa import Instruction, Opcode
+from repro.dsp.isa import INSTRUCTION_WIDTH, Instruction, Opcode
 from repro.faults.hierarchical import (
     ComponentFault,
     DspFaultUniverse,
@@ -171,3 +173,22 @@ def test_spread_sampling():
     picked = _spread(list(range(100)), 5)
     assert len(picked) == 5
     assert picked[0] == 0 and picked[-1] == 99
+    assert _spread([4, 7, 9], 1) == [4]
+
+
+@pytest.mark.parametrize("setting", ["max_starts_per_block",
+                                     "max_continuous_starts"])
+def test_one_start_per_block_grades_a_subset(setting):
+    """One start per block tries the first excitation, which the default
+    spread also tries, so it detects a subset of the default's faults."""
+    rng = random.Random(7)
+    words = [rng.randrange(1 << INSTRUCTION_WIDTH) for _ in range(200)]
+
+    def detected(**kwargs):
+        universe = DspFaultUniverse(components=["limiter"],
+                                    include_regfile=False)
+        sim = HierarchicalFaultSimulator(universe=universe, **kwargs)
+        return set(sim.run(words).detected)
+
+    one = detected(**{setting: 1})
+    assert one and one <= detected()

@@ -9,7 +9,7 @@ from repro.faults.hierarchical import (
     DspFaultUniverse,
     HierarchicalFaultSimulator,
 )
-from repro.runtime.errors import CampaignError
+from repro.runtime.errors import CampaignError, FingerprintMismatchError
 from repro.runtime.campaigns import (
     HierarchicalCampaign,
     MetricsCampaign,
@@ -120,6 +120,26 @@ def test_hierarchical_fingerprint_mismatch_rejected(tmp_path):
         make_campaign(program_words(6), path).run(resume=True)
 
 
+def test_tier_rules_enter_the_fingerprint_off_their_defaults(tmp_path):
+    """A campaign graded under other tier rules does not resume into a
+    default one; a default campaign's fingerprint keeps its old keys."""
+    words = program_words(4)
+    path = str(tmp_path / "grade.jsonl")
+    default = make_campaign(words, path).fingerprint()
+    assert "max_starts_per_block" not in default
+    assert "max_continuous_starts" not in default
+    for setting in ("max_starts_per_block", "max_continuous_starts"):
+        sim = HierarchicalFaultSimulator(universe=small_universe(),
+                                         block_size=32, checkpoint_every=16,
+                                         **{setting: 0})
+        campaign = HierarchicalCampaign(words, simulator=sim,
+                                        checkpoint=path)
+        assert campaign.fingerprint() == {**default, setting: 0}
+        campaign.run(max_units=10)
+        with pytest.raises(FingerprintMismatchError):
+            make_campaign(words, path).run(resume=True)
+
+
 def test_hierarchical_campaign_matches_direct_run():
     """Without checkpoint or interruption the campaign is a pure
     reorganisation of ``HierarchicalFaultSimulator.run``."""
@@ -136,10 +156,12 @@ def test_hierarchical_campaign_matches_direct_run():
 
 def test_clearing_caches_after_every_unit_leaves_the_report_unchanged():
     """The shared caches are pure memos: a campaign that empties them
-    after every unit reports exactly what an uninterrupted twin does."""
+    (and its trace's good-value memo) after every unit reports exactly
+    what an uninterrupted twin does."""
     from repro.runtime.cache import CACHE_KINDS, cache_stats, clear_caches
     words = program_words(6)
     twin = make_campaign(words, None).run()
+    campaign = make_campaign(words, None)
     misses = {}
 
     def clear_after(result, done, total):
@@ -147,8 +169,9 @@ def test_clearing_caches_after_every_unit_leaves_the_report_unchanged():
         misses[result.unit_id] = {k: stats[f"{k}_misses"]
                                   for k in CACHE_KINDS}
         clear_caches()
+        campaign._reset_shared_state()
 
-    cleared = make_campaign(words, None).run(progress=clear_after)
+    cleared = campaign.run(progress=clear_after)
 
     def rows(outcome):
         return [(r.unit_id, r.status, r.value)

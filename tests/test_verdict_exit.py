@@ -7,12 +7,18 @@ or a state equal to the clean run's at the same cycle (masked).  The
 full-window loops they replaced stay here as references: every
 observability fork replays from cycle 0, and every fork steps to the end
 of its window.
+
+Tier 2 (:meth:`HierarchicalFaultSimulator._propagates_continuous`)
+reads a cycle's faulty word from the block's pattern-parallel faulty
+outputs when the fork's component inputs equal the clean run's; its
+reference evaluates every cycle at gate level.
 """
 
 import random
 
 import pytest
 
+from repro import obs
 from repro._util import mask
 from repro.dsp.core import DspCore
 from repro.dsp.family import CoreBuild, CoreSpec
@@ -173,11 +179,9 @@ def e1_stream():
     return expand_program(program, 5)
 
 
-def test_tier1_verdict_exit_matches_full_window(e1_stream):
-    """Every tier-1 start of every combinational fault."""
-    sim = HierarchicalFaultSimulator()
-    ctx = sim.prepare(e1_stream)
-    starts = converged = 0
+def comb_starts(sim, ctx, per_block):
+    """Every start of every combinational fault, up to ``per_block`` per
+    block: ``(name, fault, rec, output_bits, idx, limit)``."""
     for name, faults in sim.universe.comb_faults.items():
         comb = sim.universe.comb_simulators[name]
         output_nets = comb.netlist.buses[sim.universe.spec(name).output_bus]
@@ -191,17 +195,72 @@ def test_tier1_verdict_exit_matches_full_window(e1_stream):
                     fault, good, len(rec["cycles"]))
                 limit = ctx.block_end(block_start)
                 bits = [changed.get(n, good[n]) for n in output_nets]
-                for idx in _spread(_set_bit_positions(detected),
-                                   sim.max_starts_per_block):
-                    word = unpack_output(bits, idx)
-                    t = rec["cycles"][idx]
-                    want, met = reference_propagates(sim, name, word, t,
-                                                     ctx, limit)
-                    assert sim._propagates(name, word, t, ctx, limit) \
-                        == want, (name, fault, t)
-                    # Back on the clean run, a fork is never observed.
-                    assert not (want and met), (name, fault, t)
-                    starts += 1
-                    converged += met
+                for idx in _spread(_set_bit_positions(detected), per_block):
+                    yield name, fault, rec, bits, idx, limit
+
+
+def test_tier1_verdict_exit_matches_full_window(e1_stream):
+    """Every tier-1 start of every combinational fault."""
+    sim = HierarchicalFaultSimulator()
+    ctx = sim.prepare(e1_stream)
+    starts = converged = 0
+    for name, fault, rec, bits, idx, limit in comb_starts(
+            sim, ctx, sim.max_starts_per_block):
+        word = unpack_output(bits, idx)
+        t = rec["cycles"][idx]
+        want, met = reference_propagates(sim, name, word, t, ctx, limit)
+        assert sim._propagates(name, word, t, ctx, limit) == want, \
+            (name, fault, t)
+        # Back on the clean run, a fork is never observed.
+        assert not (want and met), (name, fault, t)
+        starts += 1
+        converged += met
     assert starts > 10000
     assert converged > 0
+
+
+# ----------------------------------------------------------------------
+# Hierarchical tier 2
+# ----------------------------------------------------------------------
+def reference_propagates_continuous(sim, name, fault, t, ctx, limit):
+    """Tier 2 with every cycle's faulty word evaluated at gate level."""
+    comb = sim.universe.comb_simulators[name]
+    output_bus = sim.universe.spec(name).output_bus
+
+    def faulty_output(inputs):
+        return comb.faulty_output_word(fault, inputs, output_bus)
+
+    fork = sim._fork_at(ctx, t)
+    for cycle in range(t, min(limit, t + sim.propagation_window)):
+        if fork.step(ctx.words[cycle], overrides={name: faulty_output}
+                     ).port != ctx.clean_ports[cycle]:
+            return True
+    return False
+
+
+def test_tier2_recorded_words_match_gate_level(e1_stream):
+    """Every tier-2 start of every combinational fault."""
+    sim = HierarchicalFaultSimulator()
+    ctx = sim.prepare(e1_stream)
+    starts = observed = 0
+    with obs.enabled_session(trace=False, profile=False) as session:
+        for name, fault, rec, bits, idx, limit in comb_starts(
+                sim, ctx, sim.max_continuous_starts):
+            t = rec["cycles"][idx]
+            want = reference_propagates_continuous(sim, name, fault, t, ctx,
+                                                   limit)
+            got = sim._propagates_continuous(
+                name, sim.universe.spec(name),
+                sim.universe.comb_simulators[name], fault, rec, bits, idx,
+                ctx, limit)
+            assert got == want, (name, fault, t)
+            starts += 1
+            observed += want
+    counters = session.registry.snapshot()["counters"]
+    assert counters["sim.hier.tier2_checks"] == starts
+    assert starts > 1000
+    assert 0 < observed < starts
+    # Not vacuous: the recorded words served most cycles, and some
+    # cycles still ran at gate level.
+    gate_level = counters["sim.hier.tier2_gate_cycles"]
+    assert 0 < gate_level < counters["sim.hier.tier2_cycles"] / 2

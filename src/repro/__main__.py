@@ -7,7 +7,9 @@ Commands cover the everyday flows:
 * ``generate`` — run Phases 1–2 and print the Fig. 7-style program,
   optionally writing the test-vector file and golden MISR signature;
 * ``grade`` — generate and fault-grade the self-test program (exit 1
-  if any fault's grading unit was quarantined);
+  if any fault's grading unit was quarantined); ``--trace`` or
+  ``--chrome`` arms an observability session and also prints its
+  section table, cache hits and misses and tier-2 counts;
 * ``sweep`` — run the whole pipeline across a core-family design space
   and write the coverage/test-length/area landscape artifact
   (see :mod:`repro.harness.sweeps`);
@@ -37,7 +39,7 @@ def _cmd_table1(args) -> int:
 
 def _measure_or_load(args):
     """The metrics table — loaded from ``--table`` when given."""
-    if getattr(args, "table", None):
+    if args.table:
         from repro.metrics.io import load_table
         return load_table(args.table)
     from repro.metrics.table import build_metrics_table
@@ -45,7 +47,7 @@ def _measure_or_load(args):
         n_controllability_samples=args.samples,
         n_observability_good=args.good,
     )
-    if getattr(args, "save_table", None):
+    if args.save_table:
         from repro.metrics.io import save_table
         save_table(table, args.save_table)
         print(f"saved metrics table to {args.save_table}")
@@ -81,29 +83,33 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _print_timings(timings) -> None:
-    from repro.harness.reporting import format_table
-    rows = [
-        (name, entry["calls"], f"{entry['seconds']:.3f}")
-        for name, entry in sorted(
-            timings.items(), key=lambda kv: -kv[1]["seconds"])
-    ]
-    print("per-phase timings:")
-    print(format_table(("section", "calls", "seconds"), rows))
-
-
 def _export_trace(session, args) -> None:
     """Write the armed session's trace file(s) and a summary line."""
-    if getattr(args, "trace", None):
+    if args.trace:
         n = session.tracer.write_jsonl(args.trace)
         print(f"trace: {n} spans -> {args.trace}")
-    if getattr(args, "chrome", None):
+    if args.chrome:
         n = session.tracer.write_chrome(args.chrome)
         print(f"chrome trace: {n} events -> {args.chrome}")
 
 
-def _print_tier2(session) -> None:
-    """How many of tier 2's component evaluations ran at gate level."""
+def _print_session(session, cache_before) -> None:
+    """The armed session's section table, the cache hits and misses of
+    each kind since ``cache_before`` (a ``cache_stats()`` snapshot), and
+    how many of tier 2's component evaluations ran at gate level."""
+    from repro.harness.perf import cache_delta
+    from repro.harness.reporting import format_table
+    from repro.runtime.cache import CACHE_KINDS, cache_stats
+    rows = [
+        (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
+        for name, calls, seconds, mean_ms in session.profiler.rows()
+    ]
+    print(format_table(("section", "calls", "seconds", "mean ms"), rows))
+    cache = cache_delta(cache_before, cache_stats())
+    print(format_table(("cache", "hits", "misses"), [
+        (kind, cache[f"{kind}_hits"], cache[f"{kind}_misses"])
+        for kind in CACHE_KINDS
+    ]))
     counters = session.registry.snapshot()["counters"]
     checks = counters.get("sim.hier.tier2_checks")
     if checks:
@@ -125,12 +131,14 @@ def _quarantine_status(quarantined: int) -> int:
 
 def _cmd_grade(args) -> int:
     from repro import obs
+    from repro.runtime.cache import cache_stats
     from repro.runtime.campaigns import HierarchicalCampaign
     from repro.selftest.vectors import expand_program
 
     session = None
     if args.trace or args.chrome:
         session = obs.configure(seed=2004)
+        cache_before = cache_stats()
     try:
         selftest = _build_selftest(args)
         words = expand_program(selftest.program, args.iterations)
@@ -146,8 +154,7 @@ def _cmd_grade(args) -> int:
                                force=args.force)
         if session is not None:
             _export_trace(session, args)
-            if outcome.report.timings:
-                _print_timings(outcome.report.timings)
+            _print_session(session, cache_before)
         if outcome.report.interrupted:
             print(f"campaign interrupted: {outcome.report.summary()}")
             print("re-run with --resume to finish the remaining units")
@@ -227,13 +234,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """``repro trace <campaign>``: run a small campaign with tracing on
-    (``grade``/``metrics``) or validate an existing trace (``check``)."""
+    """``repro trace <campaign>``: run the metrics campaign with tracing
+    on (``metrics``) or validate an existing trace (``check``)."""
     from repro import obs
+    from repro.runtime.errors import ConfigError
 
     if args.campaign == "check":
         from repro.obs.schema import validate_trace_file
-        from repro.runtime.errors import ConfigError
         if not args.file:
             raise ConfigError("trace check requires a trace file argument")
         counts, errors = validate_trace_file(args.file)
@@ -250,68 +257,24 @@ def _cmd_trace(args) -> int:
         return 0
 
     if args.file:
-        from repro.runtime.errors import ConfigError
         raise ConfigError(
             f"trace {args.campaign} takes no file argument "
             f"(use --trace to choose the output path)")
 
+    from repro.runtime.cache import cache_stats
+    from repro.runtime.campaigns import MetricsCampaign
     session = obs.configure(seed=2004)
+    cache_before = cache_stats()
     try:
-        if args.campaign == "grade":
-            from repro.runtime.campaigns import HierarchicalCampaign
-            from repro.selftest.vectors import expand_program
-            selftest = _build_selftest(args)
-            words = expand_program(selftest.program, args.iterations)
-            campaign = HierarchicalCampaign(words, jobs=args.jobs)
-            outcome = campaign.run()
-        else:  # metrics
-            from repro.runtime.campaigns import MetricsCampaign
-            campaign = MetricsCampaign(
-                n_controllability_samples=args.samples,
-                n_observability_good=args.good,
-                jobs=args.jobs,
-            )
-            outcome = campaign.run()
-        print(f"campaign: {outcome.report.summary()}")
-        _print_tier2(session)
-        _export_trace(session, args)
-        if outcome.report.timings:
-            _print_timings(outcome.report.timings)
-        return _quarantine_status(outcome.report.counts()["quarantined"])
-    finally:
-        obs.disable()
-
-
-def _cmd_profile(args) -> int:
-    """``repro profile``: per-phase / per-simulator timing breakdown of
-    the generate → grade flow."""
-    from repro import obs
-    from repro.harness.reporting import format_table
-    from repro.runtime.campaigns import HierarchicalCampaign
-    from repro.selftest.vectors import expand_program
-
-    session = obs.configure(trace=False, metrics=True, profile=True,
-                            seed=2004)
-    try:
-        selftest = _build_selftest(args)
-        words = expand_program(selftest.program, args.iterations)
-        campaign = HierarchicalCampaign(words, jobs=args.jobs)
+        campaign = MetricsCampaign(
+            n_controllability_samples=args.samples,
+            n_observability_good=args.good,
+            jobs=args.jobs,
+        )
         outcome = campaign.run()
-        rows = [
-            (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
-            for name, calls, seconds, mean_ms in session.profiler.rows()
-        ]
-        print(format_table(("section", "calls", "seconds", "mean ms"),
-                           rows))
-        counters = session.registry.snapshot()["counters"] \
-            if session.registry is not None else {}
-        cache_lines = {k: v for k, v in sorted(counters.items())
-                       if k.startswith("cache.")}
-        if cache_lines:
-            print("cache counters:")
-            for name, value in cache_lines.items():
-                print(f"  {name:<24}{value}")
-        _print_tier2(session)
+        print(f"campaign: {outcome.report.summary()}")
+        _export_trace(session, args)
+        _print_session(session, cache_before)
         return _quarantine_status(outcome.report.counts()["quarantined"])
     finally:
         obs.disable()
@@ -598,34 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("trace",
-                       help="trace a campaign (grade/metrics) or "
-                            "validate an existing trace file (check)")
-    p.add_argument("campaign", choices=("grade", "metrics", "check"),
+                       help="trace the metrics campaign or validate an "
+                            "existing trace file (check)")
+    p.add_argument("campaign", choices=("metrics", "check"),
                    help="campaign to trace, or 'check' to validate")
     p.add_argument("file", nargs="?",
                    help="trace file to validate (check only)")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--good", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=2)
     p.add_argument("--jobs", metavar="N",
                    help="worker processes (integer or 'auto')")
     p.add_argument("--trace", metavar="FILE", default="trace.jsonl",
                    help="JSONL trace output path (default trace.jsonl)")
     p.add_argument("--chrome", metavar="FILE",
                    help="also write a Chrome trace-event JSON")
-    add_table_options(p)
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("profile",
-                       help="per-phase / per-simulator timing breakdown "
-                            "of the generate -> grade flow")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--good", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=2)
-    p.add_argument("--jobs", metavar="N",
-                   help="worker processes (integer or 'auto')")
-    add_table_options(p)
-    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("chaos",
                        help="seeded fault-injection soak of the campaign "

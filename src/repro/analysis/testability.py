@@ -95,11 +95,6 @@ class FaultScore:
     detection_probability: float
 
     @property
-    def scoap_cost(self) -> float:
-        """Combined SCOAP difficulty (excite + observe)."""
-        return self.excite_cost + self.observe_cost
-
-    @property
     def statically_untestable(self) -> bool:
         """Neither excitation nor observation has a bounded SCOAP cost."""
         return math.isinf(self.excite_cost) or math.isinf(self.observe_cost)

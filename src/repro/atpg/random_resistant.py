@@ -10,7 +10,7 @@ those faults; :class:`repro.atpg.podem.Podem` targets each one.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults
@@ -21,26 +21,14 @@ def find_random_resistant(
     netlist: Netlist,
     n_patterns: int = 4096,
     seed: int = 23,
-    pattern_sampler=None,
-    rng: Optional[random.Random] = None,
 ) -> List[Fault]:
-    """Faults of ``netlist`` not detected by ``n_patterns`` random patterns.
-
-    ``pattern_sampler(rng) -> {bus: word}`` customises the distribution
-    (e.g. restricting control modes); default is uniform on every input
-    bus.  ``rng`` overrides the default seed-derived stream.
-    """
-    rng = rng if rng is not None else random.Random(seed)
+    """Faults of ``netlist`` not detected by ``n_patterns`` random patterns,
+    drawn uniformly on every input bus."""
+    rng = random.Random(seed)
     input_buses = [
         (name, nets) for name, nets in netlist.buses.items()
         if all(n in netlist.inputs for n in nets)
     ]
-
-    def default_sampler(r):
-        return {name: r.randrange(1 << len(nets))
-                for name, nets in input_buses}
-
-    sampler = pattern_sampler or default_sampler
     sim = CombFaultSimulator(netlist, collapse_faults(netlist))
     block = 256
     blocks = []
@@ -48,9 +36,8 @@ def find_random_resistant(
         count = min(block, n_patterns - start)
         words: Dict[str, List[int]] = {name: [] for name, _ in input_buses}
         for _ in range(count):
-            sample = sampler(rng)
-            for name, _nets in input_buses:
-                words[name].append(sample[name])
+            for name, nets in input_buses:
+                words[name].append(rng.randrange(1 << len(nets)))
         blocks.append(words)
     first = sim.run_with_dropping(blocks)
     return [f for f, t in first.items() if t is None]

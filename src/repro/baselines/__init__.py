@@ -9,10 +9,10 @@
 """
 
 from repro.baselines.pseudorandom import pseudorandom_bist_words
-from repro.baselines.atpg_baseline import run_atpg_baseline, AtpgBaselineResult
+from repro.baselines.atpg_baseline import AtpgBaseline, AtpgBaselineResult
 
 __all__ = [
     "pseudorandom_bist_words",
-    "run_atpg_baseline",
+    "AtpgBaseline",
     "AtpgBaselineResult",
 ]

@@ -60,13 +60,20 @@ class AtpgBaselineResult:
 
 
 class AtpgBaseline:
-    """The baseline's one algorithm, shared by :func:`run_atpg_baseline`
-    and :class:`repro.runtime.campaigns.AtpgBaselineCampaign`.
+    """The baseline's one algorithm; runs as
+    :class:`repro.runtime.campaigns.AtpgBaselineCampaign`.
 
     Construction runs the cheap deterministic steps: the fault sample,
     the random-pattern phase and the time-frame unrolling.
     :meth:`attack` is one survivor's time-frame PODEM attack and returns
     its record; :meth:`result` tallies a run's records.
+
+    Like any sequential ATPG (TetraMAX included) the run opens with a
+    random-pattern phase from reset; most of the small coverage such
+    tools reach on a pipelined core comes from it, and PODEM then mostly
+    aborts, which is the paper's finding.  ``fault_sample`` grades a
+    deterministic random sample of the collapsed fault universe (the
+    full list takes hours in pure Python); ``None`` targets every fault.
     """
 
     def __init__(
@@ -158,34 +165,3 @@ class AtpgBaseline:
             total_backtracks=total_backtracks,
             total_decisions=total_decisions,
         )
-
-
-def run_atpg_baseline(
-    netlist: Optional[Netlist] = None,
-    n_frames: int = 6,
-    backtrack_limit: int = 400,
-    fault_sample: Optional[int] = 300,
-    seed: int = 5,
-    random_phase_sequences: int = 1,
-    random_phase_length: int = 32,
-) -> AtpgBaselineResult:
-    """Run the commercial-tool recipe on the flat core.
-
-    Like any sequential ATPG (TetraMAX included) the run opens with a
-    *random-pattern phase* — a handful of random vector sequences
-    fault-simulated from reset — before deterministic time-frame PODEM
-    attacks the survivors.  The random phase is where most of the small
-    coverage such tools achieve on a pipelined core comes from; PODEM then
-    mostly aborts, which is the paper's finding.
-
-    ``fault_sample`` grades a deterministic random sample of the collapsed
-    fault universe (the full list takes hours in pure Python); ``None``
-    targets every fault.
-    """
-    baseline = AtpgBaseline(
-        netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
-        fault_sample=fault_sample, seed=seed,
-        random_phase_sequences=random_phase_sequences,
-        random_phase_length=random_phase_length,
-    )
-    return baseline.result(baseline.attack(f) for f in baseline.survivors)

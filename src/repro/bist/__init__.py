@@ -8,20 +8,12 @@ different register group, and a MISR compacts the core's output stream.
 
 from repro.bist.lfsr import Lfsr, PRIMITIVE_TAPS
 from repro.bist.misr import Misr
-from repro.bist.signatures import (
-    IntervalSignatures,
-    aliasing_probability,
-    interval_signatures,
-)
 from repro.bist.template import RandomLoad, TemplateArchitecture
 
 __all__ = [
     "Lfsr",
     "PRIMITIVE_TAPS",
     "Misr",
-    "IntervalSignatures",
-    "interval_signatures",
-    "aliasing_probability",
     "RandomLoad",
     "TemplateArchitecture",
 ]

@@ -70,16 +70,6 @@ class ComponentSpec:
     def mode_label(self, mode: int) -> str:
         return dict(self.mode_labels).get(mode, str(mode))
 
-    def column_names(self) -> List[str]:
-        """One metrics-table column name per mode."""
-        if len(self.modes) == 1:
-            return [self.name]
-        return [f"{self.name} {self.mode_label(m)}" for m in self.modes]
-
-    @property
-    def total_input_width(self) -> int:
-        return sum(w for _, w in self.input_ports)
-
     def netlist(self) -> Netlist:
         """The component's gate-level netlist (cached per spec).
 

@@ -56,8 +56,13 @@ from repro.dsp.mac import (
     Trace,
     apply_hooks,
 )
+from repro.runtime.errors import ConfigError
 
 _WORD_MASK = mask(INSTRUCTION_WIDTH)
+
+#: The one-word state elements a key ``(name,)`` names; ``("reg", i)``
+#: names register ``i``.
+_WORD_ELEMENTS = frozenset({"acc_a", "acc_b", "macreg", "buffer", "temp"})
 
 
 @dataclass
@@ -111,6 +116,25 @@ class CoreState:
         return CoreState(list(self.regs), self.acc_a, self.acc_b, self.temp,
                          self.macreg, self.buffer, self.if_id, self.id_ex,
                          self.ex_wb, self.out_latch)
+
+    def read(self, key: Tuple) -> int:
+        """The state element named by ``key`` (see :data:`StuckBits`)."""
+        name = key[0]
+        if name == "reg":
+            return self.regs[key[1]]
+        if name not in _WORD_ELEMENTS:
+            raise ConfigError(f"unknown state element {key!r}")
+        return getattr(self, name)
+
+    def write(self, key: Tuple, value: int) -> None:
+        """Store ``value`` in the state element named by ``key``."""
+        name = key[0]
+        if name == "reg":
+            self.regs[key[1]] = value
+        elif name in _WORD_ELEMENTS:
+            setattr(self, name, value)
+        else:
+            raise ConfigError(f"unknown state element {key!r}")
 
 
 @dataclass(frozen=True)
@@ -180,21 +204,7 @@ class DspCore:
     def _apply_stuck_bits(self) -> None:
         s = self.state
         for key, (and_mask, or_mask) in self.stuck_bits.items():
-            kind = key[0]
-            if kind == "reg":
-                s.regs[key[1]] = (s.regs[key[1]] & and_mask) | or_mask
-            elif kind == "acc_a":
-                s.acc_a = (s.acc_a & and_mask) | or_mask
-            elif kind == "acc_b":
-                s.acc_b = (s.acc_b & and_mask) | or_mask
-            elif kind == "macreg":
-                s.macreg = (s.macreg & and_mask) | or_mask
-            elif kind == "buffer":
-                s.buffer = (s.buffer & and_mask) | or_mask
-            elif kind == "temp":
-                s.temp = (s.temp & and_mask) | or_mask
-            else:
-                raise ValueError(f"unknown stuck-bit target {key!r}")
+            s.write(key, (s.read(key) & and_mask) | or_mask)
 
     # ------------------------------------------------------------------
     def step(self, instr_word: int,

@@ -5,10 +5,13 @@ packed into integer bits.  Each still-undetected fault is then re-evaluated
 only over its fanout cone (copy-on-write on top of the good values), and a
 fault is detected on every pattern where any primary output differs.
 
-Besides plain detection this module exposes :class:`LocalDetection` — the
-per-pattern *faulty output words* — which is what the hierarchical core
-fault simulator needs to know which erroneous value appears at a component
-boundary on which cycle.
+Besides plain detection, :meth:`CombFaultSimulator.simulate_fault`
+returns the nets a fault changes on top of the good values: the
+hierarchical core fault simulator calls it to learn which erroneous value
+appears at a component boundary on which pattern, and
+:meth:`~CombFaultSimulator.faulty_output_word` for a single pattern.
+:class:`LocalDetection` packs the same per-pattern faulty output words
+for one block.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ per-component breakdowns for the DSP-core experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 from repro.runtime.errors import ConfigError
 
 
@@ -45,22 +45,6 @@ class CoverageReport:
         if clock_hz <= 0:
             raise ConfigError("clock frequency must be positive")
         return self.n_vectors / clock_hz
-
-    def merged_with(self, other: "CoverageReport",
-                    name: Optional[str] = None) -> "CoverageReport":
-        """Combine two disjoint fault populations into one report."""
-        combined: Dict[str, Tuple[int, int]] = dict(self.by_component)
-        for comp, (det, tot) in other.by_component.items():
-            prev = combined.get(comp, (0, 0))
-            combined[comp] = (prev[0] + det, prev[1] + tot)
-        return CoverageReport(
-            name=name or f"{self.name}+{other.name}",
-            n_faults=self.n_faults + other.n_faults,
-            n_detected=self.n_detected + other.n_detected,
-            n_untestable=self.n_untestable + other.n_untestable,
-            n_vectors=max(self.n_vectors, other.n_vectors),
-            by_component=combined,
-        )
 
     def __str__(self) -> str:
         lines = [

@@ -34,6 +34,10 @@ from repro.faults.hierarchical import (
 )
 from repro.runtime.errors import ConfigError
 
+#: Cycles either side of the first mismatch whose first detections
+#: join the shortlist.
+CYCLE_WINDOW = 6
+
 
 @dataclass(frozen=True)
 class DiagnosisCandidate:
@@ -52,15 +56,13 @@ class FaultDiagnoser:
 
     def __init__(self, words: Sequence[int],
                  universe: Optional[DspFaultUniverse] = None,
-                 simulator: Optional[HierarchicalFaultSimulator] = None,
-                 cycle_window: int = 6):
+                 simulator: Optional[HierarchicalFaultSimulator] = None):
         self.words = list(words)
         sim = simulator if simulator is not None else \
             HierarchicalFaultSimulator(universe=universe)
         self.universe = sim.universe
         self.build = sim.build
         self.dictionary: HierarchicalResult = sim.run(self.words)
-        self.cycle_window = cycle_window
         self.golden = self._clean_response()
         self._by_cycle: Dict[int, List[object]] = {}
         for fault, cycle in self.dictionary.first_detect.items():
@@ -102,8 +104,8 @@ class FaultDiagnoser:
         if first is None:
             return []
         shortlist: List[object] = []
-        for cycle in range(max(0, first - self.cycle_window),
-                           first + self.cycle_window + 1):
+        for cycle in range(max(0, first - CYCLE_WINDOW),
+                           first + CYCLE_WINDOW + 1):
             shortlist.extend(self._by_cycle.get(cycle, []))
         return shortlist
 
@@ -136,35 +138,3 @@ class FaultDiagnoser:
             ))
         ranked.sort(key=lambda c: -c.score)
         return ranked[:top_k]
-
-    # ------------------------------------------------------------------
-    def diagnose_from_signatures(self, observed_signatures,
-                                 top_k: int = 10) -> List[DiagnosisCandidate]:
-        """Diagnosis when only interval signatures were captured.
-
-        Without the raw stream only the *first failing interval* is known
-        (see :mod:`repro.bist.signatures`); candidates are the faults first
-        detected inside that cycle window, ranked by how early they fire.
-        """
-        from repro.bist.signatures import (
-            diagnose_interval,
-            interval_signatures,
-        )
-        golden = interval_signatures(
-            self.golden, observed_signatures.interval,
-            width=observed_signatures.width,
-        )
-        window = diagnose_interval(golden, observed_signatures)
-        if window is None:
-            return []
-        start, end = window
-        candidates: List[DiagnosisCandidate] = []
-        for cycle in range(start, min(end, len(self.words))):
-            for fault in self._by_cycle.get(cycle, []):
-                candidates.append(DiagnosisCandidate(
-                    fault=fault,
-                    score=1.0 - (cycle - start) / max(1, end - start),
-                    first_mismatch=cycle,
-                ))
-        candidates.sort(key=lambda c: -c.score)
-        return candidates[:top_k]

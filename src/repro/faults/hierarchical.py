@@ -201,7 +201,6 @@ def _register_faults(spec: ComponentSpec) -> List[StorageFault]:
 # Storage-fault execution helpers
 # ----------------------------------------------------------------------
 def storage_fault_core(fault: StorageFault,
-                       state: Optional[CoreState] = None,
                        build: CoreBuild = PAPER_BUILD) -> DspCore:
     """A core whose behaviour includes ``fault`` permanently."""
     if fault.kind == "q":
@@ -215,8 +214,7 @@ def storage_fault_core(fault: StorageFault,
             and_mask, or_mask = mask(width), 1 << fault.bit
         else:
             and_mask, or_mask = mask(width) & ~(1 << fault.bit), 0
-        return build.make_core(state=state,
-                               stuck_bits={key: (and_mask, or_mask)})
+        return build.make_core(stuck_bits={key: (and_mask, or_mask)})
     # d / en faults: per-cycle callable override on the traced component.
     name = fault.target[0]
 
@@ -232,7 +230,7 @@ def storage_fault_core(fault: StorageFault,
             en = fault.stuck_at
         return d if en else inputs.get("q", 0)
 
-    core = build.make_core(state=state)
+    core = build.make_core()
     core_overrides = {name: override}
     # Wrap step to always apply the override.
     original_step = core.step

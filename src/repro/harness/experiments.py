@@ -85,15 +85,6 @@ class ExperimentRegistry:
         self.results[result.experiment_id] = result
         return result
 
-    def attach_campaign(self, experiment_id: str,
-                        counts: Dict[str, int]) -> None:
-        """Attach campaign unit accounting to an already recorded row."""
-        if experiment_id not in self.results:
-            raise ConfigError(
-                f"no experiment {experiment_id!r} recorded yet"
-            )
-        self.results[experiment_id].campaign_counts = dict(counts)
-
     def markdown_table(self) -> str:
         header = ("| id | artefact | paper | measured | scale | units |\n"
                   "|---|---|---|---|---|---|")

@@ -24,13 +24,11 @@ def format_table(headers: Sequence[str],
 
 
 def format_curve(points: Sequence[Tuple[int, float]],
-                 x_label: str = "vectors",
-                 y_label: str = "coverage",
                  width: int = 50) -> str:
     """A coarse ASCII rendering of a coverage curve."""
     if not points:
         return "(no data)"
-    lines = [f"{x_label:>10}  {y_label}"]
+    lines = [f"{'vectors':>10}  coverage"]
     for x, y in points:
         bar = "#" * int(round(y * width))
         lines.append(f"{x:>10}  {bar} {y:.2%}")

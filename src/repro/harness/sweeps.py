@@ -178,7 +178,6 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
         DspFaultUniverse,
         HierarchicalFaultSimulator,
     )
-    from repro.selftest.generator import SelfTestGenerator
     from repro.selftest.phase1 import run_phase1
     from repro.selftest.phase2 import run_phase2
     from repro.selftest.vectors import expand_program, run_with_misr
@@ -327,16 +326,15 @@ def run_sweep(config: SweepConfig,
     return doc
 
 
-def record_sweep(doc: Dict[str, Any], registry=None) -> None:
+def record_sweep(doc: Dict[str, Any]) -> None:
     """One EXPERIMENTS registry row summarising the landscape."""
     from repro.harness.experiments import ExperimentResult, REGISTRY
-    registry = registry if registry is not None else REGISTRY
     points = doc["points"]
     if not points:
         return
     coverages = [p["fault_coverage"] for p in points]
     areas = [p["area"] for p in points]
-    registry.record(ExperimentResult(
+    REGISTRY.record(ExperimentResult(
         experiment_id="S1",
         description="core-family design-space sweep",
         paper_value="single core (Table 3)",

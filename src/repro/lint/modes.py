@@ -67,7 +67,6 @@ def component_mode(component: str, cw: ControlWord) -> int:
 
 
 def static_mode_reachability(
-    opcodes: Iterable[Opcode] = tuple(Opcode),
     build: CoreBuild = PAPER_BUILD,
 ) -> Dict[str, FrozenSet[int]]:
     """component name -> set of modes some opcode decodes to.
@@ -78,7 +77,7 @@ def static_mode_reachability(
     """
     components = build.components
     reachable: Dict[str, Set[int]] = {spec.name: set() for spec in components}
-    words = [build.control_word(op) for op in opcodes]
+    words = [build.control_word(op) for op in Opcode]
     for spec in components:
         for cw in words:
             reachable[spec.name].add(component_mode(spec.name, cw))

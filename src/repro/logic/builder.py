@@ -132,13 +132,6 @@ class NetlistBuilder:
             return 1
         return None
 
-    def const_bus(self, value: int, width: int) -> List[int]:
-        """A bus of constant nets holding ``value`` (LSB first)."""
-        return [
-            self.const1() if (value >> i) & 1 else self.const0()
-            for i in range(width)
-        ]
-
     def not_(self, a: int, name: Optional[str] = None) -> int:
         return self.gate(GateType.NOT, (a,), name)
 
@@ -192,17 +185,8 @@ class NetlistBuilder:
         self.netlist.add_dff(q, d, init)
         return q
 
-    def dff_bus(self, name: str, d: Sequence[int], init: int = 0) -> List[int]:
-        qs = [
-            self.dff(bit, (init >> i) & 1, name=f"{name}[{i}]")
-            for i, bit in enumerate(d)
-        ]
-        self.netlist.add_bus(name, qs)
-        return qs
-
     # ------------------------------------------------------------------
-    def finish(self, validate: bool = True) -> Netlist:
-        """Return the completed netlist, optionally validating it."""
-        if validate:
-            self.netlist.validate()
+    def finish(self) -> Netlist:
+        """Validate and return the completed netlist."""
+        self.netlist.validate()
         return self.netlist

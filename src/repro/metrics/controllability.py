@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dsp.core import DspCore
 from repro.dsp.family import PAPER_BUILD, CoreBuild
@@ -80,22 +80,19 @@ class InstructionVariant:
         return Instruction(self.opcode, rega=_REGA, regb=_REGB, dest=_DEST)
 
 
-def default_variants(include_b: bool = True) -> List[InstructionVariant]:
-    """The row set of the paper's Table 2 (A and optionally B forms)."""
+def default_variants() -> List[InstructionVariant]:
+    """The row set of the paper's Table 2 (A and B forms)."""
     families = [
         Opcode.LDI, Opcode.MPYA, Opcode.MPYTA,
         Opcode.MACA_ADD, Opcode.MACA_SUB, Opcode.MACTA_ADD, Opcode.MACTA_SUB,
         Opcode.SHIFTA, Opcode.MPYSHIFTA, Opcode.MPYSHIFTMACA,
         Opcode.OUT, Opcode.OUTA, Opcode.MOV,
+        Opcode.MPYB, Opcode.MPYTB,
+        Opcode.MACB_ADD, Opcode.MACB_SUB,
+        Opcode.MACTB_ADD, Opcode.MACTB_SUB,
+        Opcode.SHIFTB, Opcode.MPYSHIFTB, Opcode.MPYSHIFTMACB,
+        Opcode.OUTB,
     ]
-    if include_b:
-        families += [
-            Opcode.MPYB, Opcode.MPYTB,
-            Opcode.MACB_ADD, Opcode.MACB_SUB,
-            Opcode.MACTB_ADD, Opcode.MACTB_SUB,
-            Opcode.SHIFTB, Opcode.MPYSHIFTB, Opcode.MPYSHIFTMACB,
-            Opcode.OUTB,
-        ]
     variants = []
     for op in families:
         variants.append(InstructionVariant(op, "0"))
@@ -124,7 +121,6 @@ def prepare_core(variant: InstructionVariant, rng: random.Random,
 
 
 def trace_variant(variant: InstructionVariant, rng: random.Random,
-                  follow: Sequence[Instruction] = (),
                   build: CoreBuild = PAPER_BUILD) -> List[Dict]:
     """Execute the variant once; returns per-cycle traces.
 
@@ -136,7 +132,6 @@ def trace_variant(variant: InstructionVariant, rng: random.Random,
     """
     core = prepare_core(variant, rng, build)
     words = [encode(variant.instruction(rng))]
-    words += [encode(i) for i in follow]
     words += [_NOP_WORD] * 4
     traces: List[Dict] = []
     for word in words:

@@ -56,17 +56,16 @@ def per_bit_entropy(samples: Sequence[int], width: int) -> float:
     return acc / width
 
 
-def controllability_from_samples(samples: Sequence[int], width: int,
-                                 exact_limit: int = EXACT_WIDTH_LIMIT) -> float:
+def controllability_from_samples(samples: Sequence[int], width: int) -> float:
     """The paper's ``C(X) = H(X)/n`` from a sample stream.
 
-    Uses the exact histogram estimate for signals up to ``exact_limit``
-    bits (when the sample count supports it) and the per-bit estimate for
-    wider signals.
+    Uses the exact histogram estimate for signals up to
+    ``EXACT_WIDTH_LIMIT`` bits (when the sample count supports it) and
+    the per-bit estimate for wider signals.
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    if width <= exact_limit and len(samples) >= (1 << width):
+    if width <= EXACT_WIDTH_LIMIT and len(samples) >= (1 << width):
         return min(1.0, histogram_entropy(samples) / width)
     return per_bit_entropy(samples, width)
 

@@ -38,9 +38,15 @@ from repro.metrics.controllability import (
     prepare_core,
 )
 from repro.runtime.errors import ConfigError
-from repro.runtime.rng import RngFactory, resolve_factory
+from repro.runtime.rng import derive_rng
 
 _NOP_WORD = encode(Instruction(Opcode.NOP))
+
+#: Random errors injected per output bit of a component, per good run.
+ERRORS_PER_BIT = 2
+#: Cycles each good run and its forks step: the instruction, its
+#: wrapper, then NOPs.
+WINDOW = 8
 
 
 def observation_wrapper(variant: InstructionVariant,
@@ -64,19 +70,13 @@ def observation_wrapper(variant: InstructionVariant,
 class ObservabilityEngine:
     """Estimates O for every (component, mode) column, per variant."""
 
-    def __init__(self, n_good: int = 25, errors_per_bit: int = 2,
-                 window: int = 8, seed: int = 1977,
-                 rng_factory: Optional[RngFactory] = None,
+    def __init__(self, n_good: int = 25, seed: int = 1977,
                  build: CoreBuild = PAPER_BUILD):
         if n_good < 1:
             raise ConfigError("need at least one good simulation")
         self.n_good = n_good
-        self.errors_per_bit = errors_per_bit
-        self.window = window
         self.seed = seed
         self.build = build
-        # Injected label->Random factory (see ControllabilityEngine).
-        self.rng_factory = resolve_factory(seed, rng_factory)
 
     # ------------------------------------------------------------------
     def measure(self, variant: InstructionVariant,
@@ -87,7 +87,7 @@ class ObservabilityEngine:
         (Phase 2 uses this to test candidate observation sequences, e.g.
         ``outa`` to expose an accumulator).
         """
-        rng = self.rng_factory(variant.label)
+        rng = derive_rng(self.seed, variant.label)
         observed: Dict[Tuple[str, int], int] = {}
         injected: Dict[Tuple[str, int], int] = {}
 
@@ -101,7 +101,7 @@ class ObservabilityEngine:
                        + list(extra_wrapper))
             words = [encode(variant.instruction(setup_rng))]
             words += [encode(i) for i in wrapper]
-            words += [_NOP_WORD] * max(0, self.window - len(words))
+            words += [_NOP_WORD] * max(0, WINDOW - len(words))
 
             # Clean run, keeping per-cycle traces and post-cycle state
             # snapshots: the latter are every injection's fork point and
@@ -125,7 +125,7 @@ class ObservabilityEngine:
                 key = (spec.name, activity.mode)
                 good_value = activity.output
                 n_bits = spec.output_width
-                for _ in range(self.errors_per_bit * n_bits):
+                for _ in range(ERRORS_PER_BIT * n_bits):
                     bad = rng.randrange(1 << n_bits)
                     if bad == good_value:
                         bad ^= 1 + rng.randrange((1 << n_bits) - 1)
@@ -135,7 +135,7 @@ class ObservabilityEngine:
                         # the instruction's EX cycle; it is observable only
                         # if a later instruction reads the element.
                         forked_state = post_states[cycle].copy()
-                        _set_state_element(forked_state, spec.state_key, bad)
+                        forked_state.write(spec.state_key, bad)
                         start, overrides = cycle + 1, None
                     else:
                         forked_state = (post_states[cycle - 1] if cycle
@@ -169,21 +169,3 @@ def _observed(core: DspCore, words: Sequence[int], start: int,
         overrides = None
     return False
 
-
-def _set_state_element(state, state_key, value: int) -> None:
-    """Write ``value`` into the state element named by ``state_key``."""
-    kind = state_key[0]
-    if kind == "acc_a":
-        state.acc_a = value
-    elif kind == "acc_b":
-        state.acc_b = value
-    elif kind == "macreg":
-        state.macreg = value
-    elif kind == "buffer":
-        state.buffer = value
-    elif kind == "temp":
-        state.temp = value
-    elif kind == "reg":
-        state.regs[state_key[1]] = value
-    else:
-        raise ConfigError(f"unknown state element {state_key!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.runtime.rng import derive_rng
 
@@ -33,6 +33,10 @@ Column = Tuple[str, int]
 _WIDTHS = {"mult": 8, "alu": 8, "acc": 8}
 #: Data input ports per component (control ports excluded).
 _DATA_PORTS = {"mult": ("a", "b"), "alu": ("a", "b"), "acc": ("d",)}
+#: Random errors injected per output bit of a component, per good run.
+ERRORS_PER_BIT = 2
+#: Cycles each observability run steps: the row's operation, then adds.
+WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,9 @@ def _prepared_core(variant: SimpleVariant, rng: random.Random) -> SimpleDspCore:
 
 def measure_simple_controllability(
     variant: SimpleVariant, n_samples: int = 400, seed: int = 11,
-    rng: Optional[random.Random] = None,
 ) -> Dict[Column, float]:
-    """C per (component, mode) column for one Table 1 row.
-
-    ``rng`` overrides the default per-variant seed-derived stream.
-    """
-    rng = rng if rng is not None else derive_rng(seed, variant.label)
+    """C per (component, mode) column for one Table 1 row."""
+    rng = derive_rng(seed, variant.label)
     port_samples: Dict[Column, Dict[str, List[int]]] = {}
     for _ in range(n_samples):
         core = _prepared_core(variant, rng)
@@ -96,9 +96,7 @@ def measure_simple_controllability(
 
 
 def measure_simple_observability(
-    variant: SimpleVariant, n_good: int = 50, errors_per_bit: int = 2,
-    window: int = 4, seed: int = 13,
-    rng: Optional[random.Random] = None,
+    variant: SimpleVariant, n_good: int = 50, seed: int = 13,
 ) -> Dict[Column, float]:
     """O per column: inject random errors, observe the output stream.
 
@@ -108,14 +106,14 @@ def measure_simple_observability(
     almost always observable, which is why Table 1's O column is 0.99
     everywhere except behind ``Clr``.
     """
-    rng = rng if rng is not None else derive_rng(seed, variant.label)
+    rng = derive_rng(seed, variant.label)
     observed: Dict[Column, int] = {}
     injected: Dict[Column, int] = {}
     for _ in range(n_good):
         acc0 = rng.randrange(256) if variant.acc_state == "R" else 0
         steps = [(variant.op, rng.randrange(256), rng.randrange(256))]
         steps += [(SimpleOp.ADD, rng.randrange(256), 0)
-                  for _ in range(window - 1)]
+                  for _ in range(WINDOW - 1)]
 
         core = SimpleDspCore(state=SimpleState(acc=acc0))
         clean_ports, trace0 = [], {}
@@ -126,7 +124,7 @@ def measure_simple_observability(
         for name, activity in trace0.items():
             key = (name, activity.mode)
             n_bits = _WIDTHS[name]
-            for _ in range(errors_per_bit * n_bits):
+            for _ in range(ERRORS_PER_BIT * n_bits):
                 bad = rng.randrange(1 << n_bits)
                 if bad == activity.output:
                     bad = (bad + 1) & ((1 << n_bits) - 1)

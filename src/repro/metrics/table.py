@@ -94,9 +94,6 @@ class MetricsTable:
     def covered_columns(self, row: InstructionVariant) -> List[Column]:
         return [c for c in self.columns if self.is_covered(row, c)]
 
-    def rows_covering(self, column: Column) -> List[InstructionVariant]:
-        return [r for r in self.rows if self.is_covered(r, column)]
-
     def column_label(self, column: Column) -> str:
         name, mode = column
         try:

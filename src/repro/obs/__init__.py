@@ -24,7 +24,7 @@ The three components (each optional):
 
 * ``tracer`` — nested spans with deterministic ids, JSONL + Chrome
   trace-event export (:mod:`repro.obs.trace`);
-* ``registry`` — counters/gauges/histograms with associative,
+* ``registry`` — counters and histograms with associative,
   commutative merges (:mod:`repro.obs.metrics`);
 * ``profiler`` — accumulated per-section wall clock
   (:mod:`repro.obs.profile`).
@@ -47,7 +47,7 @@ from repro.obs.trace import Span, Tracer
 __all__ = [
     "MetricsRegistry", "ObsSession", "Profiler", "Span", "Tracer",
     "active", "configure", "disable", "enabled",
-    "enabled_session", "span", "point", "incr", "gauge_max", "observe",
+    "enabled_session", "span", "point", "incr", "observe",
     "section", "export_worker_payload", "merge_worker_payload",
     "reset_after_fork", "profile_timings",
 ]
@@ -156,12 +156,6 @@ def incr(name: str, n: int = 1) -> None:
     if _SESSION is None or _SESSION.registry is None:
         return
     _SESSION.registry.incr(name, n)
-
-
-def gauge_max(name: str, value: float) -> None:
-    if _SESSION is None or _SESSION.registry is None:
-        return
-    _SESSION.registry.gauge_max(name, value)
 
 
 def observe(name: str, value: float) -> None:

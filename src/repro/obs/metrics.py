@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms with explicit merge semantics.
+"""Counters and histograms with explicit merge semantics.
 
 Everything here is designed around *mergeability*: a pooled campaign
 runs one registry per worker process and folds the snapshots back into
@@ -8,9 +8,6 @@ documents its merge operator, and every operator is associative and
 commutative:
 
 * **Counter** — merge is addition.
-* **Gauge** — a high-water mark; merge is ``max``.  (A last-write-wins
-  gauge cannot merge deterministically across shards, so we don't
-  offer one.)
 * **Histogram** — fixed bucket bounds; merge adds bucket counts and
   combines count/total/min/max.  Two histograms only merge when their
   bounds agree.
@@ -40,20 +37,6 @@ class Counter:
 
     def merge(self, other: "Counter") -> None:
         self.value += other.value
-
-
-@dataclass
-class Gauge:
-    """A high-water mark.  Merge: ``max`` (associative, commutative)."""
-
-    value: float = float("-inf")
-
-    def set_max(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        self.set_max(other.value)
 
 
 @dataclass
@@ -112,7 +95,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     # -- hot-path updates ---------------------------------------------
@@ -121,12 +103,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self.counters[name] = Counter()
         counter.add(n)
-
-    def gauge_max(self, name: str, value: float) -> None:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge()
-        gauge.set_max(value)
 
     def observe(self, name: str, value: float,
                 bounds: tuple = DEFAULT_BOUNDS) -> None:
@@ -140,7 +116,6 @@ class MetricsRegistry:
         """A JSON-able copy of every instrument's state."""
         return {
             "counters": {k: c.value for k, c in self.counters.items()},
-            "gauges": {k: g.value for k, g in self.gauges.items()},
             "histograms": {
                 k: {
                     "bounds": list(h.bounds), "counts": list(h.counts),
@@ -155,8 +130,6 @@ class MetricsRegistry:
         """Fold a snapshot (e.g. from a pool worker) into this registry."""
         for name, value in snapshot.get("counters", {}).items():
             self.incr(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge_max(name, value)
         for name, h in snapshot.get("histograms", {}).items():
             incoming = Histogram(
                 bounds=tuple(h["bounds"]), counts=list(h["counts"]),
@@ -173,7 +146,6 @@ class MetricsRegistry:
         """Zero every instrument (workers reset between units so each
         payload carries a clean delta)."""
         self.counters.clear()
-        self.gauges.clear()
         self.histograms.clear()
 
 

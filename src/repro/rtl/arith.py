@@ -67,25 +67,6 @@ def ripple_adder(
     return total, carry
 
 
-def incrementer(
-    b: NetlistBuilder,
-    a: Sequence[int],
-    cin: int,
-) -> List[int]:
-    """Add a single carry-in bit to a bus (no carry-out).
-
-    Cheaper than a full ripple adder against a constant-zero bus, and —
-    unlike that construction — free of untestable half-dead logic.
-    """
-    total: List[int] = []
-    carry = cin
-    for i, bit in enumerate(a):
-        total.append(b.xor(bit, carry))
-        if i < len(a) - 1:
-            carry = b.and_(bit, carry)
-    return total
-
-
 def carry_select_adder(
     b: NetlistBuilder,
     a: Sequence[int],

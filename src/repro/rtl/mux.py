@@ -46,9 +46,3 @@ def make_gated_bus(width: int, invert_enable: bool = False,
     out = [b.and_(bit, gate) for bit in data]
     b.output_bus("out", out)
     return b.finish()
-
-
-def gated_bus_reference(data: int, en: int, invert_enable: bool = False) -> int:
-    """Word-level model of :func:`make_gated_bus`."""
-    active = (not en) if invert_enable else bool(en)
-    return data if active else 0

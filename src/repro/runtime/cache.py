@@ -49,7 +49,6 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro import obs
 from repro.logic.netlist import Gate, Netlist
 
 #: Bound on the number of good-machine blocks kept (LRU eviction).
@@ -129,10 +128,8 @@ def _compiled_for(netlist: Netlist, table: Dict[str, object],
         hit = table.get(key)
         if hit is not None:
             _STATS["compile_hits"] += 1
-            obs.incr("cache.compile.hits")
             return hit
         _STATS["compile_misses"] += 1
-    obs.incr("cache.compile.misses")
     built = factory(netlist)  # compile outside the lock
     with _LOCK:
         return table.setdefault(key, built)
@@ -156,10 +153,8 @@ def fanout_cone(netlist: Netlist, net: int) -> Tuple[List[Gate], List[int]]:
         hit = cones.get(net)
         if hit is not None:
             _STATS["cone_hits"] += 1
-            obs.incr("cache.cone.hits")
             return hit
         _STATS["cone_misses"] += 1
-    obs.incr("cache.cone.misses")
     gates = netlist.transitive_fanout_gates(net)
     touched = {net} | {gate.output for gate in gates}
     cone = (gates, [out for out in netlist.outputs if out in touched])
@@ -201,10 +196,8 @@ def cached_good_values(netlist: Netlist,
         if hit is not None:
             _TRACE.move_to_end(key)
             _STATS["trace_hits"] += 1
-            obs.incr("cache.trace.hits")
             return hit
         _STATS["trace_misses"] += 1
-    obs.incr("cache.trace.misses")
     values = compute()
     with _LOCK:
         stored = _TRACE.setdefault(key, values)

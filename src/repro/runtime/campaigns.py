@@ -149,14 +149,14 @@ class HierarchicalCampaign:
                                       reset=self._reset_shared_state))
         return units
 
-    def run(self, resume: bool = False, repair: bool = False,
+    def run(self, resume: bool = False,
             max_units: Optional[int] = None,
             progress=None, force: bool = False) -> CampaignOutcome:
         from repro.faults.hierarchical import HierarchicalResult
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, progress=progress,
-            warmup=self._ctx, force=force,
+            max_units=max_units, progress=progress, warmup=self._ctx,
+            force=force,
         )
         fault_map = self._fault_map()
         first_detect = {
@@ -244,13 +244,13 @@ class MetricsCampaign:
             for variant in self.variants
         ]
 
-    def run(self, resume: bool = False, repair: bool = False,
+    def run(self, resume: bool = False,
             max_units: Optional[int] = None,
             force: bool = False) -> CampaignOutcome:
         from repro.metrics.table import MetricsCell, MetricsTable, fault_counts
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, force=force,
+            max_units=max_units, force=force,
         )
         table = MetricsTable(
             rows=self.variants,
@@ -326,11 +326,11 @@ class AtpgBaselineCampaign:
             for fault in self._baseline().survivors
         ]
 
-    def run(self, resume: bool = False, repair: bool = False,
+    def run(self, resume: bool = False,
             max_units: Optional[int] = None) -> CampaignOutcome:
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, warmup=self._baseline,
+            max_units=max_units, warmup=self._baseline,
         )
         result = self._baseline().result(
             r.value or {} for r in report.results.values())

@@ -35,6 +35,10 @@ from repro.selftest.program import Column, TestProgram
 
 #: Registers reserved as random operands (reloaded every iteration).
 RAND_REGS = (0, 1)
+#: Times the flow may lower both thresholds when Phase 2 leaves columns
+#: uncovered, and the step of each lowering.
+MAX_THRESHOLD_REDUCTIONS = 2
+THRESHOLD_STEP = 0.10
 #: Destination registers cycled through by generated instructions
 #: (paper core).
 DEST_REGS = tuple(range(2, 12))
@@ -77,14 +81,10 @@ class SelfTestGenerator:
         self,
         table: Optional[MetricsTable] = None,
         o_engine: Optional[ObservabilityEngine] = None,
-        max_threshold_reductions: int = 2,
-        threshold_step: float = 0.10,
         build: CoreBuild = PAPER_BUILD,
     ):
         self.table = table
         self.o_engine = o_engine
-        self.max_threshold_reductions = max_threshold_reductions
-        self.threshold_step = threshold_step
         self.build = build
 
     # ------------------------------------------------------------------
@@ -93,8 +93,8 @@ class SelfTestGenerator:
 
         Each stage runs under an observability span/section (inert when
         no session is armed); Phase 1/2 emit ``selftest.coverage``
-        points — the per-phase coverage-vs-time series ``repro profile``
-        and trace exports report.
+        points — the per-phase coverage-vs-time series that trace
+        exports (``repro grade --trace``) carry.
         """
         with obs.span("selftest.generate"), \
                 obs.section("selftest.generate"):
@@ -111,7 +111,7 @@ class SelfTestGenerator:
 
         n_columns = len(table.columns)
         c_theta, o_theta = table.c_theta, table.o_theta
-        for round_ in range(self.max_threshold_reductions + 1):
+        for round_ in range(MAX_THRESHOLD_REDUCTIONS + 1):
             view = table.with_thresholds(c_theta, o_theta)
             with obs.span("selftest.phase1", key=f"round{round_}") as sp, \
                     obs.section("selftest.phase1"):
@@ -134,8 +134,8 @@ class SelfTestGenerator:
                 break
             # "If sufficient coverage is not reached, the thresholds can be
             # lowered a limited amount of times."
-            c_theta -= self.threshold_step
-            o_theta -= self.threshold_step
+            c_theta -= THRESHOLD_STEP
+            o_theta -= THRESHOLD_STEP
         with obs.span("selftest.assemble"), \
                 obs.section("selftest.assemble"):
             program = assemble_program(view, phase1, phase2,

@@ -73,10 +73,13 @@ def factor_product(p: int) -> Optional[Tuple[int, int]]:
 #: Registers reserved by justification sequences (away from the loop's
 #: operand registers).
 _JREGS = list(range(8, 16))
+#: Search budget: how far below ``target >> k`` the shifted product may
+#: start.
+_MAX_DELTA = 48
 
 
-def justify_accumulator(value: int, acc: str = "A",
-                        max_delta: int = 48) -> Optional[List[Instruction]]:
+def justify_accumulator(value: int,
+                        acc: str = "A") -> Optional[List[Instruction]]:
     """A short instruction sequence leaving ``value`` in AccA or AccB.
 
     Strategy: find ``k``, ``p``, ``r`` with ``value = (p << k) + r`` where
@@ -96,7 +99,7 @@ def justify_accumulator(value: int, acc: str = "A",
         base = target >> k
         if not _MIN_PRODUCT <= base <= _MAX_PRODUCT:
             continue
-        for delta in range(0, max_delta + 1):
+        for delta in range(0, _MAX_DELTA + 1):
             p = base - delta
             rest = target - (p << k)
             if rest < 0 or rest > _MAX_PRODUCT:

@@ -36,12 +36,6 @@ class Phase1Result:
     def chosen(self) -> List[InstructionVariant]:
         return [variant for variant, _ in self.selections]
 
-    def covered_by_selection(self) -> List[Column]:
-        covered: List[Column] = []
-        for _, columns in self.selections:
-            covered.extend(columns)
-        return covered
-
     def summary(self) -> str:
         lines = [
             "Phase 1 (greedy cover):",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.dsp.components import ComponentSpec, component_by_name
@@ -58,14 +58,14 @@ class ConstraintResult:
 
 
 def _random_port_patterns(spec: ComponentSpec, allowed_modes: Sequence[int],
-                          n_patterns: int, rng: random.Random,
-                          mode_port: str) -> Dict[str, List[int]]:
+                          n_patterns: int, rng: random.Random
+                          ) -> Dict[str, List[int]]:
     patterns: Dict[str, List[int]] = {
         name: [] for name, _ in spec.input_ports
     }
     for _ in range(n_patterns):
         for name, width in spec.input_ports:
-            if name == mode_port:
+            if name == "mode":
                 patterns[name].append(rng.choice(list(allowed_modes)))
             else:
                 patterns[name].append(rng.randrange(1 << width))
@@ -74,43 +74,34 @@ def _random_port_patterns(spec: ComponentSpec, allowed_modes: Sequence[int],
 
 def constraint_study(
     component: str = "shifter",
-    mode_port: str = "mode",
-    constraints: Optional[Sequence[Sequence[int]]] = None,
     n_patterns: int = 2048,
     seed: int = 31,
-    rng_factory=None,
 ) -> List[ConstraintResult]:
     """The paper's §3.4 study: component fault coverage per mode constraint.
 
-    ``constraints`` is a list of allowed-mode sets; the default reproduces
-    the paper's five shifter cases (each single mode excluded, plus
-    "only 00 and 01").  ``rng_factory(allowed_modes) -> Random``
-    overrides the default per-constraint seed-derived streams.
+    After the unconstrained baseline, the allowed-mode sets reproduce the
+    paper's five shifter cases: each single mode excluded, plus "only 00
+    and 01".
     """
     with obs.span("selftest.phase3", key=component), \
             obs.section("selftest.phase3"):
-        return _constraint_study(component, mode_port, constraints,
-                                 n_patterns, seed, rng_factory)
+        return _constraint_study(component, n_patterns, seed)
 
 
-def _constraint_study(component, mode_port, constraints, n_patterns,
-                      seed, rng_factory) -> List[ConstraintResult]:
+def _constraint_study(component, n_patterns, seed) -> List[ConstraintResult]:
     spec = component_by_name(component)
-    if constraints is None:
-        all_modes = list(spec.modes)
-        constraints = [list(all_modes)]  # unconstrained baseline first
-        constraints += [
-            [m for m in all_modes if m != excluded] for excluded in all_modes
-        ]
-        constraints.append(list(all_modes[:2]))  # only the first two modes
+    all_modes = list(spec.modes)
+    constraints = [list(all_modes)]  # unconstrained baseline first
+    constraints += [
+        [m for m in all_modes if m != excluded] for excluded in all_modes
+    ]
+    constraints.append(list(all_modes[:2]))  # only the first two modes
     fault_list = collapse_faults(spec.netlist())
     sim = CombFaultSimulator(spec.netlist(), fault_list)
     results: List[ConstraintResult] = []
     for allowed in constraints:
-        rng = rng_factory(allowed) if rng_factory is not None \
-            else random.Random((seed, tuple(allowed)).__repr__())
-        patterns = _random_port_patterns(spec, allowed, n_patterns, rng,
-                                         mode_port)
+        rng = random.Random((seed, tuple(allowed)).__repr__())
+        patterns = _random_port_patterns(spec, allowed, n_patterns, rng)
         block = 256
         first = sim.run_with_dropping([
             {name: words[i:i + block] for name, words in patterns.items()}
@@ -153,8 +144,12 @@ def discardable_modes(results: Sequence[ConstraintResult],
 # ----------------------------------------------------------------------
 # Enhancement 2: execution-frequency boosting
 # ----------------------------------------------------------------------
-def slow_components(result, max_components: int = 2,
-                    min_faults: int = 40) -> List[str]:
+#: Fewest faults a component needs before its coverage rate ranks it
+#: slow.
+SLOW_MIN_FAULTS = 40
+
+
+def slow_components(result, max_components: int = 2) -> List[str]:
     """Components with the worst coverage in a fault-simulation run.
 
     This is the paper's selection rule: "Through fault simulation we are
@@ -170,7 +165,7 @@ def slow_components(result, max_components: int = 2,
     rates = [
         (detected / total, component)
         for component, (detected, total) in report.by_component.items()
-        if total >= min_faults
+        if total >= SLOW_MIN_FAULTS
     ]
     rates.sort()
     return [component for _, component in rates[:max_components]]

@@ -88,14 +88,13 @@ def generate_simple_selftest(
 
 def simple_selftest_stimulus(
     selftest: SimpleSelfTest, n_iterations: int, seed: int = 77,
-    rng: Optional[random.Random] = None,
 ) -> Dict[str, List[int]]:
     """Expand the loop into per-cycle bus stimulus for the flat netlist.
 
     Operands come from a seeded pseudorandom stream (the LFSR1
-    analogue); pass ``rng`` to share an injected stream instead.
+    analogue).
     """
-    rng = rng if rng is not None else random.Random(seed)
+    rng = random.Random(seed)
     ops: List[int] = []
     in1: List[int] = []
     in2: List[int] = []

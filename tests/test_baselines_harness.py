@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.atpg_baseline import AtpgBaselineResult, run_atpg_baseline
+from repro.baselines.atpg_baseline import AtpgBaseline, AtpgBaselineResult
 from repro.baselines.pseudorandom import pseudorandom_bist_words
 from repro.harness.experiments import (
     ExperimentRegistry,
@@ -30,8 +30,8 @@ def test_bist_words_deterministic():
 
 
 def test_atpg_baseline_tiny_sample():
-    result = run_atpg_baseline(n_frames=4, backtrack_limit=40,
-                               fault_sample=6)
+    baseline = AtpgBaseline(n_frames=4, backtrack_limit=40, fault_sample=6)
+    result = baseline.result(baseline.attack(f) for f in baseline.survivors)
     assert result.n_faults == 6
     assert (result.n_detected + result.n_untestable_within_frames
             + result.n_aborted) == 6

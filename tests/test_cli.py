@@ -165,11 +165,11 @@ def test_grade_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
 
 def test_trace_grade_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
                                                       capsys):
-    """A traced grading campaign exits 1 on a quarantined unit, as
-    ``grade`` does; the trace is still written."""
+    """A traced grading campaign exits 1 on a quarantined unit, as an
+    untraced one does; the trace is still written."""
     quarantine_first_grading_unit(monkeypatch)
     trace = tmp_path / "t.jsonl"
-    assert main(["trace", "grade", "--samples", "4", "--good", "1",
+    assert main(["grade", "--samples", "4", "--good", "1",
                  "--iterations", "1", "--trace", str(trace)]) == 1
     captured = capsys.readouterr()
     assert "1 quarantined" in captured.out
@@ -177,23 +177,56 @@ def test_trace_grade_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
     assert trace.stat().st_size > 0
 
 
-def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
-    """The profile table still prints, and the exit is 1."""
+def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
+                                                  capsys):
+    """A traced ``grade`` still prints its profile (the section table),
+    and the exit is 1."""
     quarantine_first_grading_unit(monkeypatch)
-    assert main(["profile", "--samples", "4", "--good", "1",
-                 "--iterations", "1"]) == 1
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1",
+                 "--trace", str(tmp_path / "t.jsonl")]) == 1
     captured = capsys.readouterr()
     assert "section" in captured.out
     assert "FAILED: 1 unit(s) quarantined" in captured.err
 
 
-def test_profile_reports_how_much_of_tier2_ran_at_gate_level(capsys):
-    assert main(["profile", "--samples", "4", "--good", "1",
-                 "--iterations", "1"]) == 0
+def test_profile_reports_how_much_of_tier2_ran_at_gate_level(tmp_path,
+                                                             capsys):
+    """A traced ``grade`` prints the session's profile: the section
+    table with mean ms, cache hits and misses per kind and the tier-2
+    line."""
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1",
+                 "--trace", str(tmp_path / "t.jsonl")]) == 0
+    out = capsys.readouterr().out
     found = re.search(r"^tier 2: (\d+) checks, (\d+) cycles, (\d+) at gate "
-                      r"level$", capsys.readouterr().out, re.MULTILINE)
+                      r"level$", out, re.MULTILINE)
     checks, cycles, gate_level = map(int, found.groups())
     assert 0 < checks <= cycles and gate_level < cycles
+    assert re.search(r"^section +calls +seconds +mean ms *$", out,
+                     re.MULTILINE)
+    for kind in ("compile", "cone", "trace"):
+        found = re.search(rf"^{kind} +(\d+) +(\d+) *$", out, re.MULTILINE)
+        hits, misses = map(int, found.groups())
+        assert hits + misses > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile"],
+    ["trace", "grade"],
+    ["trace", "metrics", "--table", "x"],
+    ["trace", "metrics", "--save-table", "x"],
+    ["trace", "metrics", "--iterations", "2"],
+])
+def test_removed_commands_and_options_exit_2(argv, capsys):
+    """``grade --trace`` replaced ``profile`` and ``trace grade``; the
+    ``trace metrics`` campaign reads no metrics table and expands no
+    program, so argparse rejects those options instead of ignoring
+    them."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_grade_force_overrides_fingerprint_mismatch(tmp_path, capsys):

@@ -2,11 +2,18 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 
-from repro.dsp.core import DspCore
-from repro.dsp.isa import Instruction, Opcode, assemble_program, encode
+from repro.dsp.core import CoreState, DspCore
+from repro.dsp.isa import (
+    N_REGISTERS,
+    Instruction,
+    Opcode,
+    assemble_program,
+    encode,
+)
 
 
 def run(program_text, core=None, drain=True):
@@ -197,6 +204,79 @@ def test_stuck_bit_on_accumulator():
 def test_stuck_bit_unknown_target_rejected():
     with pytest.raises(ValueError):
         DspCore(stuck_bits={("bogus",): (0, 0)})
+    with pytest.raises(ValueError):
+        CoreState().read(("bogus",))
+    with pytest.raises(ValueError):
+        CoreState().write(("bogus",), 0)
+
+
+def old_apply_stuck_bits(s, stuck_bits):
+    """The per-key chain ``DspCore._apply_stuck_bits`` spelled out
+    before :meth:`CoreState.read` and :meth:`CoreState.write`."""
+    for key, (and_mask, or_mask) in stuck_bits.items():
+        kind = key[0]
+        if kind == "reg":
+            s.regs[key[1]] = (s.regs[key[1]] & and_mask) | or_mask
+        elif kind == "acc_a":
+            s.acc_a = (s.acc_a & and_mask) | or_mask
+        elif kind == "acc_b":
+            s.acc_b = (s.acc_b & and_mask) | or_mask
+        elif kind == "macreg":
+            s.macreg = (s.macreg & and_mask) | or_mask
+        elif kind == "buffer":
+            s.buffer = (s.buffer & and_mask) | or_mask
+        elif kind == "temp":
+            s.temp = (s.temp & and_mask) | or_mask
+        else:
+            raise ValueError(f"unknown stuck-bit target {key!r}")
+
+
+def old_set_state_element(state, state_key, value):
+    """The per-key chain the observability engine's storage errors
+    spelled out before :meth:`CoreState.write`."""
+    kind = state_key[0]
+    if kind == "acc_a":
+        state.acc_a = value
+    elif kind == "acc_b":
+        state.acc_b = value
+    elif kind == "macreg":
+        state.macreg = value
+    elif kind == "buffer":
+        state.buffer = value
+    elif kind == "temp":
+        state.temp = value
+    elif kind == "reg":
+        state.regs[state_key[1]] = value
+    else:
+        raise ValueError(f"unknown state element {state_key!r}")
+
+
+STATE_KEYS = [("reg", i) for i in range(N_REGISTERS)] + [
+    ("acc_a",), ("acc_b",), ("macreg",), ("buffer",), ("temp",)]
+
+
+@pytest.mark.parametrize("key", STATE_KEYS, ids=str)
+def test_state_access_by_key_matches_the_old_chains(key):
+    """Random states: stuck bits applied through ``read``/``write`` and a
+    storage error written through ``write`` equal the two old chains."""
+    rng = random.Random(f"state-key:{key}")
+    for _ in range(50):
+        state = CoreState(
+            regs=[rng.randrange(256) for _ in range(N_REGISTERS)],
+            acc_a=rng.randrange(1 << 18), acc_b=rng.randrange(1 << 18),
+            temp=rng.randrange(256), macreg=rng.randrange(256),
+            buffer=rng.randrange(256))
+        stuck = {key: (rng.randrange(1 << 18), rng.randrange(1 << 18))}
+        expected = state.copy()
+        old_apply_stuck_bits(expected, stuck)
+        assert DspCore(state=state.copy(), stuck_bits=stuck).state \
+            == expected
+        value = rng.randrange(1 << 18)
+        expected, actual = state.copy(), state.copy()
+        old_set_state_element(expected, key, value)
+        actual.write(key, value)
+        assert actual == expected
+        assert actual.read(key) == value
 
 
 def test_trace_includes_pipeline_components():

@@ -35,19 +35,6 @@ def test_test_time_at_500mhz():
         report.test_time_seconds(0)
 
 
-def test_merge_reports():
-    a = CoverageReport(name="a", n_faults=10, n_detected=8,
-                       by_component={"mult": (8, 10)}, n_vectors=5)
-    b = CoverageReport(name="b", n_faults=6, n_detected=3,
-                       by_component={"mult": (1, 2), "shift": (2, 4)},
-                       n_vectors=9)
-    merged = a.merged_with(b)
-    assert merged.n_faults == 16
-    assert merged.n_detected == 11
-    assert merged.by_component == {"mult": (9, 12), "shift": (2, 4)}
-    assert merged.n_vectors == 9
-
-
 def test_str_rendering():
     report = CoverageReport(name="demo", n_faults=4, n_detected=2,
                             by_component={"alu": (2, 4)})

@@ -99,25 +99,6 @@ def test_candidate_describe(diagnoser):
         assert "%" in text
 
 
-def test_signature_only_diagnosis(diagnoser):
-    """With only interval signatures, diagnosis still brackets the defect."""
-    from repro.bist.signatures import interval_signatures
-    fault = StorageFault(("macreg",), "q", 3, 1)
-    observed = diagnoser.faulty_response(fault)
-    observed_sigs = interval_signatures(observed, interval=8)
-    candidates = diagnoser.diagnose_from_signatures(observed_sigs)
-    assert candidates
-    true_cycle = diagnoser.dictionary.first_detect[fault]
-    window_cycles = {c.first_mismatch for c in candidates}
-    assert true_cycle in window_cycles
-
-
-def test_signature_diagnosis_clean_stream(diagnoser):
-    from repro.bist.signatures import interval_signatures
-    sigs = interval_signatures(diagnoser.golden, interval=8)
-    assert diagnoser.diagnose_from_signatures(sigs) == []
-
-
 @pytest.mark.parametrize("depth", [3, 5])
 def test_diagnosis_simulates_the_simulators_build(depth):
     """Responses are simulated on the universe's family point, not on

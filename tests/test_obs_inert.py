@@ -83,7 +83,6 @@ def test_disabled_hooks_are_shared_noops():
     assert obs.section("x") is obs.section("y")
     assert obs.span("x").set(a=1) is obs.span("x")
     obs.incr("c", 5)
-    obs.gauge_max("g", 2.0)
     obs.observe("h", 0.001)
     obs.point("p", k=1)
     assert obs.profile_timings() == {}

@@ -8,8 +8,8 @@ Three laws the layer's correctness rests on:
   recorded exactly once, the thread-local stack ends empty, and the
   recorded tree is referentially intact.
 
-* **Metric merges are associative and commutative.**  Counter, gauge
-  and histogram snapshots merge to the same aggregate regardless of
+* **Metric merges are associative and commutative.**  Counter and
+  histogram snapshots merge to the same aggregate regardless of
   grouping or order.  (Observed values are dyadic rationals so float
   addition is exact — the law is about the merge operators, not about
   floating-point rounding.)
@@ -93,7 +93,6 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("incr"), st.sampled_from("abc"),
                   st.integers(min_value=1, max_value=100)),
-        st.tuples(st.just("gauge"), st.sampled_from("abc"), DYADIC),
         st.tuples(st.just("observe"), st.sampled_from("abc"), DYADIC),
     ),
     max_size=40,
@@ -105,8 +104,6 @@ def _apply(ops):
     for op, name, value in ops:
         if op == "incr":
             registry.incr(name, value)
-        elif op == "gauge":
-            registry.gauge_max(name, value)
         else:
             registry.observe(name, value)
     return registry.snapshot()

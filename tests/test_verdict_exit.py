@@ -35,11 +35,13 @@ from repro.metrics.controllability import (
     prepare_core,
 )
 from repro.metrics.observability import (
+    ERRORS_PER_BIT,
+    WINDOW,
     ObservabilityEngine,
-    _set_state_element,
     observation_wrapper,
 )
 from repro.metrics.table import build_metrics_table
+from repro.runtime.rng import derive_rng
 from repro.selftest.generator import SelfTestGenerator
 from repro.selftest.vectors import expand_program
 from tests.test_core_family import FLEET
@@ -62,7 +64,7 @@ def reference_measure(engine, variant, extra_wrapper=()):
     combinational injection replays from cycle 0, and every fork's whole
     port stream is compared with the clean one."""
     build = engine.build
-    rng = engine.rng_factory(variant.label)
+    rng = derive_rng(engine.seed, variant.label)
     observed, injected = {}, {}
     for _ in range(engine.n_good):
         setup_rng = random.Random(rng.random())
@@ -73,7 +75,7 @@ def reference_measure(engine, variant, extra_wrapper=()):
             + list(extra_wrapper)
         words = [encode(variant.instruction(setup_rng))]
         words += [encode(i) for i in wrapper]
-        words += [_NOP_WORD] * max(0, engine.window - len(words))
+        words += [_NOP_WORD] * max(0, WINDOW - len(words))
         traces, clean_ports, post_states = [], [], []
         for word in words:
             trace = {}
@@ -89,14 +91,14 @@ def reference_measure(engine, variant, extra_wrapper=()):
                 continue
             key = (spec.name, activity.mode)
             n_bits = spec.output_width
-            for _ in range(engine.errors_per_bit * n_bits):
+            for _ in range(ERRORS_PER_BIT * n_bits):
                 bad = rng.randrange(1 << n_bits)
                 if bad == activity.output:
                     bad ^= 1 + rng.randrange((1 << n_bits) - 1)
                     bad &= mask(n_bits)
                 if spec.kind == "register":
                     state = post_states[cycle].copy()
-                    _set_state_element(state, spec.state_key, bad)
+                    state.write(spec.state_key, bad)
                     forked = build.make_core(state, stuck)
                     ports = clean_ports[:cycle + 1] \
                         + run_ports(forked, words[cycle + 1:])

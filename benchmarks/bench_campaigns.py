@@ -15,49 +15,78 @@ the benchmark suite.  Run from the repo root::
 
 The artefact is honest by construction: every number in the JSON is
 measured on the machine that wrote it (CPU count included in the
-context block), not asserted.
+context block), not asserted.  Its layout::
+
+    {
+      "schema": "repro.bench_campaigns/1",
+      "context": {"cpu_count": ..., "python": ..., "platform": ...,
+                  "scale": ...},
+      "samples": [
+        {"experiment": "E1", "label": "grade jobs=2", "jobs": 2,
+         "units": 532, "wall_seconds": 12.3, "units_per_second": 43.2,
+         "speedup_vs_serial": 1.8,
+         "cache": {"trace_hits": ..., "trace_hit_rate": ..., ...},
+         "meta": {"quarantined": 0, "timings": {section: {...}}}},
+        ...
+      ]
+    }
+
+``speedup_vs_serial`` is measured against the experiment's ``jobs=1``
+sample, which itself keeps ``null``.  ``cache`` is the run's
+``cache_stats()`` delta; pool workers ship their hit/miss counts back
+to the parent, so pooled samples count the workers' lookups too.
+``meta.timings`` is the section table of the profile-only
+observability session armed around the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
+import sys
 import time
 
 from repro import obs
-from repro.harness.experiments import scaled
-from repro.harness.perf import BENCH_FILENAME, PerfTrajectory, cache_delta
-from repro.runtime.cache import cache_stats, clear_caches
+from repro.harness.experiments import current_scale, scaled
+from repro.runtime.cache import cache_delta, cache_stats, clear_caches
 from repro.runtime.campaigns import AtpgBaselineCampaign, HierarchicalCampaign
 from repro.runtime.pool import resolve_jobs
 
+#: Default artefact path (repo root; also the CI artifact name).
+BENCH_FILENAME = "BENCH_campaigns.json"
 
-def measure(trajectory, experiment, label, jobs, build):
-    """Time one campaign run and record its sample.
 
-    Runs under a profile-only observability session, so the sample's
-    ``meta`` carries the per-phase wall-clock breakdown
-    (``CampaignReport.timings``) alongside the aggregate cache rates.
-    """
+def measure(samples, experiment, label, jobs, build):
+    """Time one campaign run and append its sample to ``samples``."""
     clear_caches()
     before = cache_stats()
     campaign = build(jobs)
     start = time.perf_counter()
     with obs.enabled_session(trace=False, metrics=False, profile=True,
-                             seed=2004):
+                             seed=2004) as session:
         outcome = campaign.run()
     elapsed = time.perf_counter() - start
     counts = outcome.report.counts()
-    sample = trajectory.record(
-        experiment=experiment, label=label, jobs=campaign.runner.jobs,
-        units=counts["executed"], wall_seconds=round(elapsed, 3),
-        cache=cache_delta(before, cache_stats()),
-        quarantined=counts["quarantined"],
-        timings=outcome.report.timings,
-    )
+    wall = round(elapsed, 3)
+    serial = next((s for s in samples
+                   if s["experiment"] == experiment and s["jobs"] == 1), None)
+    sample = {
+        "experiment": experiment, "label": label,
+        "jobs": campaign.runner.jobs, "units": counts["executed"],
+        "wall_seconds": wall,
+        "units_per_second": counts["executed"] / wall if wall > 0 else 0.0,
+        "speedup_vs_serial": (round(serial["wall_seconds"] / wall, 3)
+                              if serial is not None and wall > 0 else None),
+        "cache": cache_delta(before, cache_stats()),
+        "meta": {"quarantined": counts["quarantined"],
+                 "timings": session.profiler.timings()},
+    }
+    samples.append(sample)
     print(f"  {label:<24} {elapsed:8.2f}s  "
-          f"{sample.units_per_second:8.1f} units/s  "
-          f"(trace hit rate {sample.cache['trace_hit_rate']:.0%})")
-    return sample
+          f"{sample['units_per_second']:8.1f} units/s  "
+          f"(trace hit rate {sample['cache']['trace_hit_rate']:.0%})")
 
 
 def selftest_words():
@@ -88,14 +117,14 @@ def main(argv=None) -> int:
         if jobs > 1 and jobs not in sweep:
             sweep.append(jobs)
 
-    trajectory = PerfTrajectory()
+    samples = []
 
     print("E1: self-test fault grading (hierarchical campaign)")
     words = selftest_words()
     build_e1 = lambda jobs: HierarchicalCampaign(words, jobs=jobs)  # noqa: E731
-    measure(trajectory, "E1", "grade jobs=1", 1, build_e1)
+    measure(samples, "E1", "grade jobs=1", 1, build_e1)
     for jobs in sweep:
-        measure(trajectory, "E1", f"grade jobs={jobs}", jobs, build_e1)
+        measure(samples, "E1", f"grade jobs={jobs}", jobs, build_e1)
 
     print("E5: sequential ATPG baseline campaign")
     build_e5 = lambda jobs: AtpgBaselineCampaign(  # noqa: E731
@@ -104,16 +133,28 @@ def main(argv=None) -> int:
         fault_sample=scaled(8, 60, 300),
         jobs=jobs,
     )
-    measure(trajectory, "E5", "atpg jobs=1", 1, build_e5)
+    measure(samples, "E5", "atpg jobs=1", 1, build_e5)
     for jobs in sweep:
-        measure(trajectory, "E5", f"atpg jobs={jobs}", jobs, build_e5)
+        measure(samples, "E5", f"atpg jobs={jobs}", jobs, build_e5)
 
-    path = trajectory.write(args.output)   # fills speedup_vs_serial
-    for sample in trajectory.samples:
-        if sample.speedup_vs_serial is not None:
-            print(f"{sample.experiment} {sample.label}: "
-                  f"{sample.speedup_vs_serial:.2f}x vs serial")
-    print(f"wrote {path}")
+    document = {
+        "schema": "repro.bench_campaigns/1",
+        "context": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": sys.platform,
+            "scale": current_scale(),
+        },
+        "samples": samples,
+    }
+    with open(args.output, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    for sample in samples:
+        if sample["speedup_vs_serial"] is not None:
+            print(f"{sample['experiment']} {sample['label']}: "
+                  f"{sample['speedup_vs_serial']:.2f}x vs serial")
+    print(f"wrote {args.output}")
     return 0
 
 

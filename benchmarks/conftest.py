@@ -9,7 +9,6 @@ table EXPERIMENTS.md records.
 import pytest
 
 from repro.harness.experiments import REGISTRY, scaled
-from repro.harness.perf import TRAJECTORY
 from repro.metrics.table import build_metrics_table
 from repro.selftest.generator import SelfTestGenerator
 
@@ -30,12 +29,6 @@ def selftest(metrics_table):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if TRAJECTORY.samples:
-        path = TRAJECTORY.write()
-        terminalreporter.write_line(
-            f"campaign perf trajectory: {len(TRAJECTORY.samples)} "
-            f"sample(s) -> {path}"
-        )
     if not REGISTRY.results:
         return
     terminalreporter.write_sep("=", "paper vs measured (experiment registry)")

@@ -9,16 +9,11 @@ with component-level PODEM, which is what separates test coverage from
 fault coverage.
 """
 
-import time
-
-from repro import obs
 from repro.atpg.podem import Podem
 from repro.faults.coverage import coverage_curve
 from repro.faults.hierarchical import ComponentFault
 from repro.harness.experiments import REGISTRY, ExperimentResult, scaled
-from repro.harness.perf import TRAJECTORY, cache_delta
 from repro.harness.reporting import format_curve
-from repro.runtime.cache import cache_stats
 from repro.runtime.campaigns import HierarchicalCampaign
 from repro.selftest.vectors import expand_program
 
@@ -44,24 +39,10 @@ def test_selftest_fault_coverage(benchmark, selftest):
     iterations = scaled(40, 400, 6000)
     words = expand_program(selftest.program, iterations)
 
-    # jobs=None honours REPRO_JOBS, so CI exercises the pool backend by
-    # exporting it; the sample lands in BENCH_campaigns.json either way.
+    # jobs=None honours REPRO_JOBS, so CI exercises the pool by exporting
+    # it; benchmarks/bench_campaigns.py records serial-vs-pooled samples.
     campaign = HierarchicalCampaign(words, jobs=None)
-    cache_before = cache_stats()
-    start = time.perf_counter()
-    # Profile-only observability session: the recorded sample carries the
-    # per-phase timing breakdown (prepare / grade / tier-2 checks) in meta.
-    with obs.enabled_session(trace=False, metrics=False, profile=True,
-                             seed=2004):
-        outcome = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
-    TRAJECTORY.record(
-        experiment="E1", label=f"grade jobs={campaign.runner.jobs}",
-        jobs=campaign.runner.jobs,
-        units=outcome.report.counts()["executed"],
-        wall_seconds=round(time.perf_counter() - start, 3),
-        cache=cache_delta(cache_before, cache_stats()),
-        timings=outcome.report.timings,
-    )
+    outcome = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
     result = outcome.result
     report = result.coverage_report("self test")
     report.n_untestable = prove_untestable(result)

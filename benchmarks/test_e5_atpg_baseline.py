@@ -11,11 +11,7 @@ below the self-test program's — dominated by aborts on faults whose
 excitation needs instruction sequences the gate-level view cannot see.
 """
 
-import time
-
 from repro.harness.experiments import REGISTRY, ExperimentResult, scaled
-from repro.harness.perf import TRAJECTORY, cache_delta
-from repro.runtime.cache import cache_stats
 from repro.runtime.campaigns import AtpgBaselineCampaign
 
 
@@ -26,16 +22,7 @@ def test_sequential_atpg_baseline(benchmark):
         fault_sample=scaled(8, 60, 300),
         jobs=None,                      # honours REPRO_JOBS
     )
-    cache_before = cache_stats()
-    start = time.perf_counter()
     outcome = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
-    TRAJECTORY.record(
-        experiment="E5", label=f"atpg jobs={campaign.runner.jobs}",
-        jobs=campaign.runner.jobs,
-        units=outcome.report.counts()["executed"],
-        wall_seconds=round(time.perf_counter() - start, 3),
-        cache=cache_delta(cache_before, cache_stats()),
-    )
     result = outcome.result
 
     print()

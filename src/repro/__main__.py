@@ -97,9 +97,8 @@ def _print_session(session, cache_before) -> None:
     """The armed session's section table, the cache hits and misses of
     each kind since ``cache_before`` (a ``cache_stats()`` snapshot), and
     how many of tier 2's component evaluations ran at gate level."""
-    from repro.harness.perf import cache_delta
     from repro.harness.reporting import format_table
-    from repro.runtime.cache import CACHE_KINDS, cache_stats
+    from repro.runtime.cache import CACHE_KINDS, cache_delta, cache_stats
     rows = [
         (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
         for name, calls, seconds, mean_ms in session.profiler.rows()

@@ -29,6 +29,9 @@ from repro.faults.model import Fault, FaultList, collapse_faults
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.logic.netlist import Netlist
 
+#: Instruction words in the random-pattern phase's one sequence.
+RANDOM_PHASE_LENGTH = 32
+
 
 @dataclass
 class AtpgBaselineResult:
@@ -69,11 +72,13 @@ class AtpgBaseline:
     its record; :meth:`result` tallies a run's records.
 
     Like any sequential ATPG (TetraMAX included) the run opens with a
-    random-pattern phase from reset; most of the small coverage such
-    tools reach on a pipelined core comes from it, and PODEM then mostly
-    aborts, which is the paper's finding.  ``fault_sample`` grades a
-    deterministic random sample of the collapsed fault universe (the
-    full list takes hours in pure Python); ``None`` targets every fault.
+    random-pattern phase from reset, one sequence of
+    :data:`RANDOM_PHASE_LENGTH` raw words; most of the small coverage
+    such tools reach on a pipelined core comes from it, and PODEM then
+    mostly aborts, which is the paper's finding.  ``fault_sample``
+    grades a deterministic random sample of the collapsed fault
+    universe (the full list takes hours in pure Python); ``None``
+    targets every fault.
     """
 
     def __init__(
@@ -83,31 +88,23 @@ class AtpgBaseline:
         backtrack_limit: int = 400,
         fault_sample: Optional[int] = 300,
         seed: int = 5,
-        random_phase_sequences: int = 1,
-        random_phase_length: int = 32,
     ):
         self.core = netlist if netlist is not None else make_gatelevel_core()
         self.n_frames = n_frames
         faults = list(collapse_faults(self.core).faults)
         if fault_sample is not None and fault_sample < len(faults):
             faults = random.Random(seed).sample(faults, fault_sample)
-        # Random-pattern phase: raw word sequences from reset,
+        # Random-pattern phase: one raw word sequence from reset,
         # fault-parallel.
-        survivors = faults
-        if random_phase_sequences > 0:
-            rng = random.Random(seed + 1)
-            sim = SeqFaultSimulator(
-                self.core,
-                fault_list=FaultList(netlist=self.core, faults=list(faults)),
-            )
-            for _ in range(random_phase_sequences):
-                if not survivors:
-                    break
-                stimulus = {"instr": [rng.randrange(1 << 17)
-                                      for _ in range(random_phase_length)]}
-                survivors = sim.run_sequence(stimulus,
-                                             faults=survivors).undetected
-        self.survivors: List[Fault] = list(survivors)
+        rng = random.Random(seed + 1)
+        sim = SeqFaultSimulator(
+            self.core,
+            fault_list=FaultList(netlist=self.core, faults=list(faults)),
+        )
+        stimulus = {"instr": [rng.randrange(1 << 17)
+                              for _ in range(RANDOM_PHASE_LENGTH)]}
+        self.survivors: List[Fault] = \
+            sim.run_sequence(stimulus, faults=faults).undetected
         self.n_detected_random_phase = len(faults) - len(self.survivors)
         self.unrolled = unroll(self.core, n_frames)
         self.engine = Podem(self.unrolled.netlist,

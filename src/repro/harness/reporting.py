@@ -5,6 +5,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 from repro.runtime.errors import ConfigError
 
+#: Characters of bar that :func:`format_curve` draws for full coverage.
+CURVE_WIDTH = 50
+
 
 def format_table(headers: Sequence[str],
                  rows: Iterable[Sequence[object]]) -> str:
@@ -23,13 +26,13 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_curve(points: Sequence[Tuple[int, float]],
-                 width: int = 50) -> str:
-    """A coarse ASCII rendering of a coverage curve."""
+def format_curve(points: Sequence[Tuple[int, float]]) -> str:
+    """A coarse ASCII rendering of a coverage curve, full coverage
+    :data:`CURVE_WIDTH` characters wide."""
     if not points:
         return "(no data)"
     lines = [f"{'vectors':>10}  coverage"]
     for x, y in points:
-        bar = "#" * int(round(y * width))
+        bar = "#" * int(round(y * CURVE_WIDTH))
         lines.append(f"{x:>10}  {bar} {y:.2%}")
     return "\n".join(lines)

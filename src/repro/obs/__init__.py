@@ -1,14 +1,14 @@
 """Observability: structured tracing, metrics and profiling hooks.
 
 The runtime's hot paths call the module-level hooks below
-(:func:`span`, :func:`incr`, :func:`observe`, :func:`section`,
-:func:`point`).  Exactly like :mod:`repro.runtime.chaos`, the layer is
-**inert unless armed**: a single module-global session reference is
-``None`` by default, every hook starts with that one ``is None`` check,
-and the disabled fast path allocates nothing and returns shared no-op
-singletons.  ``tests/test_obs_inert.py`` holds the layer to that
-contract — byte-identical campaign output and near-zero timing delta
-with the session off.
+(:func:`span`, :func:`incr`, :func:`section`, :func:`point`).  Exactly
+like :mod:`repro.runtime.chaos`, the layer is **inert unless armed**: a
+single module-global session reference is ``None`` by default, every
+hook starts with that one ``is None`` check, and the disabled fast
+path allocates nothing and returns shared no-op singletons.
+``tests/test_obs_inert.py`` holds the layer to that contract —
+byte-identical campaign output and near-zero timing delta with the
+session off.
 
 Arm it with :func:`configure` (or the :func:`enabled_session` context
 manager)::
@@ -24,10 +24,11 @@ The three components (each optional):
 
 * ``tracer`` — nested spans with deterministic ids, JSONL + Chrome
   trace-event export (:mod:`repro.obs.trace`);
-* ``registry`` — counters and histograms with associative,
-  commutative merges (:mod:`repro.obs.metrics`);
+* ``registry`` — named counters, merged by addition
+  (:mod:`repro.obs.metrics`);
 * ``profiler`` — accumulated per-section wall clock
-  (:mod:`repro.obs.profile`).
+  (:mod:`repro.obs.profile`).  To time one campaign, arm a session
+  around it and read ``session.profiler.timings()``.
 
 Pool workers call :func:`export_worker_payload` after each unit and
 ship the result through the result stream; the parent folds it back
@@ -47,9 +48,9 @@ from repro.obs.trace import Span, Tracer
 __all__ = [
     "MetricsRegistry", "ObsSession", "Profiler", "Span", "Tracer",
     "active", "configure", "disable", "enabled",
-    "enabled_session", "span", "point", "incr", "observe",
+    "enabled_session", "span", "point", "incr",
     "section", "export_worker_payload", "merge_worker_payload",
-    "reset_after_fork", "profile_timings",
+    "reset_after_fork",
 ]
 
 
@@ -158,23 +159,11 @@ def incr(name: str, n: int = 1) -> None:
     _SESSION.registry.incr(name, n)
 
 
-def observe(name: str, value: float) -> None:
-    if _SESSION is None or _SESSION.registry is None:
-        return
-    _SESSION.registry.observe(name, value)
-
-
 def section(name: str):
     """Accumulate this block's wall clock under ``name``."""
     if _SESSION is None or _SESSION.profiler is None:
         return _NULL_SECTION
     return _SESSION.profiler.section(name)
-
-
-def profile_timings() -> Dict[str, Dict[str, float]]:
-    if _SESSION is None or _SESSION.profiler is None:
-        return {}
-    return _SESSION.profiler.timings()
 
 
 # ---------------------------------------------------------------------

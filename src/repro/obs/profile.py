@@ -61,18 +61,6 @@ class Profiler:
         for name, entry in timings.items():
             self.add(name, entry["seconds"], calls=int(entry["calls"]))
 
-    def delta(self, before: Dict[str, Dict[str, float]]) \
-            -> Dict[str, Dict[str, float]]:
-        """Timings accumulated since ``before`` (an earlier snapshot)."""
-        out = {}
-        for name, entry in self.timings().items():
-            prior = before.get(name, {"calls": 0, "seconds": 0.0})
-            calls = entry["calls"] - prior["calls"]
-            seconds = round(entry["seconds"] - prior["seconds"], 6)
-            if calls or seconds:
-                out[name] = {"calls": calls, "seconds": max(seconds, 0.0)}
-        return out
-
     def reset(self) -> None:
         self._acc.clear()
 

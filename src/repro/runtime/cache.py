@@ -65,8 +65,7 @@ _STATS = {
     "trace_hits": 0, "trace_misses": 0,
 }
 
-#: Cache kinds reported by :func:`cache_stats` (and mirrored by
-#: :func:`repro.harness.perf.cache_delta`).
+#: Cache kinds reported by :func:`cache_stats` and :func:`cache_delta`.
 CACHE_KINDS = ("compile", "cone", "trace")
 
 
@@ -242,6 +241,24 @@ def cache_stats() -> Dict[str, float]:
         stats[f"{kind}_hit_rate"] = \
             stats[f"{kind}_hits"] / total if total else 0.0
     return stats
+
+
+def cache_delta(before: Dict[str, float],
+                after: Dict[str, float]) -> Dict[str, float]:
+    """Per-run cache accounting from two :func:`cache_stats` snapshots.
+
+    The module-level counters are cumulative across a session; the
+    delta is what one measured run actually hit and missed.
+    """
+    delta: Dict[str, float] = {}
+    for kind in CACHE_KINDS:
+        hits = after[f"{kind}_hits"] - before[f"{kind}_hits"]
+        misses = after[f"{kind}_misses"] - before[f"{kind}_misses"]
+        total = hits + misses
+        delta[f"{kind}_hits"] = hits
+        delta[f"{kind}_misses"] = misses
+        delta[f"{kind}_hit_rate"] = round(hits / total, 4) if total else 0.0
+    return delta
 
 
 def clear_caches() -> None:

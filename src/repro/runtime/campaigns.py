@@ -134,11 +134,8 @@ class HierarchicalCampaign:
                 def grade(name=name, local=local):
                     return sim.grade_comb_fault(ctx(), name, local)
 
-                units.append(WorkUnit(
-                    unit_id=unit_id, run=grade,
-                    reset=self._reset_shared_state,
-                    meta={"component": name},
-                ))
+                units.append(WorkUnit(unit_id=unit_id, run=grade,
+                                      reset=self._reset_shared_state))
             else:
                 def grade_storage(fault=fault):
                     return sim.grade_storage_fault(
@@ -289,8 +286,6 @@ class AtpgBaselineCampaign:
         backtrack_limit: int = 400,
         fault_sample: Optional[int] = 300,
         seed: int = 5,
-        random_phase_sequences: int = 1,
-        random_phase_length: int = 32,
         checkpoint: Optional[str] = None,
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
@@ -303,8 +298,6 @@ class AtpgBaselineCampaign:
             "backtrack_limit": backtrack_limit,
             "fault_sample": fault_sample,
             "seed": seed,
-            "random_phase_sequences": random_phase_sequences,
-            "random_phase_length": random_phase_length,
         }
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
         self._baseline = _Lazy(self._prepare)

@@ -25,10 +25,10 @@ and survives the failure modes that kill monolithic loops:
   unit is ever re-run on a cheaper backend: each one ends exact
   (``ok``) or failed (``quarantined``).
 
-Settings no campaign can run with (a non-positive ``unit_timeout``, a
-checkpoint in a missing directory or under one of the store's own
-scratch names) raise :class:`ConfigError` when the runner is built,
-before any work starts (:func:`check_settings`).
+Settings no campaign can run with (a ``unit_timeout`` that is not a
+positive, finite number, a checkpoint in a missing directory or under
+one of the store's own scratch names) raise :class:`ConfigError` when
+the runner is built, before any work starts (:func:`check_settings`).
 
 Unit ``value``\\ s must be JSON-serialisable — they round-trip through
 the checkpoint file on resume.
@@ -36,6 +36,7 @@ the checkpoint file on resume.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -66,7 +67,6 @@ class WorkUnit:
     #: the next attempt runs, so the adapter can restore shared caches
     #: the abandoned thread may still be mutating.
     reset: Optional[Callable[[], None]] = None
-    meta: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,11 +114,6 @@ class CampaignReport:
 
     results: Dict[str, UnitResult] = field(default_factory=dict)
     interrupted: bool = False    # stopped early (max_units cutoff)
-    #: Per-phase wall-clock accumulated during this run (profiler
-    #: sections, e.g. ``runner.unit`` / ``sim.hier.grade_comb``).
-    #: Empty unless an observability session with profiling was armed
-    #: (:mod:`repro.obs`) — the default report is unchanged.
-    timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def __getitem__(self, unit_id: str) -> UnitResult:
         return self.results[unit_id]
@@ -207,14 +202,14 @@ class CampaignRunner:
     ``k+1`` (capped at ``backoff_max``); ``sleep`` is injectable so tests
     can assert the schedule without waiting it out.
 
-    ``jobs`` selects the execution backend: ``1`` (the default) runs
-    units serially in-process; ``jobs > 1`` forks up to that many
+    ``jobs`` says how many processes grade: ``1`` (the default) runs
+    every unit in-process; ``jobs > 1`` first forks up to that many
     workers (:mod:`repro.runtime.pool`) and hands each idle one the next
     pending unit, with per-worker JSONL checkpoint shards merged back
     into the canonical checkpoint.  A worker that dies is not replaced;
     the unit it held goes straight to the serial finish, with no stall.
     ``jobs=None`` honours the ``REPRO_JOBS`` environment variable
-    (default 1, ``auto`` = CPU count).  Both backends produce the same
+    (default 1, ``auto`` = CPU count).  Every ``jobs`` produces the same
     :class:`CampaignReport` — same unit ids, statuses and values, in
     the same order.
     """
@@ -280,15 +275,16 @@ class CampaignRunner:
         results.  ``force=True`` overrides the check deliberately (the
         CLI's ``--force``).  ``max_units`` stops after that many fresh
         executions — the deterministic stand-in for a kill signal in
-        tests and for incremental runs.
+        tests and for incremental runs.  ``progress(result, done,
+        total)`` fires as each unit this call runs completes: ``done``
+        counts those units so far, ``total`` is ``len(units)``.
 
-        ``warmup`` is invoked once before any unit executes under the
-        process-pool backend (``jobs > 1``): campaigns use it to build
-        the shared trace/setup state in the parent so every forked
-        worker inherits it copy-on-write instead of re-deriving it.  It
-        is skipped when nothing is pending (a fully resumed campaign
-        touches the checkpoint file only) and on the serial path, where
-        lazy setup already runs at most once.
+        ``warmup`` is invoked once before the pool forks (``jobs > 1``):
+        campaigns use it to build the shared trace/setup state in the
+        parent so every forked worker inherits it copy-on-write instead
+        of re-deriving it.  It is skipped when nothing is pending (a
+        fully resumed campaign touches the checkpoint file only) and at
+        ``jobs=1``, where lazy setup already runs at most once.
         """
         units = list(units)
         seen: set = set()
@@ -321,30 +317,16 @@ class CampaignRunner:
                 remove_shards(self.store.path)
                 self.store.create(fingerprint)
 
-        timings_before = obs.profile_timings()
         campaign_span = obs.span("campaign", jobs=self.jobs,
                                  units=len(units))
         try:
             with campaign_span, obs.section("campaign.run"):
-                if self.jobs > 1:
-                    report = self._run_pooled(
-                        units, completed,
-                        retry_quarantined=retry_quarantined,
-                        max_units=max_units, progress=progress,
-                        warmup=warmup,
-                    )
-                else:
-                    report = self._run_serial(
-                        units, completed,
-                        retry_quarantined=retry_quarantined,
-                        max_units=max_units, progress=progress,
-                    )
-                session = obs.active()
-                if session is not None:
+                report = self._run_units(
+                    units, completed, retry_quarantined=retry_quarantined,
+                    max_units=max_units, progress=progress, warmup=warmup,
+                )
+                if obs.enabled():
                     campaign_span.set(**report.counts())
-                    if session.profiler is not None:
-                        report.timings = \
-                            session.profiler.delta(timings_before)
                 return report
         finally:
             if self.store is not None:
@@ -365,34 +347,7 @@ class CampaignRunner:
         return status == "ok" or (status == "quarantined"
                                   and not retry_quarantined)
 
-    def _run_serial(
-        self,
-        units: List[WorkUnit],
-        completed: Dict[str, Dict[str, Any]],
-        retry_quarantined: bool,
-        max_units: Optional[int],
-        progress: Optional[Callable[[UnitResult, int, int], None]],
-    ) -> CampaignReport:
-        report = CampaignReport()
-        executed = 0
-        for i, unit in enumerate(units):
-            record = completed.get(unit.unit_id)
-            if self._resumable(record, retry_quarantined):
-                report.results[unit.unit_id] = UnitResult.from_record(record)
-                continue
-            if max_units is not None and executed >= max_units:
-                report.interrupted = True
-                break
-            result = self._run_unit(unit)
-            executed += 1
-            report.results[unit.unit_id] = result
-            if self.store is not None:
-                self.store.append(result.record())
-            if progress is not None:
-                progress(result, i + 1, len(units))
-        return report
-
-    def _run_pooled(
+    def _run_units(
         self,
         units: List[WorkUnit],
         completed: Dict[str, Dict[str, Any]],
@@ -401,12 +356,14 @@ class CampaignRunner:
         progress: Optional[Callable[[UnitResult, int, int], None]],
         warmup: Optional[Callable[[], Any]],
     ) -> CampaignReport:
-        """Pool-backed execution with serial-identical report semantics.
+        """The one unit loop, at every ``jobs``.
 
-        The unit scan mirrors :meth:`_run_serial` exactly — resumed
-        records in order, the fresh-execution budget (``max_units``)
-        cutting the campaign at the first over-budget pending unit — so
-        the two backends report the same units in the same order.
+        One scan keeps resumed records in place and cuts the campaign
+        at the first pending unit over the fresh-execution budget
+        (``max_units``), so every ``jobs`` reports the same units in the
+        same order.  Under ``jobs > 1`` the pool takes the pending units
+        first; the serial finish then runs, in order, every pending unit
+        the pool did not return (each one at ``jobs=1``).
         """
         from repro.runtime.pool import remove_shards, run_pooled
 
@@ -425,19 +382,21 @@ class CampaignRunner:
             kept.append(unit)
 
         results: Dict[str, UnitResult] = {}
-        if pending:
+        if pending and self.jobs > 1:
             if warmup is not None:
                 warmup()
             results = run_pooled(self, pending, progress=progress,
                                  total=len(units))
         leftover = [u for u in pending if u.unit_id not in results]
         for unit in leftover:
-            # No worker could be forked, or the unit's worker died: the
-            # serial backend finishes it, exactly.
+            # The serial finish.  Under a pool: no worker could be
+            # forked, or the unit's worker died.
             result = self._run_unit(unit)
             results[unit.unit_id] = result
             if self.store is not None:
                 self.store.append(result.record())
+            if progress is not None:
+                progress(result, len(results), len(units))
         if self.store is not None:
             # Every pending unit's record is in the canonical checkpoint
             # now, so no worker shard holds anything it lacks, including
@@ -477,7 +436,6 @@ class CampaignRunner:
             result = self._execute_unit(unit)
             span.set(status=result.status, attempts=result.attempts)
             obs.incr(f"campaign.units.{result.status}")
-            obs.observe("campaign.unit_seconds", result.elapsed)
             return result
 
     def _execute_unit(self, unit: WorkUnit) -> UnitResult:
@@ -532,14 +490,15 @@ def check_settings(checkpoint: Optional[str],
     """Reject runner settings no campaign can run with.
 
     Raises :class:`ConfigError` for a ``unit_timeout`` that is not
-    positive (every attempt would time out at once), and for a
+    positive (every attempt would time out at once) or not finite
+    (``Thread.join`` rejects ``nan`` and ``inf``), and for a
     ``checkpoint`` whose directory does not exist or whose name is one
     of the store's own scratch names (``<checkpoint>.tmp`` during an
     atomic replace, ``<checkpoint>.shard-<pid>`` for pool workers).
     """
-    if unit_timeout is not None and unit_timeout <= 0:
+    if unit_timeout is not None and not 0 < unit_timeout < math.inf:
         raise ConfigError(
-            f"unit timeout must be positive, got {unit_timeout!r}")
+            f"unit timeout must be positive and finite, got {unit_timeout!r}")
     if not checkpoint:
         return
     name = os.path.basename(checkpoint)

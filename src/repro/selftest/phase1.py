@@ -12,7 +12,7 @@ columns each one is responsible for, and the columns left for Phase 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.metrics.controllability import InstructionVariant
 from repro.metrics.table import MetricsTable
@@ -20,7 +20,7 @@ from repro.metrics.table import MetricsTable
 Column = Tuple[str, int]
 
 #: Row labels treated as wrappers (always part of the program).
-DEFAULT_WRAPPER_LABELS = ("load", "loadR", "Out", "OutR")
+WRAPPER_LABELS = ("load", "loadR", "Out", "OutR")
 
 
 @dataclass
@@ -50,16 +50,14 @@ class Phase1Result:
         return "\n".join(lines)
 
 
-def run_phase1(
-    table: MetricsTable,
-    wrapper_labels: Sequence[str] = DEFAULT_WRAPPER_LABELS,
-) -> Phase1Result:
-    """Greedy set cover over ``table``.
+def run_phase1(table: MetricsTable) -> Phase1Result:
+    """Greedy set cover over ``table``, after the :data:`WRAPPER_LABELS`
+    rows present in it.
 
     Deterministic: ties are broken by row order in the table.
     """
     by_label = {row.label: row for row in table.rows}
-    wrappers = [by_label[l] for l in wrapper_labels if l in by_label]
+    wrappers = [by_label[l] for l in WRAPPER_LABELS if l in by_label]
 
     remaining: List[Column] = list(table.columns)
     wrapper_covered: List[Column] = []

@@ -108,6 +108,8 @@ def test_grade_summary_surfaces_health_counts(tmp_path, capsys):
     (["--checkpoint", "{tmp}/g.jsonl.tmp"], "reserved name"),
     (["--unit-timeout", "0"], "unit timeout must be positive"),
     (["--unit-timeout", "-2"], "unit timeout must be positive"),
+    (["--unit-timeout", "nan"], "unit timeout must be positive"),
+    (["--unit-timeout", "inf"], "unit timeout must be positive"),
 ])
 def test_grade_rejects_bad_campaign_settings_before_any_work(
         tmp_path, capsys, monkeypatch, extra, message):
@@ -127,9 +129,18 @@ def test_grade_rejects_bad_campaign_settings_before_any_work(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_sweep_rejects_non_positive_unit_timeout(capsys):
-    assert main(["sweep", "--unit-timeout", "0"]) == 2
-    assert "unit timeout must be positive" in capsys.readouterr().err
+def test_sweep_rejects_non_positive_unit_timeout(capsys, monkeypatch):
+    """Zero, nan and inf fail in main(); a timeout that slipped through
+    would reach the stubbed sweep instead of starting a campaign."""
+    import repro.harness.sweeps as sweeps
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sweeps, "run_sweep", no_work)
+    for timeout in ("0", "nan", "inf"):
+        assert main(["sweep", "--unit-timeout", timeout]) == 2
+        assert "unit timeout must be positive" in capsys.readouterr().err
 
 
 def quarantine_first_grading_unit(monkeypatch):

@@ -125,7 +125,7 @@ def test_long_flat_grade_repacks_and_matches_golden():
     got = (result.n_cycles, len(result.first_detect_cycle),
            len(result.detected), detect_map_digest(result.first_detect_cycle))
     assert got == FLAT_LONG_GOLDEN
-    assert session.registry.counters["sim.seq.repacks"].value >= 1
+    assert session.registry.counters["sim.seq.repacks"] >= 1
 
 
 def test_96_cycle_flat_grade_never_repacks(flat_run):
@@ -142,7 +142,7 @@ def test_96_cycle_flat_grade_never_repacks(flat_run):
             {"instr": stream(10)[:96]}, faults=faults)
     assert 2 * len(early) >= len(faults)  # the live-lane rule alone holds
     assert "sim.seq.repacks" not in session.registry.counters
-    assert session.registry.counters["sim.seq.cycles"].value == 96
+    assert session.registry.counters["sim.seq.cycles"] == 96
     assert {f: result.first_detect_cycle[f] for f in early} == early
 
 
@@ -384,7 +384,7 @@ def test_repeated_repacks_vs_serial_reference():
     with obs.enabled_session(trace=False) as session:
         got = SeqFaultSimulator(netlist).run_sequence(
             {"in": words}, faults=faults).first_detect_cycle
-    assert session.registry.counters["sim.seq.repacks"].value == 2
+    assert session.registry.counters["sim.seq.repacks"] == 2
     assert got == _serial_first_detect(netlist, words, faults)
 
 

@@ -74,5 +74,5 @@ def test_phase1_runs_on_restored_table():
     loaded."""
     from repro.selftest.phase1 import run_phase1
     restored = table_from_json(table_to_json(sample_table()))
-    result = run_phase1(restored, wrapper_labels=())
+    result = run_phase1(restored)
     assert result.chosen

@@ -55,7 +55,6 @@ def test_disabled_campaign_matches_pre_obs_goldens(tmp_path):
         == _golden("campaign_report.json")
     assert canonical_json({"jsonl": checkpoint_text.splitlines()}) \
         == _golden("campaign_checkpoint.json")
-    assert report.timings == {}
 
 
 def test_armed_campaign_is_behaviourally_identical(tmp_path):
@@ -67,12 +66,12 @@ def test_armed_campaign_is_behaviourally_identical(tmp_path):
         == _golden("campaign_report.json")
     assert canonical_json({"jsonl": checkpoint_text.splitlines()}) \
         == _golden("campaign_checkpoint.json")
-    assert report.timings                      # side channel populated
-    assert "runner.unit" in report.timings
+    timings = session.profiler.timings()       # side channel populated
+    assert timings["runner.unit"]["calls"] == 7
     spans = [r for r in session.tracer.records if r["kind"] == "span"]
     assert {r["name"] for r in spans} >= {"campaign", "unit"}
-    assert session.registry.counters["campaign.units.ok"].value == 6
-    assert session.registry.counters["campaign.units.quarantined"].value == 1
+    assert session.registry.counters["campaign.units.ok"] == 6
+    assert session.registry.counters["campaign.units.quarantined"] == 1
 
 
 def test_disabled_hooks_are_shared_noops():
@@ -83,9 +82,7 @@ def test_disabled_hooks_are_shared_noops():
     assert obs.section("x") is obs.section("y")
     assert obs.span("x").set(a=1) is obs.span("x")
     obs.incr("c", 5)
-    obs.observe("h", 0.001)
     obs.point("p", k=1)
-    assert obs.profile_timings() == {}
     assert obs.export_worker_payload() is None
     obs.merge_worker_payload({"metrics": {"counters": {"c": 1}}})
     obs.reset_after_fork()                     # all no-ops, no errors
@@ -93,12 +90,11 @@ def test_disabled_hooks_are_shared_noops():
 
 
 def test_disabled_overhead_is_negligible():
-    """~40k disabled hook invocations inside a generous wall bound —
+    """~30k disabled hook invocations inside a generous wall bound —
     the hot paths pay one ``is None`` check each when disarmed."""
     start = time.perf_counter()
     for _ in range(10_000):
         with obs.span("unit", key="u"), obs.section("runner.unit"):
             obs.incr("campaign.units.ok")
-            obs.observe("campaign.unit_seconds", 0.001)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"disabled obs hooks took {elapsed:.3f}s"

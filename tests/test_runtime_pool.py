@@ -272,6 +272,41 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
     assert not report.interrupted
 
 
+def test_unforked_pool_is_the_serial_loop(tmp_path, monkeypatch):
+    """Where nothing can fork, ``jobs=2`` runs every unit in the serial
+    finish: the report and checkpoint bytes equal a ``jobs=1`` run's,
+    and ``progress`` fires once per unit, as it does serially."""
+    import itertools
+
+    import repro.runtime.pool as pool_mod
+    from tests.conftest import (
+        GOLDEN_CAMPAIGN_FINGERPRINT,
+        campaign_report_payload,
+        golden_campaign_units,
+    )
+
+    monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
+
+    def run(jobs):
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        tick = itertools.count()
+        runner = CampaignRunner(checkpoint=str(path), jobs=jobs,
+                                sleep=lambda s: None,
+                                clock=lambda: float(next(tick)))
+        calls = []
+        report = runner.run(
+            golden_campaign_units(), fingerprint=GOLDEN_CAMPAIGN_FINGERPRINT,
+            progress=lambda result, done, total:
+                calls.append((result.unit_id, done, total)))
+        return campaign_report_payload(report), path.read_text(), calls
+
+    serial = run(1)
+    unforked = run(2)
+    assert [unit_id for unit_id, _, _ in unforked[2]] \
+        == [unit.unit_id for unit in golden_campaign_units()]
+    assert unforked == serial
+
+
 @needs_fork
 def test_pooled_run_finishes_after_a_worker_is_killed():
     """A SIGKILLed worker shows as EOF on its own pipe.  The unit it held
@@ -445,9 +480,9 @@ def test_pooled_cache_counters_aggregate_to_serial(tmp_path):
     ``cache_stats()`` delta equals the serial twin's on the same
     workload.  (Before the obs layer, worker counters died with the
     workers and pooled runs silently under-counted.)"""
-    from repro.harness.perf import cache_delta
     from repro.logic.random_nets import random_netlist
     from repro.runtime.cache import (
+        cache_delta,
         cache_stats,
         cached_good_values,
         clear_caches,
@@ -479,14 +514,12 @@ def test_pooled_cache_counters_aggregate_to_serial(tmp_path):
 @needs_fork
 def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
     """Metric snapshots ride the result stream: a pooled campaign's
-    merged counters/histograms equal the serial run's on an identical
-    workload (wall-clock histograms excluded — durations differ)."""
+    merged counters equal the serial run's on an identical workload."""
     from repro import obs
 
     def work(i):
         obs.incr("work.calls")
         obs.incr("work.weight", i)
-        obs.observe("work.value", float(i))
         return {"i": i}
 
     def totals(jobs, path):
@@ -500,10 +533,9 @@ def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
     serial = totals(1, str(tmp_path / "s.jsonl"))
     pooled = totals(3, str(tmp_path / "p.jsonl"))
     assert serial["counters"]["work.calls"] == 10
+    assert serial["counters"]["work.weight"] == 45
     assert serial["counters"]["campaign.units.ok"] == 10
     assert pooled["counters"] == serial["counters"]
-    assert pooled["histograms"]["work.value"] \
-        == serial["histograms"]["work.value"]
 
 
 @needs_fork

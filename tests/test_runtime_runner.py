@@ -170,7 +170,8 @@ def test_timeout_without_fallback_quarantines():
 # ----------------------------------------------------------------------
 # Settings the runner rejects when it is built
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("timeout", [0, 0.0, -1.5])
+@pytest.mark.parametrize("timeout", [0, 0.0, -1.5, float("nan"),
+                                     float("inf")])
 def test_non_positive_unit_timeout_rejected(timeout):
     with pytest.raises(ConfigError, match="unit timeout must be positive"):
         CampaignRunner(unit_timeout=timeout)

@@ -374,10 +374,10 @@ def _cmd_testability(args) -> int:
     floor = args.floor if args.floor is not None else DEFAULT_DETECT_FLOOR
     seq_cost = args.seq_cost if args.seq_cost is not None \
         else DEFAULT_SEQ_COST
-    if floor <= 0.0:
+    if not 0.0 < floor <= 1.0:
         raise ConfigError(f"--floor must be a positive probability, "
                           f"got {floor}")
-    if seq_cost < 0.0:
+    if not seq_cost >= 0.0:
         raise ConfigError(f"--seq-cost must be non-negative, got {seq_cost}")
     session = obs.configure(trace=False, metrics=True, profile=True,
                             seed=2004) if args.profile else None
@@ -668,6 +668,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError("--resume requires --checkpoint"
                               if hasattr(args, "checkpoint")
                               else "--resume requires --checkpoint-dir")
+        for option in ("iterations", "columns", "patterns", "sample"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{option} must be positive, got {value}")
         if getattr(args, "jobs", None) is not None:
             from repro.runtime.pool import resolve_jobs
             resolve_jobs(args.jobs)  # fail fast on a bad --jobs value

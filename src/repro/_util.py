@@ -77,12 +77,3 @@ def popcount(value: int) -> int:
 def bit_list(value: int, width: int) -> list:
     """Return ``width`` bits of ``value`` as a list, LSB first."""
     return [(value >> i) & 1 for i in range(width)]
-
-
-def from_bit_list(bits_lsb_first) -> int:
-    """Inverse of :func:`bit_list`: assemble an integer from LSB-first bits."""
-    word = 0
-    for i, b in enumerate(bits_lsb_first):
-        if b:
-            word |= 1 << i
-    return word

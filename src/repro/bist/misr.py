@@ -8,7 +8,7 @@ XORs the parallel input word.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro._util import mask
 from repro.bist.lfsr import PRIMITIVE_TAPS
@@ -37,12 +37,6 @@ class Misr:
             feedback ^= (self.state >> (self.width - t)) & 1
         shifted = ((self.state >> 1) | (feedback << (self.width - 1)))
         self.state = (shifted ^ word) & self._mask
-        return self.state
-
-    def absorb_all(self, words: Iterable[int]) -> int:
-        """Clock in a whole response stream; returns the final signature."""
-        for word in words:
-            self.absorb(word)
         return self.state
 
     @property

@@ -344,17 +344,13 @@ class DspCore:
         return _STEP_RESULTS[out_valid][out_value]
 
     # ------------------------------------------------------------------
-    def run(self, words, overrides_by_cycle=None) -> List[StepResult]:
+    def run(self, words) -> List[StepResult]:
         """Run a sequence of instruction words; returns per-cycle results.
 
         Four NOPs are *not* appended automatically — callers that need the
         pipeline drained should use :meth:`run_program`.
         """
-        results = []
-        for t, word in enumerate(words):
-            ov = overrides_by_cycle.get(t) if overrides_by_cycle else None
-            results.append(self.step(word, overrides=ov))
-        return results
+        return [self.step(word) for word in words]
 
     def run_program(self, instructions, drain: bool = True) -> List[int]:
         """Execute :class:`Instruction` objects; returns the output-port

@@ -45,7 +45,6 @@ from repro.dsp.corespec import (  # noqa: F401
 from repro.dsp.isa import ControlWord, Opcode
 from repro.dsp.mac import MacParams
 from repro.logic.netlist import Netlist
-from repro.rtl.arith import ADDER_STYLES  # noqa: F401
 
 
 # ----------------------------------------------------------------------

@@ -205,11 +205,6 @@ def control_word(opcode: Opcode) -> ControlWord:
     )
 
 
-def decoder_truth_table() -> Dict[int, int]:
-    """Opcode value → packed control word, for the gate-level decoder."""
-    return {int(op): control_word(op).pack() for op in Opcode}
-
-
 # ----------------------------------------------------------------------
 # Instructions, encoding, assembly
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.faults.model import (
     full_fault_list,
     collapse_faults,
 )
-from repro.faults.combsim import CombFaultSimulator, LocalDetection
+from repro.faults.combsim import CombFaultSimulator
 from repro.faults.seqsim import SeqFaultSimulator
 from repro.faults.coverage import CoverageReport
 
@@ -29,7 +29,6 @@ __all__ = [
     "full_fault_list",
     "collapse_faults",
     "CombFaultSimulator",
-    "LocalDetection",
     "SeqFaultSimulator",
     "CoverageReport",
 ]

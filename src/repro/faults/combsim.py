@@ -7,16 +7,14 @@ fault is detected on every pattern where any primary output differs.
 
 Besides plain detection, :meth:`CombFaultSimulator.simulate_fault`
 returns the nets a fault changes on top of the good values: the
-hierarchical core fault simulator calls it to learn which erroneous value
-appears at a component boundary on which pattern, and
+hierarchical core fault simulator reads each pattern's erroneous
+component output word from them with
+:func:`~repro.logic.simulator.unpack_output`, and calls
 :meth:`~CombFaultSimulator.faulty_output_word` for a single pattern.
-:class:`LocalDetection` packs the same per-pattern faulty output words
-for one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
@@ -28,21 +26,6 @@ from repro.logic.gates import eval_gate
 from repro.logic.netlist import Netlist
 from repro.logic.simulator import pack_patterns, unpack_output
 from repro.faults.model import Fault, FaultList, check_stimulus, collapse_faults
-
-
-@dataclass
-class LocalDetection:
-    """Result of fault-simulating one fault over one pattern block.
-
-    ``detected_mask`` packs, per pattern bit, whether any output differed;
-    ``faulty_words`` maps output bus name → per-pattern faulty words (only
-    for patterns whose bit is set in ``detected_mask``; other entries hold
-    the good value).
-    """
-
-    fault: Fault
-    detected_mask: int
-    faulty_words: Dict[str, List[int]]
 
 
 class CombFaultSimulator:
@@ -178,20 +161,3 @@ class CombFaultSimulator:
         nets = self.netlist.buses[output_bus]
         bits = [changed.get(n, good[n]) for n in nets]
         return unpack_output(bits, 0)
-
-    def local_detection(self, fault: Fault,
-                        bus_patterns: Mapping[str, Sequence[int]],
-                        output_buses: Sequence[str]) -> LocalDetection:
-        """Detection mask plus per-pattern faulty output words for ``fault``."""
-        n_patterns = check_stimulus(self.netlist, bus_patterns)
-        good = self.good_values(bus_patterns, n_patterns)
-        mask, changed = self.simulate_fault(fault, good, n_patterns)
-        faulty_words: Dict[str, List[int]] = {}
-        for name in output_buses:
-            nets = self.netlist.buses[name]
-            bits = [changed.get(n, good[n]) for n in nets]
-            faulty_words[name] = [
-                unpack_output(bits, k) for k in range(n_patterns)
-            ]
-        return LocalDetection(fault=fault, detected_mask=mask,
-                              faulty_words=faulty_words)

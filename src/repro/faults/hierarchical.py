@@ -39,17 +39,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro._util import mask
 from repro.runtime.errors import ConfigError
-from repro.dsp.components import ComponentSpec, component_by_name
+from repro.dsp.components import ComponentSpec
 from repro.dsp.core import CoreState, DspCore
 from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, collapse_faults
+from repro.logic.netlist import Netlist
 from repro.logic.simulator import unpack_output
 
 
@@ -58,14 +59,18 @@ from repro.logic.simulator import unpack_output
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, order=True)
 class ComponentFault:
-    """A stuck-at fault inside a combinational component's netlist."""
+    """A stuck-at fault inside a combinational component's netlist.
+
+    ``netlist`` is the one the fault was collapsed from, which names its
+    net on every family point; it takes no part in equality or order.
+    """
 
     component: str
     fault: Fault
+    netlist: Netlist = field(compare=False, repr=False)
 
     def describe(self) -> str:
-        spec = component_by_name(self.component)
-        return f"{self.component}/{self.fault.describe(spec.netlist())}"
+        return f"{self.component}/{self.fault.describe(self.netlist)}"
 
 
 @dataclass(frozen=True, order=True)
@@ -85,9 +90,6 @@ class StorageFault:
     def describe(self) -> str:
         name = "/".join(str(p) for p in self.target)
         return f"{name}.{self.kind}[{self.bit}] sa{self.stuck_at}"
-
-
-AnyFault = object  # ComponentFault | StorageFault
 
 
 def fault_unit_id(fault) -> str:
@@ -159,7 +161,7 @@ class DspFaultUniverse:
 
     def all_faults(self) -> List:
         faults: List = [
-            ComponentFault(name, f)
+            ComponentFault(name, f, self.comb_simulators[name].netlist)
             for name, flist in sorted(self.comb_faults.items())
             for f in flist
         ]
@@ -354,6 +356,13 @@ class TraceContext:
 # ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
+#: Tier-1 (single-cycle injection) starts tried per excited block.  A
+#: campaign fingerprint records the tier rules only off these defaults.
+MAX_STARTS_PER_BLOCK = 8
+#: Tier-2 (continuous injection) starts tried per excited block.
+MAX_CONTINUOUS_STARTS = 2
+
+
 class HierarchicalFaultSimulator:
     """Grades the DSP core's fault universe against an instruction stream.
 
@@ -371,8 +380,8 @@ class HierarchicalFaultSimulator:
         block_size: int = 256,
         checkpoint_every: int = 32,
         propagation_window: int = 48,
-        max_starts_per_block: int = 8,
-        max_continuous_starts: int = 2,
+        max_starts_per_block: int = MAX_STARTS_PER_BLOCK,
+        max_continuous_starts: int = MAX_CONTINUOUS_STARTS,
     ):
         self.universe = universe if universe is not None \
             else DspFaultUniverse()
@@ -389,34 +398,24 @@ class HierarchicalFaultSimulator:
 
     # ------------------------------------------------------------------
     def run(self, words: List[int],
-            storage_fault_max_cycles: Optional[int] = None,
-            progress: Optional[Callable[[int, int], None]] = None
+            storage_fault_max_cycles: Optional[int] = None
             ) -> HierarchicalResult:
         """Grade every fault in the universe against ``words``.
 
         ``storage_fault_max_cycles`` caps the differential run length for
         word-level storage faults (default: the full stream).
-        ``progress`` is called as ``progress(faults_done, faults_total)``
-        as grading advances.
         """
         ctx = self.prepare(words)
         first_detect: Dict[object, Optional[int]] = {}
-        total = sum(len(f) for f in self.universe.comb_faults.values()) \
-            + len(self.universe.storage_faults)
-        done = 0
         for name, faults in self.universe.comb_faults.items():
+            netlist = self.universe.comb_simulators[name].netlist
             for fault in faults:
-                first_detect[ComponentFault(name, fault)] = \
+                first_detect[ComponentFault(name, fault, netlist)] = \
                     self.grade_comb_fault(ctx, name, fault)
-            done += len(faults)
-            if progress is not None and faults:
-                progress(done, total)
         for fault in self.universe.storage_faults:
             first_detect[fault] = self.grade_storage_fault(
                 ctx, fault, storage_fault_max_cycles
             )
-        if progress is not None and self.universe.storage_faults:
-            progress(total, total)
         return HierarchicalResult(
             first_detect=first_detect, n_vectors=len(words),
             universe=self.universe,

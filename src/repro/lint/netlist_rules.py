@@ -545,7 +545,3 @@ def warn_on_netlist(netlist: Netlist, context: str = "",
             stacklevel=2,
         )
     return report
-
-
-def _reset_screened_for_tests() -> None:
-    _screened.clear()

@@ -84,16 +84,15 @@ def _indexed_lines(program: TestProgram) -> List[Tuple[int, ProgramLine]]:
     return list(enumerate(program.lines))
 
 
-def _schedule(program: TestProgram,
-              n_loop_passes: int = 2) -> List[Tuple[int, ProgramLine]]:
-    """Execution order with the loop unrolled ``n_loop_passes`` times.
+def _schedule(program: TestProgram) -> List[Tuple[int, ProgramLine]]:
+    """Execution order with the loop unrolled twice.
 
     Indices refer back to ``program.lines`` so findings point at the
     source line regardless of which unrolled copy detected them.
     """
     one_shot = [(i, l) for i, l in _indexed_lines(program) if not l.in_loop]
     loop = [(i, l) for i, l in _indexed_lines(program) if l.in_loop]
-    return one_shot + loop * n_loop_passes
+    return one_shot + loop * 2
 
 
 # ----------------------------------------------------------------------

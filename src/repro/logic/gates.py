@@ -34,12 +34,6 @@ class GateType(str, Enum):
     XNOR = "xnor"
 
 
-#: Gate types whose output is the complement of a simpler function, i.e. the
-#: ones whose evaluation needs the pattern-width mask.
-INVERTING = frozenset(
-    {GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR, GateType.CONST1}
-)
-
 #: Allowed input arity per gate type: (min, max) with ``None`` = unbounded.
 ARITY = {
     GateType.CONST0: (0, 0),

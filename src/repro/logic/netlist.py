@@ -136,9 +136,6 @@ class Netlist:
         """Look up a net id by name."""
         return self._ids_by_name[name]
 
-    def has_net(self, name: str) -> bool:
-        return name in self._ids_by_name
-
     def add_input(self, net: int) -> int:
         self.inputs.append(net)
         return net

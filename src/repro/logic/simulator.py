@@ -28,15 +28,6 @@ def pack_patterns(per_pattern_values: Sequence[int], bit_index: int) -> int:
     return packed
 
 
-def pack_bus_patterns(bus_width: int, per_pattern_words: Sequence[int]) -> List[int]:
-    """Pack a sequence of per-pattern words into per-net packed values.
-
-    Returns a list of ``bus_width`` integers, one per net (LSB first), each
-    packing the corresponding bit across all patterns.
-    """
-    return [pack_patterns(per_pattern_words, i) for i in range(bus_width)]
-
-
 def unpack_output(packed_bits: Sequence[int], pattern: int) -> int:
     """Extract pattern ``pattern``'s word from packed per-net values."""
     word = 0

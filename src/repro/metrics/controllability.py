@@ -145,9 +145,6 @@ def trace_variant(variant: InstructionVariant, rng: random.Random,
 #: the measured instruction (paper core offsets).
 ID_STAGE_COMPONENTS = frozenset({"decoder", "regread_a", "regread_b"})
 WB_STAGE_COMPONENTS = frozenset({"mux7"})
-ID_CYCLE = 1
-EX_CYCLE = 2
-WB_CYCLE = 3
 
 
 def component_cycle(name: str, build: CoreBuild = PAPER_BUILD) -> int:

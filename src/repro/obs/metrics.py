@@ -38,11 +38,3 @@ class MetricsRegistry:
         """Zero every counter (workers reset between units so each
         payload carries a clean delta)."""
         self.counters.clear()
-
-
-def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
-    """Pure-function merge used by tests: fold snapshots left-to-right."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge_snapshot(snapshot)
-    return registry.snapshot()

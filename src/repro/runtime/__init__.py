@@ -25,7 +25,6 @@ from repro.runtime.errors import (
     CheckpointCorruptError,
     ConfigError,
     ReproError,
-    SimulationError,
     UnitTimeout,
 )
 from repro.runtime.rng import derive_rng, rng_factory
@@ -45,7 +44,6 @@ __all__ = [
     "CheckpointStore",
     "ConfigError",
     "ReproError",
-    "SimulationError",
     "UnitResult",
     "UnitTimeout",
     "WorkUnit",

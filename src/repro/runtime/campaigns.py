@@ -19,7 +19,6 @@ or timing out is quarantined, and the campaign report counts it.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -87,6 +86,10 @@ class HierarchicalCampaign:
         self._ctx = _Lazy(lambda: self.simulator.prepare(self.words))
 
     def fingerprint(self) -> Dict[str, Any]:
+        from repro.faults.hierarchical import (
+            MAX_CONTINUOUS_STARTS,
+            MAX_STARTS_PER_BLOCK,
+        )
         sim = self.simulator
         fp = {
             "kind": "hierarchical",
@@ -103,9 +106,9 @@ class HierarchicalCampaign:
         # defaults.
         if not sim.build.spec.is_paper:
             fp["core"] = sim.build.spec.label()
-        defaults = inspect.signature(type(sim)).parameters
-        for key in ("max_starts_per_block", "max_continuous_starts"):
-            if getattr(sim, key) != defaults[key].default:
+        for key, default in (("max_starts_per_block", MAX_STARTS_PER_BLOCK),
+                             ("max_continuous_starts", MAX_CONTINUOUS_STARTS)):
+            if getattr(sim, key) != default:
                 fp[key] = getattr(sim, key)
         return fp
 
@@ -113,14 +116,6 @@ class HierarchicalCampaign:
         from repro.faults.hierarchical import fault_unit_id
         return {fault_unit_id(f): f
                 for f in self.simulator.universe.all_faults()}
-
-    def _reset_shared_state(self) -> None:
-        """Timed-out-unit isolation: drop the trace's good-value cache,
-        which is the shared structure an abandoned grading thread may
-        still be filling in."""
-        ctx = self._ctx._value
-        if ctx is not None:
-            ctx._good_cache.clear()
 
     def units(self) -> List[WorkUnit]:
         from repro.faults.hierarchical import ComponentFault
@@ -134,26 +129,23 @@ class HierarchicalCampaign:
                 def grade(name=name, local=local):
                     return sim.grade_comb_fault(ctx(), name, local)
 
-                units.append(WorkUnit(unit_id=unit_id, run=grade,
-                                      reset=self._reset_shared_state))
+                units.append(WorkUnit(unit_id=unit_id, run=grade))
             else:
                 def grade_storage(fault=fault):
                     return sim.grade_storage_fault(
                         ctx(), fault, self.storage_fault_max_cycles
                     )
 
-                units.append(WorkUnit(unit_id=unit_id, run=grade_storage,
-                                      reset=self._reset_shared_state))
+                units.append(WorkUnit(unit_id=unit_id, run=grade_storage))
         return units
 
     def run(self, resume: bool = False,
             max_units: Optional[int] = None,
-            progress=None, force: bool = False) -> CampaignOutcome:
+            force: bool = False) -> CampaignOutcome:
         from repro.faults.hierarchical import HierarchicalResult
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
-            max_units=max_units, progress=progress, warmup=self._ctx,
-            force=force,
+            max_units=max_units, warmup=self._ctx, force=force,
         )
         fault_map = self._fault_map()
         first_detect = {

@@ -61,7 +61,7 @@ class CheckpointStore:
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
-    def _sweep_stale_tmp(self, grace: float = TMP_SWEEP_GRACE_SECONDS) -> None:
+    def _sweep_stale_tmp(self) -> None:
         """Remove a ``.tmp`` stranded by a crash mid-:meth:`create`.
 
         The atomic-replace protocol guarantees the canonical file is
@@ -71,7 +71,7 @@ class CheckpointStore:
 
         Two local processes may share a checkpoint directory (campaigns
         running side by side), so the sweep must not race a live
-        writer: only files older than ``grace`` seconds are swept
+        writer: only files older than ``TMP_SWEEP_GRACE_SECONDS`` are swept
         — a writer completes its ``create`` in milliseconds, while a
         crash orphan only ages — and a concurrent sweeper winning the
         unlink (ENOENT) is silently tolerated.
@@ -81,7 +81,7 @@ class CheckpointStore:
             age = time.time() - os.stat(tmp).st_mtime
         except OSError:
             return  # no orphan (or unreadable: nothing useful to do)
-        if age < grace:
+        if age < TMP_SWEEP_GRACE_SECONDS:
             return  # possibly a live writer mid-create, not an orphan
         try:
             os.remove(tmp)

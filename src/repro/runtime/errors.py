@@ -5,9 +5,9 @@ Every error the package raises deliberately derives from
 benchmark harness) can distinguish *our* failures from genuine Python
 bugs with one ``except`` clause.
 
-The configuration/simulation subclasses also inherit the builtin type
-they historically raised (``ValueError`` / ``RuntimeError``), so code
-written against the old bare exceptions keeps working.
+The configuration and campaign subclasses also inherit the builtin
+type they historically raised (``ValueError`` / ``RuntimeError``), so
+code written against the old bare exceptions keeps working.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ class ReproError(Exception):
 class ConfigError(ReproError, ValueError):
     """Invalid configuration: bad parameter values, malformed inputs,
     unknown names, inconsistent sizes."""
-
-
-class SimulationError(ReproError, RuntimeError):
-    """A simulation engine failed while executing an otherwise valid
-    workload (netlist inconsistency discovered mid-run, diverging
-    cross-check, unexpected component behaviour)."""
 
 
 class CampaignError(ReproError, RuntimeError):
@@ -48,13 +42,6 @@ class FingerprintMismatchError(ConfigError, CampaignError):
     :class:`CampaignError` (historical callers catch the latter).
     ``--force`` / ``force=True`` overrides the check deliberately.
     """
-
-
-class IntegrityError(CampaignError):
-    """A campaign invariant was violated (see
-    :func:`repro.runtime.integrity.verify_campaign`): a unit graded
-    twice or not at all, an illegal status, a report diverging from its
-    golden twin, orphaned scratch files, or a broken checkpoint chain."""
 
 
 class UnitTimeout(ReproError):

@@ -31,8 +31,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.runtime.errors import IntegrityError
-
 #: Hex digits of SHA-256 kept per record; 64 bits of collision margin is
 #: plenty for corruption *detection* (the adversary is a cosmic ray, not
 #: a cryptographer) and keeps checkpoint lines short.
@@ -188,27 +186,3 @@ def _verify_checkpoint(report, checkpoint: str) -> List[Violation]:
                 "unpersisted-unit", unit_id,
                 "reported unit has no durable checkpoint record"))
     return violations
-
-
-def check_campaign(report, checkpoint: Optional[str] = None, golden=None,
-                   expected_units: Optional[Sequence[str]] = None) -> None:
-    """Like :func:`verify_campaign` but raises :class:`IntegrityError`."""
-    violations = verify_campaign(report, checkpoint=checkpoint,
-                                 golden=golden,
-                                 expected_units=expected_units)
-    if violations:
-        detail = "; ".join(v.describe() for v in violations[:5])
-        more = len(violations) - 5
-        if more > 0:
-            detail += f" (+{more} more)"
-        raise IntegrityError(
-            f"{len(violations)} campaign invariant violation(s): {detail}"
-        )
-
-
-def fingerprint_for_netlist(netlist) -> str:
-    """The structural netlist hash campaigns embed in their fingerprint
-    (resume against a *different* netlist is a config error, caught by
-    the enforced header check)."""
-    from repro.runtime.cache import netlist_hash
-    return netlist_hash(netlist)

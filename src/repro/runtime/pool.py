@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import glob
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.runtime import cache, chaos
@@ -242,12 +242,7 @@ def _worker_run(runner, shard: Optional[CheckpointStore],
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-def run_pooled(
-    runner,
-    pending: List[Any],
-    progress: Optional[Callable[[Any, int, int], None]] = None,
-    total: Optional[int] = None,
-) -> Dict[str, Any]:
+def run_pooled(runner, pending: List[Any]) -> Dict[str, Any]:
     """Execute ``pending`` units on ``min(runner.jobs, len(pending))``
     forked workers.
 
@@ -276,12 +271,10 @@ def run_pooled(
             "unit_timeout": runner.unit_timeout,
             "max_retries": runner.max_retries,
             "backoff_base": runner.backoff_base,
-            "backoff_factor": runner.backoff_factor,
             "backoff_max": runner.backoff_max,
         },
     }
     results: Dict[str, Any] = {}
-    total = total if total is not None else len(pending)
     context = multiprocessing.get_context("fork")
     workers: Dict[Any, Any] = {}    # parent's pipe end -> its worker
     try:
@@ -321,8 +314,6 @@ def run_pooled(
                 if runner.store is not None:
                     runner.store.append(record)
                 results[result.unit_id] = result
-                if progress is not None:
-                    progress(result, len(results), total)
     finally:
         # Workers may still be mid-unit (a failed append, a ChaosKill).
         # One killed inside the chaos monkey's lock would hold it for

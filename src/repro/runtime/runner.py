@@ -13,11 +13,12 @@ and survives the failure modes that kill monolithic loops:
   Abandoned threads keep executing (pure-Python work cannot be killed),
   so the runner *accounts* for them: each timed-out unit's
   :class:`UnitResult` records how many of its threads were still alive
-  when the unit finished (``leaked_threads``), the optional
-  ``WorkUnit.reset`` hook restores shared state the zombie may have
-  half-mutated, and the process-pool backend (``jobs > 1``, see
-  :mod:`repro.runtime.pool`) sidesteps the problem entirely — worker
-  processes die with their threads.
+  when the unit finished (``leaked_threads``), and the process-pool
+  backend (``jobs > 1``, see :mod:`repro.runtime.pool`) sidesteps the
+  problem entirely — worker processes die with their threads.  In
+  process, an abandoned thread can still write what the next attempt
+  reads; the fault-grading units share only memos of deterministic
+  values, so a late write stores what a fresh computation would.
 * **Transient failures** — failed attempts are retried with exponential
   backoff before giving up.
 * **Poisoned units** — a unit that fails every attempt is *quarantined*
@@ -56,6 +57,9 @@ from repro.runtime.errors import (
 #: Terminal unit statuses, in the order counts are reported.
 STATUSES = ("ok", "quarantined")
 
+#: Each retry waits this many times longer than the one before it.
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass
 class WorkUnit:
@@ -63,10 +67,6 @@ class WorkUnit:
 
     unit_id: str
     run: Callable[[], Any]
-    #: State-isolation hook: called after a timed-out attempt, before
-    #: the next attempt runs, so the adapter can restore shared caches
-    #: the abandoned thread may still be mutating.
-    reset: Optional[Callable[[], None]] = None
 
 
 @dataclass
@@ -117,10 +117,6 @@ class CampaignReport:
 
     def __getitem__(self, unit_id: str) -> UnitResult:
         return self.results[unit_id]
-
-    def value(self, unit_id: str, default: Any = None) -> Any:
-        result = self.results.get(unit_id)
-        return default if result is None else result.value
 
     @property
     def n_executed(self) -> int:
@@ -198,7 +194,7 @@ def call_with_timeout(fn: Callable[[], Any],
 class CampaignRunner:
     """Executes campaigns of work units with checkpointing and recovery.
 
-    ``backoff_base * backoff_factor**k`` seconds are slept before retry
+    ``backoff_base * BACKOFF_FACTOR**k`` seconds are slept before retry
     ``k+1`` (capped at ``backoff_max``); ``sleep`` is injectable so tests
     can assert the schedule without waiting it out.
 
@@ -220,7 +216,6 @@ class CampaignRunner:
         unit_timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
         backoff_max: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
@@ -234,7 +229,6 @@ class CampaignRunner:
         self.unit_timeout = unit_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
         self.sleep = sleep
         self.clock = clock
@@ -247,7 +241,7 @@ class CampaignRunner:
     def backoff_schedule(self) -> List[float]:
         """The delays slept between attempts, in order."""
         return [
-            min(self.backoff_base * self.backoff_factor ** k,
+            min(self.backoff_base * BACKOFF_FACTOR ** k,
                 self.backoff_max)
             for k in range(self.max_retries)
         ]
@@ -259,9 +253,7 @@ class CampaignRunner:
         fingerprint: Optional[Dict[str, Any]] = None,
         resume: bool = False,
         repair: bool = False,
-        retry_quarantined: bool = False,
         max_units: Optional[int] = None,
-        progress: Optional[Callable[[UnitResult, int, int], None]] = None,
         warmup: Optional[Callable[[], Any]] = None,
         force: bool = False,
     ) -> CampaignReport:
@@ -275,9 +267,7 @@ class CampaignRunner:
         results.  ``force=True`` overrides the check deliberately (the
         CLI's ``--force``).  ``max_units`` stops after that many fresh
         executions — the deterministic stand-in for a kill signal in
-        tests and for incremental runs.  ``progress(result, done,
-        total)`` fires as each unit this call runs completes: ``done``
-        counts those units so far, ``total`` is ``len(units)``.
+        tests and for incremental runs.
 
         ``warmup`` is invoked once before the pool forks (``jobs > 1``):
         campaigns use it to build the shared trace/setup state in the
@@ -321,10 +311,8 @@ class CampaignRunner:
                                  units=len(units))
         try:
             with campaign_span, obs.section("campaign.run"):
-                report = self._run_units(
-                    units, completed, retry_quarantined=retry_quarantined,
-                    max_units=max_units, progress=progress, warmup=warmup,
-                )
+                report = self._run_units(units, completed, max_units,
+                                         warmup)
                 if obs.enabled():
                     campaign_span.set(**report.counts())
                 return report
@@ -333,27 +321,11 @@ class CampaignRunner:
                 self.store.close()
 
     # ------------------------------------------------------------------
-    def _resumable(self, record: Optional[Dict[str, Any]],
-                   retry_quarantined: bool) -> bool:
-        """Can this checkpoint record satisfy its unit without re-running?
-
-        Only an exact answer (``ok``) or a quarantine the caller does not
-        want retried.  Any other status re-runs: older checkpoints can
-        hold behaviour-only answers that must never reach a report.
-        """
-        if record is None:
-            return False
-        status = record.get("status")
-        return status == "ok" or (status == "quarantined"
-                                  and not retry_quarantined)
-
     def _run_units(
         self,
         units: List[WorkUnit],
         completed: Dict[str, Dict[str, Any]],
-        retry_quarantined: bool,
         max_units: Optional[int],
-        progress: Optional[Callable[[UnitResult, int, int], None]],
         warmup: Optional[Callable[[], Any]],
     ) -> CampaignReport:
         """The one unit loop, at every ``jobs``.
@@ -372,7 +344,10 @@ class CampaignRunner:
         pending: List[WorkUnit] = []
         for unit in units:
             record = completed.get(unit.unit_id)
-            if self._resumable(record, retry_quarantined):
+            # Only a terminal status satisfies a unit without re-running:
+            # older checkpoints can hold behaviour-only answers that must
+            # never reach a report.
+            if record is not None and record.get("status") in STATUSES:
                 kept.append(UnitResult.from_record(record))
                 continue
             if max_units is not None and len(pending) >= max_units:
@@ -385,8 +360,7 @@ class CampaignRunner:
         if pending and self.jobs > 1:
             if warmup is not None:
                 warmup()
-            results = run_pooled(self, pending, progress=progress,
-                                 total=len(units))
+            results = run_pooled(self, pending)
         leftover = [u for u in pending if u.unit_id not in results]
         for unit in leftover:
             # The serial finish.  Under a pool: no worker could be
@@ -395,8 +369,6 @@ class CampaignRunner:
             results[unit.unit_id] = result
             if self.store is not None:
                 self.store.append(result.record())
-            if progress is not None:
-                progress(result, len(results), len(units))
         if self.store is not None:
             # Every pending unit's record is in the canonical checkpoint
             # now, so no worker shard holds anything it lacks, including
@@ -416,19 +388,6 @@ class CampaignRunner:
             t for t in self._leaked_threads if t.is_alive()
         ]
         return len(self._leaked_threads)
-
-    def _note_timeout(self, unit: WorkUnit, exc: UnitTimeout,
-                      unit_threads: List[threading.Thread]) -> None:
-        """Track the abandoned thread and let the unit restore state."""
-        thread = getattr(exc, "thread", None)
-        if thread is not None:
-            unit_threads.append(thread)
-            self._leaked_threads.append(thread)
-        if unit.reset is not None:
-            try:
-                unit.reset()
-            except Exception:  # noqa: BLE001 — isolation is best-effort
-                pass
 
     def _run_unit(self, unit: WorkUnit) -> UnitResult:
         span = obs.span("unit", key=unit.unit_id)
@@ -473,7 +432,10 @@ class CampaignRunner:
             except UnitTimeout as exc:
                 timeouts += 1
                 last_error = exc
-                self._note_timeout(unit, exc, unit_threads)
+                thread = getattr(exc, "thread", None)
+                if thread is not None:  # abandoned, still running
+                    unit_threads.append(thread)
+                    self._leaked_threads.append(thread)
             except Exception as exc:  # noqa: BLE001 — quarantine, don't abort
                 last_error = exc
 

@@ -39,9 +39,6 @@ RAND_REGS = (0, 1)
 #: uncovered, and the step of each lowering.
 MAX_THRESHOLD_REDUCTIONS = 2
 THRESHOLD_STEP = 0.10
-#: Destination registers cycled through by generated instructions
-#: (paper core).
-DEST_REGS = tuple(range(2, 12))
 
 
 def dest_registers(build: CoreBuild = PAPER_BUILD) -> Tuple[int, ...]:

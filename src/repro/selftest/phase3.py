@@ -89,7 +89,13 @@ def constraint_study(
 
 
 def _constraint_study(component, n_patterns, seed) -> List[ConstraintResult]:
-    spec = component_by_name(component)
+    try:
+        spec = component_by_name(component)
+    except KeyError:
+        spec = None
+    if spec is None or spec.kind != "comb":
+        raise ConfigError("the constraint study needs a combinational "
+                          f"component, got {component!r}")
     all_modes = list(spec.modes)
     constraints = [list(all_modes)]  # unconstrained baseline first
     constraints += [

@@ -146,12 +146,11 @@ def test_sweep_rejects_non_positive_unit_timeout(capsys, monkeypatch):
 def quarantine_first_grading_unit(monkeypatch):
     """Make the first fault's grading unit raise on every attempt."""
     from repro.runtime.campaigns import HierarchicalCampaign
-    from repro.runtime.errors import SimulationError
 
     real_units = HierarchicalCampaign.units
 
     def boom():
-        raise SimulationError("injected grading failure")
+        raise RuntimeError("injected grading failure")
 
     def units(self):
         units = real_units(self)
@@ -371,6 +370,52 @@ def test_testability_command(tmp_path, capsys):
 def test_testability_rejects_bad_floor(capsys):
     assert main(["testability", "--floor", "-1"]) == 2
     assert "floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["grade", "--iterations", "0"], "--iterations must be",
+                 id="grade-iterations-zero"),
+    pytest.param(["grade", "--iterations", "-1"], "--iterations must be",
+                 id="grade-iterations-negative"),
+    pytest.param(["generate", "--iterations", "0"], "--iterations must be",
+                 id="generate-iterations-zero"),
+    pytest.param(["generate", "--iterations", "-1"], "--iterations must be",
+                 id="generate-iterations-negative"),
+    pytest.param(["metrics", "--columns", "0"], "--columns must be",
+                 id="metrics-columns-zero"),
+    pytest.param(["sweep", "--sample", "0"], "--sample must be",
+                 id="sweep-sample-zero"),
+    pytest.param(["constraints", "--patterns", "0"], "--patterns must be",
+                 id="constraints-patterns-zero"),
+    pytest.param(["constraints", "--component", "nosuch"], "'nosuch'",
+                 id="constraints-unknown-component"),
+    pytest.param(["constraints", "--component", "acca"], "'acca'",
+                 id="constraints-storage-component"),
+    pytest.param(["testability", "--floor", "nan"], "--floor must be",
+                 id="testability-floor-nan"),
+    pytest.param(["testability", "--floor", "2"], "--floor must be",
+                 id="testability-floor-above-one"),
+    pytest.param(["testability", "--seq-cost", "nan"], "--seq-cost must be",
+                 id="testability-seq-cost-nan"),
+])
+def test_bad_inputs_exit_2_with_one_error_line(argv, message, capsys,
+                                               monkeypatch):
+    """Each input fails with one ``error:`` line and no traceback, before
+    any metrics warm-up, sweep or analysis starts."""
+    import repro.__main__ as cli
+    import repro.analysis
+    import repro.harness.sweeps as sweeps
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "_measure_or_load", no_work)
+    monkeypatch.setattr(sweeps, "run_sweep", no_work)
+    monkeypatch.setattr(repro.analysis, "analyze_testability", no_work)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_isa_command(capsys):

@@ -31,7 +31,11 @@ from repro.harness.sweeps import sampled_specs
 from repro.lint.modes import mode_reachability_crosscheck
 from repro.logic.sequential import SequentialSimulator
 from repro.metrics.table import build_metrics_table
-from tests.test_faults_batched import first_detect, reference_detection
+from tests.test_faults_batched import (
+    cone_detection,
+    first_detect,
+    reference_detection,
+)
 
 FLEET_SEED = 77
 N_SAMPLED = 16
@@ -160,8 +164,8 @@ def test_fault_sim_engine_parity(point):
     for fault in sim.fault_list.faults:
         expect_mask, expect_words = reference_detection(
             sim.netlist, fault, stream, [output_bus])
-        local = sim.local_detection(fault, stream, [output_bus])
-        if (local.detected_mask, local.faulty_words, first[fault]) \
+        mask, words = cone_detection(sim, fault, stream, [output_bus])
+        if (mask, words, first[fault]) \
                 != (expect_mask, expect_words, first_detect(expect_mask)):
             mismatched.append(fault.describe(sim.netlist))
     if mismatched:

@@ -182,7 +182,9 @@ def test_differential_injection_changes_output():
     words = [encode(i) for i in program] + [encode(Instruction(Opcode.NOP))] * 4
     clean = DspCore().run(words)
     # Cycle 2 fetches MPYA; it is in EX at cycle 4.
-    poked = DspCore().run(words, overrides_by_cycle={4: {"multiplier": 0}})
+    core = DspCore()
+    poked = [core.step(word, overrides={"multiplier": 0} if t == 4 else None)
+             for t, word in enumerate(words)]
     assert [r.port for r in clean] != [r.port for r in poked]
 
 

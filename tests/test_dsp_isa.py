@@ -16,7 +16,6 @@ from repro.dsp.isa import (
     assemble_program,
     control_word,
     decode,
-    decoder_truth_table,
     disassemble,
     encode,
 )
@@ -178,7 +177,8 @@ def test_truncate_ops():
 
 
 def test_decoder_truth_table_covers_all_opcodes():
-    table = decoder_truth_table()
+    from repro.dsp.corespec import PAPER_SPEC, decoder_truth_table_for
+    table = decoder_truth_table_for(PAPER_SPEC)
     assert set(table) == {int(op) for op in Opcode}
     assert table[int(Opcode.MPYA)] == control_word(Opcode.MPYA).pack()
 

@@ -19,7 +19,7 @@ from repro.dsp.isa import Opcode, control_word
 from repro.dsp.mac import MacParams
 from repro.metrics.simple_metrics import build_table1
 from repro.metrics.table import build_metrics_table
-from repro.runtime.integrity import fingerprint_for_netlist
+from repro.runtime.cache import netlist_hash
 from repro.selftest.phase1 import run_phase1
 
 #: The structural hash of the paper core's gate-level netlist at the
@@ -88,10 +88,10 @@ def paper():
 
 
 def test_paper_netlist_hash_pinned(paper):
-    assert fingerprint_for_netlist(paper.netlist) == PAPER_NETLIST_HASH
+    assert netlist_hash(paper.netlist) == PAPER_NETLIST_HASH
     # ... and the build's netlist is the same object graph the historical
     # constructor produces, not merely an equivalent one.
-    assert fingerprint_for_netlist(make_gatelevel_core()) == \
+    assert netlist_hash(make_gatelevel_core()) == \
         PAPER_NETLIST_HASH
 
 
@@ -100,7 +100,7 @@ def test_paper_component_registry_pinned(paper):
     registry = [
         (c.name, c.kind, c.output_width, c.input_ports, c.modes,
          c.mode_labels, c.output_bus, c.state_key, c.in_metrics_table,
-         fingerprint_for_netlist(c.netlist()) if c.kind == "comb" else None)
+         netlist_hash(c.netlist()) if c.kind == "comb" else None)
         for c in COMPONENTS
     ]
     assert registry == PAPER_REGISTRY

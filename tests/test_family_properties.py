@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dsp.family import (
-    ADDER_STYLES,
     CoreBuild,
     CoreSpec,
     N_REGISTERS_CHOICES,
@@ -22,6 +21,7 @@ from repro.dsp.family import (
 )
 from repro.lint.findings import Severity
 from repro.lint.netlist_rules import lint_netlist
+from repro.rtl.arith import ADDER_STYLES
 from repro.runtime.errors import ConfigError
 
 

@@ -12,8 +12,8 @@ from repro.dsp.family import CoreBuild, CoreSpec
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.faults.hierarchical import DspFaultUniverse, storage_fault_core
 from repro.runtime.campaigns import HierarchicalCampaign, MetricsCampaign
-from repro.runtime.integrity import fingerprint_for_netlist
-from repro.selftest.generator import DEST_REGS, dest_registers
+from repro.runtime.cache import netlist_hash
+from repro.selftest.generator import dest_registers
 from repro.selftest.phase2 import observation_register
 from repro.selftest.vectors import run_with_misr
 
@@ -42,8 +42,26 @@ def test_component_netlist_cache_is_spec_keyed(small):
     assert paper_mux.name == family_mux.name == "mux7"
     # Same name, different operand widths — a name-keyed cache would hand
     # back the same netlist for both.
-    assert fingerprint_for_netlist(paper_mux.netlist()) != \
-        fingerprint_for_netlist(family_mux.netlist())
+    assert netlist_hash(paper_mux.netlist()) != \
+        netlist_hash(family_mux.netlist())
+
+
+# ----------------------------------------------------------------------
+# A component fault was named from the paper registry's netlist of the
+# same name, whose net numbering differs on a family point.
+# ----------------------------------------------------------------------
+def test_component_fault_describe_names_its_own_netlists_net(small):
+    universe = DspFaultUniverse(components=["multiplier"],
+                                include_regfile=False, build=small)
+    fault = universe.all_faults()[-1]
+    assert (fault.fault.net, fault.fault.stuck_at) == (118, 1)
+    assert fault.describe() == "multiplier/_t108 sa1"
+    paper = DspFaultUniverse(components=["multiplier"],
+                             include_regfile=False)
+    netlist = CoreBuild.get(CoreSpec.paper()) \
+        .component_by_name("multiplier").netlist()
+    assert [f.describe() for f in paper.all_faults()] == [
+        f"multiplier/{f.fault.describe(netlist)}" for f in paper.all_faults()]
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +70,7 @@ def test_component_netlist_cache_is_spec_keyed(small):
 def test_dest_registers_stay_inside_small_register_file(small):
     regs = dest_registers(small)
     assert regs and all(r < SMALL.n_registers for r in regs)
-    assert dest_registers() == DEST_REGS == tuple(range(2, 12))
+    assert dest_registers() == tuple(range(2, 12))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.logic.builder import NetlistBuilder
 from repro.rtl.arith import make_addsub
 from repro.rtl.multiplier import make_multiplier
 from repro.runtime.errors import ConfigError
+from tests.test_faults_batched import cone_detection
 
 
 def and2():
@@ -87,11 +88,8 @@ def test_local_detection_reports_faulty_words():
     nl = and2()
     sim = CombFaultSimulator(nl)
     y = nl.net_id("y")
-    local = sim.local_detection(
-        Fault(y, 1), {"a": [0, 1], "c": [0, 1]}, output_buses=["y"]
-    )
-    assert local.detected_mask == 0b01
-    assert local.faulty_words["y"] == [1, 1]
+    assert cone_detection(sim, Fault(y, 1), {"a": [0, 1], "c": [0, 1]},
+                          ["y"]) == (0b01, {"y": [1, 1]})
 
 
 def test_unexcited_fault_not_detected():
@@ -132,17 +130,13 @@ def test_mismatched_pattern_lengths_rejected():
     pytest.param("dropping", {"a": [1], "c": [1], "y": [0]}, "'y'",
                  id="output-bus"),
     pytest.param("detect", {"a": [1]}, "'c'", id="undriven-primary-input"),
-    pytest.param("local", {}, "empty stimulus", id="local-detection-empty"),
 ])
 def test_bad_input_raises_one_config_error(call, stimulus, offender):
     nl = and2()
     sim = CombFaultSimulator(nl)
-    fault = Fault(nl.net_id("y"), 0)
     with pytest.raises(ConfigError, match=offender):
         if call == "detect":
             sim.detect(stimulus)
-        elif call == "dropping":
+        else:
             # A valid block first: every block is checked, not just one.
             sim.run_with_dropping([{"a": [1], "c": [0]}, stimulus])
-        else:
-            sim.local_detection(fault, stimulus, ["y"])

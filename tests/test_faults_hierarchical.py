@@ -50,7 +50,8 @@ def test_fault_describe():
     sf = StorageFault(("acca",), "q", 3, 1)
     assert sf.describe() == "acca.q[3] sa1"
     universe = small_universe()
-    cf = ComponentFault("mux7", universe.comb_faults["mux7"][0])
+    cf = ComponentFault("mux7", universe.comb_faults["mux7"][0],
+                        universe.comb_simulators["mux7"].netlist)
     assert cf.describe().startswith("mux7/")
 
 

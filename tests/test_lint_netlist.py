@@ -1,13 +1,13 @@
 """Tests for the netlist-domain lint rules (NET000..NET011)."""
 
 import warnings
+import weakref
 
 import pytest
 
 from repro.lint.findings import Severity
 from repro.lint.netlist_rules import (
     LintWarning,
-    _reset_screened_for_tests,
     lint_netlist,
     warn_on_netlist,
 )
@@ -335,8 +335,14 @@ def broken_netlist():
     return nl
 
 
-def test_warn_on_netlist_warns_once_per_instance():
-    _reset_screened_for_tests()
+@pytest.fixture
+def unscreened(monkeypatch):
+    """Forget every netlist already screened in this process."""
+    import repro.lint.netlist_rules as netlist_rules
+    monkeypatch.setattr(netlist_rules, "_screened", weakref.WeakSet())
+
+
+def test_warn_on_netlist_warns_once_per_instance(unscreened):
     nl = broken_netlist()
     with pytest.warns(LintWarning, match="NET001"):
         report = warn_on_netlist(nl, context="unit test")
@@ -347,18 +353,16 @@ def test_warn_on_netlist_warns_once_per_instance():
         assert warn_on_netlist(nl) is None
 
 
-def test_warn_on_netlist_silent_on_clean_netlist():
-    _reset_screened_for_tests()
+def test_warn_on_netlist_silent_on_clean_netlist(unscreened):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = warn_on_netlist(clean_netlist())
     assert report is not None and not report.findings
 
 
-def test_fault_universe_construction_is_screened():
+def test_fault_universe_construction_is_screened(unscreened):
     """DspFaultUniverse screens its component netlists (warn-only)."""
     from repro.faults.hierarchical import DspFaultUniverse
-    _reset_screened_for_tests()
     with warnings.catch_warnings():
         warnings.simplefilter("error", LintWarning)
         DspFaultUniverse()  # clean paper-core netlists: no warnings

@@ -27,8 +27,6 @@ def test_net_lookup():
     nl = small_netlist()
     assert nl.net_id("a") == 0
     assert nl.net_names[nl.net_id("d")] == "d"
-    assert nl.has_net("q")
-    assert not nl.has_net("nope")
 
 
 def test_duplicate_net_name_rejected():

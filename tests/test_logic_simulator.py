@@ -6,7 +6,6 @@ from repro.logic.builder import NetlistBuilder
 from repro.logic.sequential import SequentialSimulator
 from repro.logic.simulator import (
     CombSimulator,
-    pack_bus_patterns,
     pack_patterns,
     unpack_output,
 )
@@ -77,9 +76,14 @@ def test_run_bus_and_word_eval():
     assert multi["s"] == [(x + y) & 3 for x, y in [(0, 3), (1, 1), (2, 1), (3, 0)]]
 
 
+def pack_bus(width, words):
+    """Per-net packed values of a bus, LSB net first."""
+    return [pack_patterns(words, i) for i in range(width)]
+
+
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=20))
 def test_pack_unpack_roundtrip(words):
-    packed = pack_bus_patterns(8, words)
+    packed = pack_bus(8, words)
     for k, word in enumerate(words):
         assert unpack_output(packed, k) == word
 
@@ -90,13 +94,13 @@ def test_pack_patterns_single_bit():
 
 def test_pack_patterns_empty_pattern_list():
     assert pack_patterns([], 0) == 0
-    assert pack_bus_patterns(4, []) == [0, 0, 0, 0]
+    assert pack_bus(4, []) == [0, 0, 0, 0]
 
 
 def test_pack_unpack_one_bit_bus():
     """Width-1 buses pack into a single per-net integer."""
     words = [1, 0, 0, 1, 1]
-    packed = pack_bus_patterns(1, words)
+    packed = pack_bus(1, words)
     assert packed == [0b11001]
     for k, word in enumerate(words):
         assert unpack_output(packed, k) == word
@@ -107,7 +111,7 @@ def test_pack_unpack_block_wider_than_64_patterns():
     machine-word boundary round-trip exactly."""
     n_patterns = 100
     words = [(k * 37) & 0xFF for k in range(n_patterns)]
-    packed = pack_bus_patterns(8, words)
+    packed = pack_bus(8, words)
     assert max(packed).bit_length() <= n_patterns
     assert any(p >> 64 for p in packed)   # the block really crosses 64 bits
     for k, word in enumerate(words):

@@ -21,7 +21,7 @@ Three laws the layer's correctness rests on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_span_record
 from repro.obs.trace import Tracer
 from repro.runtime.chaos import ChaosKill
@@ -95,19 +95,28 @@ def _apply(ops):
     return registry.snapshot()
 
 
+def _merged(*snapshots):
+    """Fold snapshots, left to right, into a fresh registry, as the
+    pool folds each worker's payload into the parent's."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.merge_snapshot(snapshot)
+    return registry.snapshot()
+
+
 @settings(max_examples=60)
 @given(a=OPS, b=OPS, c=OPS)
 def test_snapshot_merge_is_associative(a, b, c):
     sa, sb, sc = _apply(a), _apply(b), _apply(c)
-    assert merge_snapshots(merge_snapshots(sa, sb), sc) \
-        == merge_snapshots(sa, merge_snapshots(sb, sc))
+    assert _merged(_merged(sa, sb), sc) \
+        == _merged(sa, _merged(sb, sc))
 
 
 @settings(max_examples=60)
 @given(a=OPS, b=OPS)
 def test_snapshot_merge_is_commutative(a, b):
     sa, sb = _apply(a), _apply(b)
-    assert merge_snapshots(sa, sb) == merge_snapshots(sb, sa)
+    assert _merged(sa, sb) == _merged(sb, sa)
 
 
 @settings(max_examples=60)
@@ -122,4 +131,4 @@ def test_sharded_merge_equals_serial_totals(ops, splits):
         shards.append(ops[start:bound])
         start = bound
     serial = _apply(ops)
-    assert merge_snapshots(*[_apply(shard) for shard in shards]) == serial
+    assert _merged(*[_apply(shard) for shard in shards]) == serial

@@ -163,15 +163,24 @@ def test_clearing_caches_after_every_unit_leaves_the_report_unchanged():
     twin = make_campaign(words, None).run()
     campaign = make_campaign(words, None)
     misses = {}
+    real_units = campaign.units
 
-    def clear_after(result, done, total):
-        stats = cache_stats()
-        misses[result.unit_id] = {k: stats[f"{k}_misses"]
-                                  for k in CACHE_KINDS}
-        clear_caches()
-        campaign._reset_shared_state()
+    def clearing_units():
+        units = real_units()
+        for unit in units:
+            def run(unit_id=unit.unit_id, grade=unit.run):
+                value = grade()
+                stats = cache_stats()
+                misses[unit_id] = {k: stats[f"{k}_misses"]
+                                   for k in CACHE_KINDS}
+                clear_caches()
+                campaign._ctx()._good_cache.clear()
+                return value
+            unit.run = run
+        return units
 
-    cleared = campaign.run(progress=clear_after)
+    campaign.units = clearing_units
+    cleared = campaign.run()
 
     def rows(outcome):
         return [(r.unit_id, r.status, r.value)

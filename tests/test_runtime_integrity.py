@@ -17,13 +17,8 @@ from repro.runtime.errors import (
     CheckpointCorruptError,
     ConfigError,
     FingerprintMismatchError,
-    IntegrityError,
 )
-from repro.runtime.integrity import (
-    chain_digest,
-    check_campaign,
-    verify_campaign,
-)
+from repro.runtime.integrity import chain_digest, verify_campaign
 from repro.runtime.runner import CampaignRunner, WorkUnit
 
 
@@ -106,7 +101,6 @@ def test_verify_clean_campaign_has_no_violations(tmp_path):
         report, checkpoint=path, golden=golden,
         expected_units=[f"u{i}" for i in range(5)],
     ) == []
-    check_campaign(report, checkpoint=path, golden=golden)  # no raise
 
 
 def test_verify_detects_missing_and_extra_units():
@@ -157,12 +151,6 @@ def test_verify_detects_broken_chain(tmp_path):
         handle.write(text.replace('"value": 0', '"value": 5'))
     kinds = [v.kind for v in verify_campaign(report, checkpoint=path)]
     assert kinds == ["broken-chain"]
-
-
-def test_check_campaign_raises_integrity_error():
-    report = CampaignRunner().run(units(2))
-    with pytest.raises(IntegrityError):
-        check_campaign(report, expected_units=["u0", "u1", "u9"])
 
 
 # ----------------------------------------------------------------------

@@ -256,10 +256,8 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
 
     real = pool_mod.run_pooled
 
-    def flaky(runner, pending, progress=None, total=None):
-        results = real(runner, pending[: len(pending) // 2],
-                       progress=progress, total=total)
-        return results
+    def flaky(runner, pending):
+        return real(runner, pending[: len(pending) // 2])
 
     monkeypatch.setattr(pool_mod, "run_pooled", flaky)
 
@@ -275,7 +273,8 @@ def test_pooled_falls_back_serially_when_pool_dies(tmp_path, monkeypatch):
 def test_unforked_pool_is_the_serial_loop(tmp_path, monkeypatch):
     """Where nothing can fork, ``jobs=2`` runs every unit in the serial
     finish: the report and checkpoint bytes equal a ``jobs=1`` run's,
-    and ``progress`` fires once per unit, as it does serially."""
+    and every unit runs in this process, in order, as it does
+    serially."""
     import itertools
 
     import repro.runtime.pool as pool_mod
@@ -294,15 +293,18 @@ def test_unforked_pool_is_the_serial_loop(tmp_path, monkeypatch):
                                 sleep=lambda s: None,
                                 clock=lambda: float(next(tick)))
         calls = []
-        report = runner.run(
-            golden_campaign_units(), fingerprint=GOLDEN_CAMPAIGN_FINGERPRINT,
-            progress=lambda result, done, total:
-                calls.append((result.unit_id, done, total)))
+        units = golden_campaign_units()
+        for unit in units:
+            def recorded(unit_id=unit.unit_id, run=unit.run):
+                calls.append(unit_id)
+                return run()
+            unit.run = recorded
+        report = runner.run(units, fingerprint=GOLDEN_CAMPAIGN_FINGERPRINT)
         return campaign_report_payload(report), path.read_text(), calls
 
     serial = run(1)
     unforked = run(2)
-    assert [unit_id for unit_id, _, _ in unforked[2]] \
+    assert list(dict.fromkeys(unforked[2])) \
         == [unit.unit_id for unit in golden_campaign_units()]
     assert unforked == serial
 
@@ -333,7 +335,7 @@ def test_pooled_run_finishes_after_a_worker_is_killed():
     thread.join(timeout=10)
     assert not thread.is_alive(), "pooled run hung on a killed worker"
     report = reports[0]
-    assert [report.value(u.unit_id) for u in units] \
+    assert [report[u.unit_id].value for u in units] \
         == [i * i for i in range(6)]
 
 
@@ -359,7 +361,7 @@ def test_serial_finish_deletes_the_abandoned_pools_shards(tmp_path):
              for i in range(6)]
     report = CampaignRunner(checkpoint=path, jobs=2).run(
         units, fingerprint={"k": 1})
-    assert [report.value(u.unit_id) for u in units] \
+    assert [report[u.unit_id].value for u in units] \
         == [i * i for i in range(6)]
     assert shard_paths(path) == []
     assert verify_campaign(report, checkpoint=path,
@@ -587,7 +589,7 @@ def test_pooled_plain_units_roundtrip(tmp_path):
     runner = CampaignRunner(checkpoint=str(tmp_path / "ck.jsonl"), jobs=3)
     report = runner.run(units, fingerprint={"k": 1})
     assert report.counts()["ok"] == 10
-    assert report.value("u7") == {"square": 49}
+    assert report["u7"].value == {"square": 49}
     # Everything landed in the canonical checkpoint; no shards left.
     _, completed = CheckpointStore(str(tmp_path / "ck.jsonl")).load()
     assert len(completed) == 10

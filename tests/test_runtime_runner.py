@@ -9,7 +9,6 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import (
     CampaignError,
     ConfigError,
-    SimulationError,
     UnitTimeout,
 )
 from repro.runtime.integrity import verify_campaign
@@ -49,8 +48,8 @@ def test_call_with_timeout_passes_value_through():
 
 def test_call_with_timeout_reraises_exceptions():
     def boom():
-        raise SimulationError("no")
-    with pytest.raises(SimulationError):
+        raise RuntimeError("no")
+    with pytest.raises(RuntimeError):
         call_with_timeout(boom, timeout=5.0)
 
 
@@ -69,7 +68,7 @@ def test_run_all_ok():
     assert counts == {"ok": 4, "quarantined": 0,
                       "total": 4, "executed": 4, "resumed": 0,
                       "retried": 0, "leaked": 0}
-    assert report.value("u2") == 20
+    assert report["u2"].value == 20
     assert report["u0"].status == "ok"
     assert not report.interrupted
     assert slept == []
@@ -97,8 +96,7 @@ def test_max_units_cutoff_marks_interrupted():
 # ----------------------------------------------------------------------
 def test_backoff_schedule_shape():
     runner = CampaignRunner(max_retries=5, backoff_base=0.1,
-                            backoff_factor=2.0, backoff_max=0.5,
-                            sleep=lambda _: None)
+                            backoff_max=0.5, sleep=lambda _: None)
     assert runner.backoff_schedule() == [0.1, 0.2, 0.4, 0.5, 0.5]
 
 
@@ -108,27 +106,27 @@ def test_transient_failure_retried_to_success():
     def flaky():
         attempts.append(1)
         if len(attempts) < 3:
-            raise SimulationError("transient")
+            raise RuntimeError("transient")
         return "fine"
 
     runner, slept = make_runner(max_retries=3, backoff_base=0.1,
-                                backoff_factor=3.0, backoff_max=10.0)
+                                backoff_max=10.0)
     report = runner.run([WorkUnit(unit_id="flaky", run=flaky)])
     result = report["flaky"]
     assert result.status == "ok"
     assert result.value == "fine"
     assert result.attempts == 3
-    assert slept == pytest.approx([0.1, 0.3])  # before attempts 2 and 3
+    assert slept == pytest.approx([0.1, 0.2])  # before attempts 2 and 3
     assert report.counts()["retried"] == 1
 
 
 def test_poisoned_unit_quarantined_not_fatal():
     def boom():
-        raise SimulationError("poisoned")
+        raise RuntimeError("poisoned")
 
     log = []
     runner, slept = make_runner(max_retries=2, backoff_base=0.05,
-                                backoff_factor=2.0, backoff_max=2.0)
+                                backoff_max=2.0)
     units = [WorkUnit(unit_id="bad", run=boom)] + ok_units(2, log)
     report = runner.run(units)
     bad = report["bad"]
@@ -219,7 +217,7 @@ def test_kill_and_resume_executes_nothing_twice(tmp_path):
     counts = second.counts()
     assert counts["resumed"] == 3
     assert counts["executed"] == 2
-    assert [second.value(f"u{i}") for i in range(5)] == [0, 10, 20, 30, 40]
+    assert [second[f"u{i}"].value for i in range(5)] == [0, 10, 20, 30, 40]
 
     # A third resume of the complete campaign executes nothing at all.
     runner3, _ = make_runner(checkpoint=path)
@@ -264,7 +262,7 @@ def test_quarantined_units_resume_without_retry(tmp_path):
 
     def boom():
         calls.append(1)
-        raise SimulationError("still poisoned")
+        raise RuntimeError("still poisoned")
 
     units = [WorkUnit(unit_id="bad", run=boom)]
     runner, _ = make_runner(checkpoint=path, max_retries=0)
@@ -273,15 +271,9 @@ def test_quarantined_units_resume_without_retry(tmp_path):
 
     runner2, _ = make_runner(checkpoint=path, max_retries=0)
     report = runner2.run(units, fingerprint={}, resume=True)
-    assert len(calls) == 1               # not retried by default
+    assert len(calls) == 1               # not retried
     assert report["bad"].status == "quarantined"
     assert report["bad"].resumed
-
-    runner3, _ = make_runner(checkpoint=path, max_retries=0)
-    report = runner3.run(units, fingerprint={}, resume=True,
-                         retry_quarantined=True)
-    assert len(calls) == 2               # explicitly retried
-    assert not report["bad"].resumed
 
 
 def test_legacy_degraded_record_reruns_on_resume(tmp_path):
@@ -303,7 +295,7 @@ def test_legacy_degraded_record_reruns_on_resume(tmp_path):
     assert log == [1]                    # only the degraded unit re-ran
     assert report["u0"].resumed
     assert not report["u1"].resumed
-    assert report["u1"].status == "ok" and report.value("u1") == 10
+    assert report["u1"].status == "ok" and report["u1"].value == 10
     counts = report.counts()
     assert counts["ok"] + counts["quarantined"] == counts["total"] == 2
     assert verify_campaign(report, checkpoint=path,
@@ -386,49 +378,3 @@ def test_leaked_threads_survive_checkpoint_roundtrip(tmp_path):
                          resume=True)
     assert report["hang"].resumed
     assert report["hang"].leaked_threads >= 1
-
-
-def test_reset_hook_called_per_timeout_before_next_attempt():
-    release = threading.Event()
-    events = []
-    try:
-        runner, _ = make_runner(unit_timeout=0.02, max_retries=1)
-        unit = WorkUnit(
-            unit_id="hang",
-            run=lambda: (events.append("attempt"), release.wait())[1],
-            reset=lambda: events.append("reset"),
-        )
-        report = runner.run([unit])
-    finally:
-        release.set()
-    assert report["hang"].status == "quarantined"
-    # Shared state is restored after every timed-out attempt, before
-    # the next attempt can observe it.
-    assert events == ["attempt", "reset", "attempt", "reset"]
-
-
-def test_reset_hook_failure_is_swallowed():
-    release = threading.Event()
-    try:
-        runner, _ = make_runner(unit_timeout=0.02, max_retries=0)
-        unit = WorkUnit(
-            unit_id="hang", run=release.wait,
-            reset=lambda: (_ for _ in ()).throw(RuntimeError("reset boom")),
-        )
-        report = runner.run([unit])
-    finally:
-        release.set()
-    # The reset failure neither aborts the campaign nor masks the
-    # timeout that caused it.
-    assert report["hang"].status == "quarantined"
-    assert "UnitTimeout" in report["hang"].error
-
-
-def test_reset_not_called_on_clean_units():
-    calls = []
-    runner, _ = make_runner(unit_timeout=5.0)
-    units = [WorkUnit(unit_id="ok", run=lambda: 1,
-                      reset=lambda: calls.append("reset"))]
-    report = runner.run(units)
-    assert report["ok"].status == "ok"
-    assert calls == []

@@ -8,7 +8,6 @@ from repro.dsp.isa import Instruction, Opcode, decode
 from repro.selftest.program import TestProgram
 from repro.selftest.vectors import (
     expand_program,
-    golden_signature,
     run_with_misr,
     vector_file_lines,
 )
@@ -84,12 +83,14 @@ def test_expand_program_rejects_random_one_shot():
 
 def test_run_with_misr_signature_deterministic():
     program = small_program()
-    sig1, n1 = golden_signature(program, 5, lfsr1=Lfsr(16, seed=3),
-                                lfsr2=Lfsr(8, seed=4))
-    sig2, n2 = golden_signature(program, 5, lfsr1=Lfsr(16, seed=3),
-                                lfsr2=Lfsr(8, seed=4))
-    assert (sig1, n1) == (sig2, n2)
-    assert n1 == 20
+
+    def golden():
+        run = run_with_misr(expand_program(
+            program, 5, lfsr1=Lfsr(16, seed=3), lfsr2=Lfsr(8, seed=4)))
+        return run.signature, run.n_vectors
+
+    assert golden() == golden()
+    assert golden()[1] == 20
 
 
 def test_misr_signature_detects_faulty_core():

@@ -668,10 +668,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError("--resume requires --checkpoint"
                               if hasattr(args, "checkpoint")
                               else "--resume requires --checkpoint-dir")
-        for option in ("iterations", "columns", "patterns", "sample"):
+        # The controllability engine needs two samples to estimate.
+        for option, floor in (("iterations", 1), ("columns", 1),
+                              ("patterns", 1), ("sample", 1), ("samples", 2),
+                              ("good", 1), ("campaigns", 1), ("units", 1)):
             value = getattr(args, option, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{option} must be positive, got {value}")
+            if value is not None and value < floor:
+                raise ConfigError(
+                    f"--{option} must be at least {floor}, got {value}")
         if getattr(args, "jobs", None) is not None:
             from repro.runtime.pool import resolve_jobs
             resolve_jobs(args.jobs)  # fail fast on a bad --jobs value

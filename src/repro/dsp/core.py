@@ -22,8 +22,9 @@ simulation).  A step runs one path whether or not a hook is armed.  A
 component's hook site is armed when a trace is armed or the component's
 own name is overridden, and only an armed site builds its trace/override
 inputs: a plain step pays for no hook, and a one-component injection for
-that component's hook alone.  The decoder's control word is packed and
-unpacked only when the decoder is traced or overridden.
+that component's hook alone.  The decoder's control word is packed only
+when the decoder is traced or overridden, and unpacked only when it is
+overridden: otherwise the ID/EX latch holds the control table's object.
 
 The pipeline latches and step results are values: no code assigns to
 their fields after construction, so :meth:`CoreState.copy` shares the
@@ -285,9 +286,12 @@ class DspCore:
             instr = decode(fetched)
             ctrl = self._control_words[instr.opcode]
             if traced or "decoder" in overrides:
-                ctrl = ControlWord.unpack(apply_hooks(
-                    "decoder", {"in": int(instr.opcode)}, ctrl.pack(),
-                    overrides, trace))
+                packed = apply_hooks("decoder", {"in": int(instr.opcode)},
+                                     ctrl.pack(), overrides, trace)
+                if "decoder" in overrides:
+                    # Without an override the latch keeps the control
+                    # table's own object.
+                    ctrl = ControlWord.unpack(packed)
             rega = instr.rega & addr_mask
             regb = instr.regb & addr_mask
             opa = s.regs[rega]

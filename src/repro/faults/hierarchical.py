@@ -5,16 +5,17 @@ core (see DESIGN.md).  It exploits the same decomposition the paper's
 metrics do:
 
 1. **Local detection (gate level).**  The behavioural core is simulated
-   once over the instruction stream, recording every combinational
-   component's input words per cycle.  Each component's gate-level netlist
-   is then fault-simulated pattern-parallel against that recorded stream,
-   yielding, per fault, the first cycles at which the component's output
-   is corrupted.
+   once over the instruction stream, recording the clean core state
+   before every cycle and every combinational component's input words
+   per cycle.  Each component's gate-level netlist is then
+   fault-simulated pattern-parallel against that recorded stream,
+   yielding, per fault, the cycles at which the component's output is
+   corrupted (its excitations).
 
 2. **Exact propagation (mixed level).**  For a fault first excited at
    cycle *t*, the core state at *t* is still fault-free, so the simulator
-   forks the behavioural core from the nearest checkpoint, replays to *t*,
-   and runs forward with the fault *continuously* injected — the
+   forks the behavioural core from a copy of the clean state recorded
+   for *t* and runs forward with the fault *continuously* injected — the
    component's output is overridden each cycle with its faulty word under
    the fork's inputs.  The component is combinational, so wherever those
    inputs equal the ones the clean run recorded for the cycle, the word
@@ -27,6 +28,14 @@ metrics do:
    faults use exact word-level models: stuck storage bits are persistent
    ``stuck_bits`` on the forked core; stuck data/enable input bits are
    per-cycle callable overrides.
+
+Every fork is stepped only while its state differs from the clean run's.
+A fork whose state equals the clean state of a cycle behaves like the
+clean run until the fault next changes a value: a single-cycle injection
+never does, so it ends there unobserved; a continuous injection and a
+stuck storage bit jump to the clean state of the next cycle at which
+they change a value (an excitation, or a clean stored value the stuck
+bit disagrees with), or end if none is left.
 
 The only approximation is the bounded propagation window per injection
 start (a fault not observed within ``propagation_window`` cycles of an
@@ -43,7 +52,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro._util import mask
-from repro.runtime.errors import ConfigError
 from repro.dsp.components import ComponentSpec
 from repro.dsp.core import CoreState, DspCore
 from repro.dsp.family import PAPER_BUILD, CoreBuild
@@ -202,21 +210,26 @@ def _register_faults(spec: ComponentSpec) -> List[StorageFault]:
 # ----------------------------------------------------------------------
 # Storage-fault execution helpers
 # ----------------------------------------------------------------------
+def _stuck_bits(fault: StorageFault, build: CoreBuild) -> Dict[Tuple, Tuple]:
+    """The ``stuck_bits`` of a ``q`` fault: its state key's masks."""
+    if fault.target[0] == "reg":
+        key: Tuple = fault.target
+        width = build.spec.operand_width
+    else:
+        spec = build.component_by_name(fault.target[0])
+        key, width = spec.state_key, spec.output_width
+    if fault.stuck_at:
+        and_mask, or_mask = mask(width), 1 << fault.bit
+    else:
+        and_mask, or_mask = mask(width) & ~(1 << fault.bit), 0
+    return {key: (and_mask, or_mask)}
+
+
 def storage_fault_core(fault: StorageFault,
                        build: CoreBuild = PAPER_BUILD) -> DspCore:
     """A core whose behaviour includes ``fault`` permanently."""
     if fault.kind == "q":
-        if fault.target[0] == "reg":
-            key: Tuple = fault.target
-            width = build.spec.operand_width
-        else:
-            spec = build.component_by_name(fault.target[0])
-            key, width = spec.state_key, spec.output_width
-        if fault.stuck_at:
-            and_mask, or_mask = mask(width), 1 << fault.bit
-        else:
-            and_mask, or_mask = mask(width) & ~(1 << fault.bit), 0
-        return build.make_core(stuck_bits={key: (and_mask, or_mask)})
+        return build.make_core(stuck_bits=_stuck_bits(fault, build))
     # d / en faults: per-cycle callable override on the traced component.
     name = fault.target[0]
 
@@ -317,16 +330,18 @@ class TraceContext:
     """The fault-free execution trace, recorded once and shared by every
     grading unit.
 
-    Holds the clean output-port stream, the periodic core-state
-    checkpoints, and each combinational component's recorded input
-    stream per block.  Grading any single fault against this context is
-    an independent, idempotent operation — the decomposition the
-    resilient campaign runner builds on.
+    Holds the clean output-port stream, the clean core state before
+    every cycle (``states[t]``; a fork copies it, and compares its own
+    state with it to tell whether it is back on the clean run), and each
+    combinational component's recorded input stream per block.  Grading
+    any single fault against this context is an independent, idempotent
+    operation — the decomposition the resilient campaign runner builds
+    on.
     """
 
     words: List[int]
     clean_ports: List[int]
-    checkpoints: Dict[int, CoreState] = field(repr=False, default_factory=dict)
+    states: List[CoreState] = field(repr=False, default_factory=list)
     block_records: Dict[int, Dict[str, Dict]] = field(repr=False,
                                                       default_factory=dict)
     block_size: int = 256
@@ -378,7 +393,6 @@ class HierarchicalFaultSimulator:
         self,
         universe: Optional[DspFaultUniverse] = None,
         block_size: int = 256,
-        checkpoint_every: int = 32,
         propagation_window: int = 48,
         max_starts_per_block: int = MAX_STARTS_PER_BLOCK,
         max_continuous_starts: int = MAX_CONTINUOUS_STARTS,
@@ -386,12 +400,7 @@ class HierarchicalFaultSimulator:
         self.universe = universe if universe is not None \
             else DspFaultUniverse()
         self.build = self.universe.build
-        if block_size % checkpoint_every:
-            raise ConfigError(
-                "block_size must be a multiple of checkpoint_every"
-            )
         self.block_size = block_size
-        self.checkpoint_every = checkpoint_every
         self.propagation_window = propagation_window
         self.max_starts_per_block = max_starts_per_block
         self.max_continuous_starts = max_continuous_starts
@@ -423,8 +432,8 @@ class HierarchicalFaultSimulator:
 
     # ------------------------------------------------------------------
     def prepare(self, words: List[int]) -> TraceContext:
-        """One fault-free pass: record ports, checkpoints and per-block
-        component input streams."""
+        """One fault-free pass: record ports, the state before every
+        cycle and per-block component input streams."""
         with obs.span("hier.prepare", words=len(words)), \
                 obs.section("sim.hier.prepare"):
             return self._prepare(words)
@@ -433,7 +442,7 @@ class HierarchicalFaultSimulator:
         names = list(self.universe.comb_faults)
         core = self.build.make_core()
         clean_ports: List[int] = []
-        checkpoints: Dict[int, CoreState] = {}
+        states: List[CoreState] = []
         block_records: Dict[int, Dict[str, Dict]] = {}
         n = len(words)
         for block_start in range(0, n, self.block_size):
@@ -443,8 +452,7 @@ class HierarchicalFaultSimulator:
             }
             for offset, word in enumerate(block_words):
                 t = block_start + offset
-                if offset % self.checkpoint_every == 0:
-                    checkpoints[t] = core.state.copy()
+                states.append(core.state.copy())
                 trace: Dict = {}
                 clean_ports.append(core.step(word, trace=trace).port)
                 for name in names:
@@ -457,7 +465,7 @@ class HierarchicalFaultSimulator:
                         rec["inputs"].setdefault(port, []).append(value)
             block_records[block_start] = records
         return TraceContext(
-            words=words, clean_ports=clean_ports, checkpoints=checkpoints,
+            words=words, clean_ports=clean_ports, states=states,
             block_records=block_records, block_size=self.block_size,
         )
 
@@ -501,19 +509,40 @@ class HierarchicalFaultSimulator:
             # Tier 2 — exact continuous injection (mixed-level): needed
             # when single-cycle errors are masked, e.g. absorbed by
             # limiter saturation until they accumulate in an accumulator.
+            excited = [cycles[i] for i in indices]
             for idx in _spread(indices, self.max_continuous_starts):
                 if self._propagates_continuous(name, spec, sim, fault, rec,
-                                               output_bits, idx, ctx, limit):
+                                               output_bits, excited, idx,
+                                               ctx, limit):
                     return cycles[idx]
         return None
 
-    def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:
-        """A clean core replayed up to (not including) cycle ``t``."""
-        start = t - t % self.checkpoint_every
-        fork = self.build.make_core(state=ctx.checkpoints[start].copy())
-        for cycle in range(start, t):
-            fork.step(ctx.words[cycle])
-        return fork
+    def _fork_at(self, ctx: TraceContext, t: int,
+                 stuck_bits: Optional[Dict[Tuple, Tuple]] = None) -> DspCore:
+        """A core in a copy of the clean state before cycle ``t``, with
+        ``stuck_bits`` applied."""
+        return self.build.make_core(ctx.states[t].copy(), stuck_bits)
+
+    def _fork_cycles(self, ctx: TraceContext, t: int, end: int, next_change,
+                     stuck_bits: Optional[Dict[Tuple, Tuple]] = None):
+        """Yield ``(cycle, fork)`` for each cycle in ``[t, end)`` at which
+        a fault's fork must be stepped.
+
+        ``next_change(c)`` is the first cycle at or after ``c`` at which
+        the fault can change a value of the clean run, or ``None``.  A
+        fork whose state equals the clean state of a cycle follows the
+        clean run until then, so it is not stepped: it jumps to that
+        cycle (:meth:`_fork_at`), or the run ends there.
+        """
+        fork = None
+        while t < end:
+            if fork is None or fork.state == ctx.states[t]:
+                t = next_change(t)
+                if t is None or t >= end:
+                    return
+                fork = self._fork_at(ctx, t, stuck_bits)
+            yield t, fork
+            t += 1
 
     def _propagates(self, name, faulty_word, t, ctx: TraceContext,
                     limit: int) -> bool:
@@ -524,26 +553,23 @@ class HierarchicalFaultSimulator:
         runs fault-free over the propagation window.  (Single-cycle
         injection slightly under-approximates a persistent fault; multiple
         start cycles per block compensate.  See the module docstring.)
-        A fork whose state equals the clean checkpoint of a cycle is back
-        on the clean run for good, so the check ends there, unobserved.
+        A fork whose state equals the clean state of a cycle is back on
+        the clean run for good, so the check ends there, unobserved.
         """
-        fork = self._fork_at(ctx, t)
         end = min(limit, t + self.propagation_window)
-        fork_port = fork.step(ctx.words[t],
-                              overrides={name: faulty_word}).port
-        if fork_port != ctx.clean_ports[t]:
-            return True
-        for cycle in range(t + 1, end):
-            clean = ctx.checkpoints.get(cycle)
-            if clean is not None and fork.state == clean:
-                return False
-            if fork.step(ctx.words[cycle]).port != ctx.clean_ports[cycle]:
+        overrides = {name: faulty_word}
+        # The injection changes a value at cycle ``t`` only.
+        for cycle, fork in self._fork_cycles(
+                ctx, t, end, lambda c: t if c == t else None):
+            if fork.step(ctx.words[cycle],
+                         overrides=overrides if cycle == t else None
+                         ).port != ctx.clean_ports[cycle]:
                 return True
         return False
 
     def _propagates_continuous(self, name, spec, sim, fault, rec,
-                               output_bits, idx, ctx: TraceContext,
-                               limit: int) -> bool:
+                               output_bits, excited, idx,
+                               ctx: TraceContext, limit: int) -> bool:
         """Exact mixed-level check from the block's excitation ``idx``:
         the component's output is overridden *every* cycle of the window
         with its faulty evaluation under the fork's live inputs.
@@ -553,12 +579,13 @@ class HierarchicalFaultSimulator:
         equal the ones the clean run recorded (``rec``), the word is
         read from ``output_bits``, the block's pattern-parallel faulty
         outputs; only a cycle whose inputs differ, or that the clean run
-        did not record, is evaluated at gate level.
+        did not record, is evaluated at gate level.  A fork back on the
+        clean run therefore reads the clean word until the next of the
+        block's ``excited`` cycles, and jumps there.
         """
         cycles: List[int] = rec["cycles"]
         recorded = list(rec["inputs"].items())
         t = cycles[idx]
-        fork = self._fork_at(ctx, t)
         evaluations = gate_level = 0
 
         def faulty_output(inputs: Dict[str, int]) -> int:
@@ -572,10 +599,14 @@ class HierarchicalFaultSimulator:
             gate_level += 1
             return sim.faulty_output_word(fault, inputs, spec.output_bus)
 
+        def next_excitation(c: int) -> Optional[int]:
+            k = bisect_left(excited, c)
+            return excited[k] if k < len(excited) else None
+
         overrides = {name: faulty_output}
         end = min(limit, t + self.propagation_window)
         observed = False
-        for cycle in range(t, end):
+        for cycle, fork in self._fork_cycles(ctx, t, end, next_excitation):
             if fork.step(ctx.words[cycle], overrides=overrides).port \
                     != ctx.clean_ports[cycle]:
                 observed = True
@@ -589,12 +620,35 @@ class HierarchicalFaultSimulator:
     def grade_storage_fault(self, ctx: TraceContext, fault: StorageFault,
                             max_cycles: Optional[int] = None
                             ) -> Optional[int]:
-        """Differential word-level run for one storage fault."""
+        """Differential word-level run for one storage fault.
+
+        A ``d`` or ``en`` fault overrides the register's input every
+        cycle, so its core steps from cycle 0.  A stuck storage bit
+        changes the clean run only on a cycle whose clean stored value
+        it disagrees with; its fork starts at the first such cycle and,
+        back on the clean run, skips to the next.
+        """
         with obs.section("sim.hier.grade_storage"):
             limit = len(ctx.words) if max_cycles is None \
                 else min(max_cycles, len(ctx.words))
-            faulty = storage_fault_core(fault, build=self.build)
-            for t in range(limit):
-                if faulty.step(ctx.words[t]).port != ctx.clean_ports[t]:
+            if fault.kind != "q":
+                faulty = storage_fault_core(fault, build=self.build)
+                for t in range(limit):
+                    if faulty.step(ctx.words[t]).port != ctx.clean_ports[t]:
+                        return t
+                return None
+            stuck_bits = _stuck_bits(fault, self.build)
+            ((key, (and_mask, or_mask)),) = stuck_bits.items()
+
+            def next_change(c: int) -> Optional[int]:
+                for t in range(c, limit):
+                    value = ctx.states[t].read(key)
+                    if (value & and_mask) | or_mask != value:
+                        return t
+                return None
+
+            for t, fork in self._fork_cycles(ctx, 0, limit, next_change,
+                                             stuck_bits):
+                if fork.step(ctx.words[t]).port != ctx.clean_ports[t]:
                     return t
             return None

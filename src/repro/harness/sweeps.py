@@ -134,7 +134,6 @@ class SweepConfig:
     n_iterations: int = 2          # program-loop expansions per point
     storage_fault_max_cycles: Optional[int] = 160
     block_size: int = 64
-    checkpoint_every: int = 16
     propagation_window: int = 24
 
     def __post_init__(self):
@@ -213,7 +212,6 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
         universe = DspFaultUniverse(build=build)
         sim = HierarchicalFaultSimulator(
             universe=universe, block_size=config.block_size,
-            checkpoint_every=config.checkpoint_every,
             propagation_window=config.propagation_window,
         )
         grading = HierarchicalCampaign(

@@ -96,13 +96,11 @@ class HierarchicalCampaign:
             "n_words": len(self.words),
             "n_faults": len(self._fault_map()),
             "block_size": sim.block_size,
-            "checkpoint_every": sim.checkpoint_every,
             "propagation_window": sim.propagation_window,
             "storage_fault_max_cycles": self.storage_fault_max_cycles,
         }
-        # Family points stamp the core identity; the paper core omits it
-        # so checkpoints recorded before core families existed still
-        # resume.  The tier rules are stamped likewise, only off their
+        # Family points stamp the core identity; the paper core omits
+        # it.  The tier rules are stamped likewise, only off their
         # defaults.
         if not sim.build.spec.is_paper:
             fp["core"] = sim.build.spec.label()

@@ -168,23 +168,31 @@ def call_with_timeout(fn: Callable[[], Any],
     ``exc.thread`` so the caller can account for the leak (it keeps
     executing — and possibly mutating shared state — until it returns
     on its own).  ``timeout=None`` runs inline.
+
+    An attempt that returned after its budget times out too: the caller
+    may wake from ``join`` only once the attempt's thread yields the
+    GIL, which can be after the attempt has finished.
     """
     if timeout is None:
         return fn()
     box: Dict[str, Any] = {}
 
     def target():
+        start = time.monotonic()
         try:
             box["value"] = fn()
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             box["error"] = exc
+        box["seconds"] = time.monotonic() - start
 
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     thread.join(timeout)
-    if thread.is_alive():
+    alive = thread.is_alive()
+    if alive or box["seconds"] > timeout:
         expiry = UnitTimeout(f"unit exceeded {timeout:.3g}s wall clock")
-        expiry.thread = thread
+        if alive:
+            expiry.thread = thread
         raise expiry
     if "error" in box:
         raise box["error"]

@@ -385,6 +385,16 @@ def test_testability_rejects_bad_floor(capsys):
                  id="metrics-columns-zero"),
     pytest.param(["sweep", "--sample", "0"], "--sample must be",
                  id="sweep-sample-zero"),
+    pytest.param(["table1", "--samples", "0", "--good", "1"],
+                 "--samples must be at least 2", id="table1-samples-zero"),
+    pytest.param(["grade", "--samples", "1"], "--samples must be at least 2",
+                 id="grade-samples-one"),
+    pytest.param(["metrics", "--good", "0"], "--good must be at least 1",
+                 id="metrics-good-zero"),
+    pytest.param(["chaos", "--seed", "1", "--campaigns", "0"],
+                 "--campaigns must be at least 1", id="chaos-campaigns-zero"),
+    pytest.param(["chaos", "--seed", "1", "--units", "0"],
+                 "--units must be at least 1", id="chaos-units-zero"),
     pytest.param(["constraints", "--patterns", "0"], "--patterns must be",
                  id="constraints-patterns-zero"),
     pytest.param(["constraints", "--component", "nosuch"], "'nosuch'",

@@ -151,7 +151,7 @@ def test_fault_sim_engine_parity(point):
     universe = DspFaultUniverse(components=["mux7"], include_regfile=False,
                                 build=build)
     ctx = HierarchicalFaultSimulator(
-        universe=universe, block_size=16, checkpoint_every=8,
+        universe=universe, block_size=16,
     ).prepare(words)
     records = [ctx.block_records[start]["mux7"] for start in ctx.block_starts]
     blocks = [rec["inputs"] for rec in records if rec["cycles"]]

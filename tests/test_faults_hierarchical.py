@@ -95,7 +95,7 @@ def program_words(iterations=20):
 @pytest.fixture(scope="module")
 def small_run():
     sim = HierarchicalFaultSimulator(universe=small_universe(),
-                                     block_size=64, checkpoint_every=16)
+                                     block_size=64)
     return sim.run(program_words(20))
 
 
@@ -125,12 +125,12 @@ def test_block_size_invariance():
                                 include_regfile=False)
     words = program_words(10)
     a = HierarchicalFaultSimulator(
-        universe=universe, block_size=32, checkpoint_every=16
+        universe=universe, block_size=32
     ).run(words)
     universe2 = DspFaultUniverse(components=["mux7", "macreg"],
                                  include_regfile=False)
     b = HierarchicalFaultSimulator(
-        universe=universe2, block_size=80, checkpoint_every=16
+        universe=universe2, block_size=80
     ).run(words)
     fc_a = a.coverage_report().fault_coverage
     fc_b = b.coverage_report().fault_coverage
@@ -146,12 +146,6 @@ def test_no_program_activity_means_no_detection():
     words = [encode(Instruction(Opcode.NOP))] * 64
     result = sim.run(words)
     assert result.coverage_report().n_detected == 0
-
-
-def test_bad_block_configuration():
-    with pytest.raises(ValueError):
-        HierarchicalFaultSimulator(universe=small_universe(),
-                                   block_size=100, checkpoint_every=32)
 
 
 def test_storage_fault_max_cycles_cap():

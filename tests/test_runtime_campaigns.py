@@ -33,7 +33,7 @@ def program_words(iterations=8):
 
 def make_campaign(words, checkpoint):
     sim = HierarchicalFaultSimulator(universe=small_universe(),
-                                     block_size=32, checkpoint_every=16)
+                                     block_size=32)
     return HierarchicalCampaign(words, simulator=sim,
                                 checkpoint=checkpoint)
 
@@ -75,7 +75,7 @@ def test_hierarchical_kill_and_resume_roundtrip(tmp_path):
     cutoff = 20
 
     uninterrupted = HierarchicalFaultSimulator(
-        universe=small_universe(), block_size=32, checkpoint_every=16,
+        universe=small_universe(), block_size=32,
     ).run(words)
     n_units = len(make_campaign(words, None).units())
     assert cutoff < n_units
@@ -130,7 +130,7 @@ def test_tier_rules_enter_the_fingerprint_off_their_defaults(tmp_path):
     assert "max_continuous_starts" not in default
     for setting in ("max_starts_per_block", "max_continuous_starts"):
         sim = HierarchicalFaultSimulator(universe=small_universe(),
-                                         block_size=32, checkpoint_every=16,
+                                         block_size=32,
                                          **{setting: 0})
         campaign = HierarchicalCampaign(words, simulator=sim,
                                         checkpoint=path)
@@ -145,7 +145,7 @@ def test_hierarchical_campaign_matches_direct_run():
     reorganisation of ``HierarchicalFaultSimulator.run``."""
     words = program_words(6)
     direct = HierarchicalFaultSimulator(
-        universe=small_universe(), block_size=32, checkpoint_every=16,
+        universe=small_universe(), block_size=32,
     ).run(words)
     outcome = make_campaign(words, None).run()
     assert by_description(outcome.result) == by_description(direct)

@@ -170,7 +170,7 @@ def program_words(iterations=8):
 
 def make_campaign(words, checkpoint, jobs=1):
     sim = HierarchicalFaultSimulator(universe=small_universe(),
-                                     block_size=32, checkpoint_every=16)
+                                     block_size=32)
     return HierarchicalCampaign(words, simulator=sim,
                                 checkpoint=checkpoint, jobs=jobs)
 
@@ -197,7 +197,7 @@ def test_pooled_report_identical_to_serial(tmp_path):
 
     # The assembled coverage result matches a direct run too.
     direct = HierarchicalFaultSimulator(
-        universe=small_universe(), block_size=32, checkpoint_every=16,
+        universe=small_universe(), block_size=32,
     ).run(words)
     assert {f.describe(): c for f, c in pooled.result.first_detect.items()} \
         == {f.describe(): c for f, c in direct.first_detect.items()}

@@ -1,5 +1,6 @@
 """Tests for the resilient campaign runner."""
 
+import sys
 import threading
 import time
 
@@ -56,6 +57,26 @@ def test_call_with_timeout_reraises_exceptions():
 def test_call_with_timeout_expires():
     with pytest.raises(UnitTimeout):
         call_with_timeout(lambda: time.sleep(5), timeout=0.02)
+
+
+def test_call_with_timeout_rejects_an_attempt_that_returned_late():
+    """The caller here waits for the GIL until the attempt has returned,
+    20 ms into a 1 ms budget: the attempt still times out."""
+    def busy():
+        end = time.perf_counter() + 0.02
+        while time.perf_counter() < end:
+            pass
+        return 42
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        with pytest.raises(UnitTimeout) as info:
+            call_with_timeout(busy, timeout=0.001)
+    finally:
+        sys.setswitchinterval(interval)
+    # The attempt's thread has ended, so nothing leaked.
+    assert not hasattr(info.value, "thread")
 
 
 # ----------------------------------------------------------------------

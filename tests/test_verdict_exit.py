@@ -1,12 +1,16 @@
 """Error-injection forks stop at their verdict: equal to full windows.
 
-:meth:`ObservabilityEngine.measure` and tier 1 of
-:meth:`HierarchicalFaultSimulator._propagates` stop a fork once its
-verdict is known: a port that differs from the clean run's (observed),
-or a state equal to the clean run's at the same cycle (masked).  The
-full-window loops they replaced stay here as references: every
-observability fork replays from cycle 0, and every fork steps to the end
-of its window.
+:meth:`ObservabilityEngine.measure` stops a fork once its verdict is
+known: a port that differs from the clean run's (observed), or a state
+equal to the clean run's at the same cycle (masked).  The hierarchical
+grader steps a fork only while its state differs from the clean run's:
+a tier-1 fork ends at its first such cycle, and a tier-2 fork or a stuck
+storage bit jumps to the next cycle at which the fault changes a value
+again.  The full-window loops they replaced stay here as references:
+every fork starts from a replay of the clean core from cycle 0 and
+steps to the end of its window, and every storage fault's core steps
+from cycle 0.  The hierarchical oracles run on the paper core and on a
+5-deep ``FLEET`` point.
 
 Tier 2 (:meth:`HierarchicalFaultSimulator._propagates_continuous`)
 reads a cycle's faulty word from the block's pattern-parallel faulty
@@ -24,9 +28,11 @@ from repro.dsp.core import DspCore
 from repro.dsp.family import CoreBuild, CoreSpec
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.faults.hierarchical import (
+    DspFaultUniverse,
     HierarchicalFaultSimulator,
     _set_bit_positions,
     _spread,
+    storage_fault_core,
 )
 from repro.logic.simulator import unpack_output
 from repro.metrics.controllability import (
@@ -152,38 +158,59 @@ def test_observability_verdict_exit_matches_full_window(spec, extra,
 
 
 # ----------------------------------------------------------------------
-# Hierarchical tier 1
+# Hierarchical grading
 # ----------------------------------------------------------------------
-def reference_propagates(sim, name, faulty_word, t, ctx, limit):
-    """Tier 1 with a full window.  Also reports whether the fork's state
-    met a clean checkpoint while the verdict was still open."""
-    fork = sim._fork_at(ctx, t)
-    end = min(limit, t + sim.propagation_window)
-    if fork.step(ctx.words[t],
-                 overrides={name: faulty_word}).port != ctx.clean_ports[t]:
-        return True, False
-    converged = False
-    for cycle in range(t + 1, end):
-        converged = converged or fork.state == ctx.checkpoints.get(cycle)
-        if fork.step(ctx.words[cycle]).port != ctx.clean_ports[cycle]:
-            return True, converged
-    return False, converged
+#: The paper core and the first 5-deep ``FLEET`` point.
+HIER_POINTS = [CoreSpec.paper(), _point(5)]
+
+
+class Replay:
+    """The clean core replayed from cycle 0 over ``words``: its port and
+    its state before every cycle.  The references fork from these, not
+    from the grader's own recording."""
+
+    def __init__(self, build, words):
+        self.build, self.words = build, words
+        core = build.make_core()
+        self.ports, self.states = [], []
+        for word in words:
+            self.states.append(core.state.copy())
+            self.ports.append(core.step(word).port)
+
+    def fork(self, t):
+        """A core in the clean state before cycle ``t``."""
+        return self.build.make_core(self.states[t].copy())
+
+
+def graded(spec):
+    """An E1 program (metrics, Phase 1/2) for ``spec``, expanded over 5
+    loop passes: a full-universe grader, its trace and the replay."""
+    build = CoreBuild.get(spec)
+    table = build_metrics_table(n_controllability_samples=8,
+                                n_observability_good=1, seed=2004,
+                                build=build)
+    program = SelfTestGenerator(
+        table=table, build=build,
+        o_engine=ObservabilityEngine(n_good=1, seed=2006, build=build),
+    ).generate().program
+    words = expand_program(program, 5)
+    sim = HierarchicalFaultSimulator(universe=DspFaultUniverse(build=build))
+    ctx = sim.prepare(words)
+    replay = Replay(build, words)
+    assert ctx.clean_ports == replay.ports
+    assert ctx.states == replay.states
+    return spec, sim, ctx, replay
 
 
 @pytest.fixture(scope="module")
-def e1_stream():
-    """An E1 program (metrics, Phase 1/2) expanded over 5 loop passes."""
-    table = build_metrics_table(n_controllability_samples=8,
-                                n_observability_good=1, seed=2004)
-    program = SelfTestGenerator(
-        table=table, o_engine=ObservabilityEngine(n_good=1, seed=2006),
-    ).generate().program
-    return expand_program(program, 5)
+def hier():
+    """One :func:`graded` setup per point of ``HIER_POINTS``."""
+    return [graded(spec) for spec in HIER_POINTS]
 
 
 def comb_starts(sim, ctx, per_block):
     """Every start of every combinational fault, up to ``per_block`` per
-    block: ``(name, fault, rec, output_bits, idx, limit)``."""
+    block: ``(name, fault, rec, output_bits, excited, idx, limit)``."""
     for name, faults in sim.universe.comb_faults.items():
         comb = sim.universe.comb_simulators[name]
         output_nets = comb.netlist.buses[sim.universe.spec(name).output_bus]
@@ -197,72 +224,138 @@ def comb_starts(sim, ctx, per_block):
                     fault, good, len(rec["cycles"]))
                 limit = ctx.block_end(block_start)
                 bits = [changed.get(n, good[n]) for n in output_nets]
-                for idx in _spread(_set_bit_positions(detected), per_block):
-                    yield name, fault, rec, bits, idx, limit
+                indices = _set_bit_positions(detected)
+                excited = [rec["cycles"][i] for i in indices]
+                for idx in _spread(indices, per_block):
+                    yield name, fault, rec, bits, excited, idx, limit
 
 
-def test_tier1_verdict_exit_matches_full_window(e1_stream):
-    """Every tier-1 start of every combinational fault."""
-    sim = HierarchicalFaultSimulator()
-    ctx = sim.prepare(e1_stream)
-    starts = converged = 0
-    for name, fault, rec, bits, idx, limit in comb_starts(
-            sim, ctx, sim.max_starts_per_block):
-        word = unpack_output(bits, idx)
-        t = rec["cycles"][idx]
-        want, met = reference_propagates(sim, name, word, t, ctx, limit)
-        assert sim._propagates(name, word, t, ctx, limit) == want, \
-            (name, fault, t)
-        # Back on the clean run, a fork is never observed.
-        assert not (want and met), (name, fault, t)
-        starts += 1
-        converged += met
-    assert starts > 10000
-    assert converged > 0
+# ----------------------------------------------------------------------
+# Hierarchical tier 1
+# ----------------------------------------------------------------------
+def reference_propagates(sim, replay, name, faulty_word, t, limit):
+    """Tier 1 with a full window.  Also reports whether the fork's state
+    met the clean state of a cycle while the verdict was still open."""
+    fork = replay.fork(t)
+    end = min(limit, t + sim.propagation_window)
+    if fork.step(replay.words[t],
+                 overrides={name: faulty_word}).port != replay.ports[t]:
+        return True, False
+    converged = False
+    for cycle in range(t + 1, end):
+        converged = converged or fork.state == replay.states[cycle]
+        if fork.step(replay.words[cycle]).port != replay.ports[cycle]:
+            return True, converged
+    return False, converged
+
+
+def test_tier1_verdict_exit_matches_full_window(hier):
+    """Every tier-1 start of every combinational fault, on each point."""
+    for spec, sim, ctx, replay in hier:
+        starts = converged = 0
+        for name, fault, rec, bits, _, idx, limit in comb_starts(
+                sim, ctx, sim.max_starts_per_block):
+            word = unpack_output(bits, idx)
+            t = rec["cycles"][idx]
+            want, met = reference_propagates(sim, replay, name, word, t,
+                                             limit)
+            assert sim._propagates(name, word, t, ctx, limit) == want, \
+                (spec.label(), name, fault, t)
+            # Back on the clean run, a fork is never observed.
+            assert not (want and met), (spec.label(), name, fault, t)
+            starts += 1
+            converged += met
+        assert starts > 5000, spec.label()
+        assert converged > 0, spec.label()
 
 
 # ----------------------------------------------------------------------
 # Hierarchical tier 2
 # ----------------------------------------------------------------------
-def reference_propagates_continuous(sim, name, fault, t, ctx, limit):
-    """Tier 2 with every cycle's faulty word evaluated at gate level."""
+def reference_propagates_continuous(sim, replay, name, fault, t, limit):
+    """Tier 2 over the full window, with every cycle's faulty word
+    evaluated at gate level.  Also reports whether the fork's state met
+    the clean state of a cycle while the verdict was still open."""
     comb = sim.universe.comb_simulators[name]
     output_bus = sim.universe.spec(name).output_bus
 
     def faulty_output(inputs):
         return comb.faulty_output_word(fault, inputs, output_bus)
 
-    fork = sim._fork_at(ctx, t)
+    fork = replay.fork(t)
+    rejoined = False
     for cycle in range(t, min(limit, t + sim.propagation_window)):
-        if fork.step(ctx.words[cycle], overrides={name: faulty_output}
-                     ).port != ctx.clean_ports[cycle]:
-            return True
-    return False
+        rejoined = rejoined or (cycle > t
+                                and fork.state == replay.states[cycle])
+        if fork.step(replay.words[cycle], overrides={name: faulty_output}
+                     ).port != replay.ports[cycle]:
+            return True, rejoined
+    return False, rejoined
 
 
-def test_tier2_recorded_words_match_gate_level(e1_stream):
-    """Every tier-2 start of every combinational fault."""
-    sim = HierarchicalFaultSimulator()
-    ctx = sim.prepare(e1_stream)
-    starts = observed = 0
-    with obs.enabled_session(trace=False, profile=False) as session:
-        for name, fault, rec, bits, idx, limit in comb_starts(
-                sim, ctx, sim.max_continuous_starts):
-            t = rec["cycles"][idx]
-            want = reference_propagates_continuous(sim, name, fault, t, ctx,
-                                                   limit)
-            got = sim._propagates_continuous(
-                name, sim.universe.spec(name),
-                sim.universe.comb_simulators[name], fault, rec, bits, idx,
-                ctx, limit)
-            assert got == want, (name, fault, t)
-            starts += 1
-            observed += want
-    counters = session.registry.snapshot()["counters"]
-    assert counters["sim.hier.tier2_checks"] == starts
-    assert starts > 1000
-    assert 0 < observed < starts
-    # Not vacuous: the recorded words served most cycles, and some
-    # cycles still ran at gate level.
-    gate_level = counters["sim.hier.tier2_gate_cycles"]
-    assert 0 < gate_level < counters["sim.hier.tier2_cycles"] / 2
+def test_tier2_recorded_words_match_gate_level(hier):
+    """Every tier-2 start of every combinational fault, on each point."""
+    for spec, sim, ctx, replay in hier:
+        starts = observed = rejoined_then_observed = 0
+        with obs.enabled_session(trace=False, profile=False) as session:
+            for name, fault, rec, bits, excited, idx, limit in comb_starts(
+                    sim, ctx, sim.max_continuous_starts):
+                t = rec["cycles"][idx]
+                want, rejoined = reference_propagates_continuous(
+                    sim, replay, name, fault, t, limit)
+                got = sim._propagates_continuous(
+                    name, sim.universe.spec(name),
+                    sim.universe.comb_simulators[name], fault, rec, bits,
+                    excited, idx, ctx, limit)
+                assert got == want, (spec.label(), name, fault, t)
+                starts += 1
+                observed += want
+                rejoined_then_observed += want and rejoined
+        counters = session.registry.snapshot()["counters"]
+        assert counters["sim.hier.tier2_checks"] == starts
+        assert starts > 1000, spec.label()
+        assert 0 < observed < starts, spec.label()
+        # Not vacuous: some forks were observed only after they rejoined
+        # the clean run and a later excitation set them off again.
+        assert rejoined_then_observed > 0, spec.label()
+        # The recorded words served most cycles, and some cycles still
+        # ran at gate level.
+        gate_level = counters["sim.hier.tier2_gate_cycles"]
+        assert 0 < gate_level < counters["sim.hier.tier2_cycles"] / 2, \
+            spec.label()
+
+
+# ----------------------------------------------------------------------
+# Hierarchical storage faults
+# ----------------------------------------------------------------------
+def reference_storage(sim, replay, fault, limit):
+    """The faulty core stepped from cycle 0 over the first ``limit``
+    cycles: its first port that differs from the clean run's."""
+    faulty = storage_fault_core(fault, build=sim.build)
+    for t in range(limit):
+        if faulty.step(replay.words[t]).port != replay.ports[t]:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("max_cycles", [None, 100], ids=["all", "cap-100"])
+def test_storage_faults_match_stepping_from_cycle_0(hier, max_cycles,
+                                                    step_count):
+    """Every storage fault (``q``, ``d`` and ``en``) of each universe."""
+    for spec, sim, ctx, replay in hier:
+        faults = sim.universe.storage_faults
+        assert {fault.kind for fault in faults} == {"q", "d", "en"}
+        before = step_count[0]
+        got = [sim.grade_storage_fault(ctx, fault, max_cycles)
+               for fault in faults]
+        steps = step_count[0] - before
+        limit = len(replay.words) if max_cycles is None else max_cycles
+        want = [reference_storage(sim, replay, fault, limit)
+                for fault in faults]
+        assert got == want, spec.label()
+        detected = {fault.kind for fault, cycle in zip(faults, want)
+                    if cycle is not None}
+        assert detected == {"q", "d", "en"}, spec.label()
+        assert None in want, spec.label()
+        # Stuck storage bits skip the cycles they agree with the clean run.
+        assert steps < step_count[0] - before - steps, spec.label()

@@ -62,8 +62,7 @@ def measure(samples, experiment, label, jobs, build):
     clear_caches()
     campaign = build(jobs)
     start = time.perf_counter()
-    with obs.enabled_session(trace=False, metrics=False, profile=True,
-                             seed=2004) as session:
+    with obs.enabled_session(metrics=False) as session:
         outcome = campaign.run()
     elapsed = time.perf_counter() - start
     counts = outcome.report.counts()

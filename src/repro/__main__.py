@@ -7,12 +7,12 @@ Commands cover the everyday flows:
 * ``generate`` — run Phases 1–2 and print the Fig. 7-style program,
   optionally writing the test-vector file and golden MISR signature;
 * ``grade`` — generate and fault-grade the self-test program (exit 1
-  if any fault's grading unit was quarantined); ``--trace`` or
-  ``--chrome`` arms an observability session and also prints its
-  section table and tier-2 counts;
+  if any fault's grading unit was quarantined); ``--profile`` arms an
+  observability session (:mod:`repro.obs`) and also prints its section
+  table and tier-2 counts;
 * ``sweep`` — run the whole pipeline across a core-family design space
   and write the coverage/test-length/area landscape artifact
-  (see :mod:`repro.harness.sweeps`);
+  (see :mod:`repro.harness.sweeps`); ``--profile`` as for ``grade``;
 * ``constraints`` — the Phase 3 control-bit constraint study (§3.4);
 * ``lint`` — static analysis of netlists and self-test programs
   (see :mod:`repro.lint`);
@@ -84,16 +84,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _export_trace(session, args) -> None:
-    """Write the armed session's trace file(s) and a summary line."""
-    if args.trace:
-        n = session.tracer.write_jsonl(args.trace)
-        print(f"trace: {n} spans -> {args.trace}")
-    if args.chrome:
-        n = session.tracer.write_chrome(args.chrome)
-        print(f"chrome trace: {n} events -> {args.chrome}")
-
-
 def _print_session(session) -> None:
     """The armed session's section table and how many of tier 2's
     component evaluations ran at gate level."""
@@ -127,9 +117,7 @@ def _cmd_grade(args) -> int:
     from repro.runtime.campaigns import HierarchicalCampaign
     from repro.selftest.vectors import expand_program
 
-    session = None
-    if args.trace or args.chrome:
-        session = obs.configure(seed=2004)
+    session = obs.configure() if args.profile else None
     try:
         selftest = _build_selftest(args)
         words = expand_program(selftest.program, args.iterations)
@@ -144,7 +132,6 @@ def _cmd_grade(args) -> int:
         outcome = campaign.run(resume=args.resume, max_units=args.max_units,
                                force=args.force)
         if session is not None:
-            _export_trace(session, args)
             _print_session(session)
         if outcome.report.interrupted:
             print(f"campaign interrupted: {outcome.report.summary()}")
@@ -173,9 +160,7 @@ def _cmd_sweep(args) -> int:
         sampled_specs,
     )
 
-    session = None
-    if args.trace or args.chrome:
-        session = obs.configure(seed=args.seed)
+    session = obs.configure() if args.profile else None
     try:
         if args.sample:
             specs = sampled_specs(args.sample, seed=args.seed)
@@ -204,7 +189,7 @@ def _cmd_sweep(args) -> int:
             max_units=args.max_units, progress=progress,
         )
         if session is not None:
-            _export_trace(session, args)
+            _print_session(session)
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -224,55 +209,12 @@ def _cmd_sweep(args) -> int:
             obs.disable()
 
 
-def _cmd_trace(args) -> int:
-    """``repro trace <campaign>``: run the metrics campaign with tracing
-    on (``metrics``) or validate an existing trace (``check``)."""
-    from repro import obs
-    from repro.runtime.errors import ConfigError
-
-    if args.campaign == "check":
-        from repro.obs.schema import validate_trace_file
-        if not args.file:
-            raise ConfigError("trace check requires a trace file argument")
-        counts, errors = validate_trace_file(args.file)
-        print(f"{args.file}: {counts['spans']} spans, "
-              f"{counts['points']} points")
-        if errors:
-            for error in errors[:20]:
-                print(f"  schema error: {error}", file=sys.stderr)
-            if len(errors) > 20:
-                print(f"  ... and {len(errors) - 20} more",
-                      file=sys.stderr)
-            return 1
-        print("schema: OK")
-        return 0
-
-    if args.file:
-        raise ConfigError(
-            f"trace {args.campaign} takes no file argument "
-            f"(use --trace to choose the output path)")
-
-    from repro.runtime.campaigns import MetricsCampaign
-    session = obs.configure(seed=2004)
-    try:
-        campaign = MetricsCampaign(
-            n_controllability_samples=args.samples,
-            n_observability_good=args.good,
-            jobs=args.jobs,
-        )
-        outcome = campaign.run()
-        print(f"campaign: {outcome.report.summary()}")
-        _export_trace(session, args)
-        _print_session(session)
-        return _quarantine_status(outcome.report.counts()["quarantined"])
-    finally:
-        obs.disable()
-
-
 def _cmd_chaos(args) -> int:
     import json as _json
-    from repro.runtime.chaos import parse_classes, run_soak
+    from repro.runtime.chaos import ChaosConfig, parse_classes, run_soak
     classes = parse_classes(args.inject)
+    ChaosConfig(seed=args.seed, classes=classes, probability=args.probability,
+                max_per_class=args.max_per_class).validate()
 
     def progress(outcome):
         status = "ok" if outcome.ok() else \
@@ -369,8 +311,7 @@ def _cmd_testability(args) -> int:
                           f"got {floor}")
     if not seq_cost >= 0.0:
         raise ConfigError(f"--seq-cost must be non-negative, got {seq_cost}")
-    session = obs.configure(trace=False, metrics=True, profile=True,
-                            seed=2004) if args.profile else None
+    session = obs.configure() if args.profile else None
     try:
         targets = []
         if args.target in ("components", "all"):
@@ -398,7 +339,7 @@ def _cmd_testability(args) -> int:
               f"{untestable} statically untestable candidate(s)")
         if args.json:
             counters = {}
-            if session is not None and session.registry is not None:
+            if session is not None:
                 counters = {
                     k: v for k, v in
                     session.registry.snapshot()["counters"].items()
@@ -416,15 +357,7 @@ def _cmd_testability(args) -> int:
                 handle.write("\n")
             print(f"wrote testability report to {args.json}")
         if session is not None:
-            rows = [
-                (name, calls, f"{seconds:.3f}", f"{mean_ms:.2f}")
-                for name, calls, seconds, mean_ms in
-                session.profiler.rows()
-                if name.startswith("analysis.")
-            ]
-            if rows:
-                print(format_table(
-                    ("section", "calls", "seconds", "mean ms"), rows))
+            _print_session(session)
         return 0
     finally:
         if session is not None:
@@ -500,15 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_table_options(p)
     p.set_defaults(func=_cmd_generate)
 
-    def add_trace_options(p_):
-        p_.add_argument("--trace", metavar="FILE",
-                        help="write a JSONL span trace of the campaign "
-                             "(schema repro.trace/1; includes every "
-                             "worker process under --jobs)")
-        p_.add_argument("--chrome", metavar="FILE",
-                        help="also write a Chrome trace-event JSON "
-                             "(load in chrome://tracing or Perfetto)")
-
     p = sub.add_parser("grade",
                        help="generate and fault-grade the self-test")
     p.add_argument("--samples", type=int, default=100)
@@ -516,7 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=100)
     add_table_options(p)
     add_campaign_options(p)
-    add_trace_options(p)
+    p.add_argument("--profile", action="store_true",
+                   help="print the section table (wall clock per "
+                        "section, every worker's merged in) and the "
+                        "tier-2 counts")
     p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser("sweep",
@@ -546,25 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-units", type=int, metavar="N",
                    help="stop the current point's campaign after N "
                         "units (checkpoint the rest)")
-    add_trace_options(p)
+    p.add_argument("--profile", action="store_true",
+                   help="print the section table and tier-2 counts, "
+                        "as grade --profile does")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("trace",
-                       help="trace the metrics campaign or validate an "
-                            "existing trace file (check)")
-    p.add_argument("campaign", choices=("metrics", "check"),
-                   help="campaign to trace, or 'check' to validate")
-    p.add_argument("file", nargs="?",
-                   help="trace file to validate (check only)")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--good", type=int, default=2)
-    p.add_argument("--jobs", metavar="N",
-                   help="worker processes (integer or 'auto')")
-    p.add_argument("--trace", metavar="FILE", default="trace.jsonl",
-                   help="JSONL trace output path (default trace.jsonl)")
-    p.add_argument("--chrome", metavar="FILE",
-                   help="also write a Chrome trace-event JSON")
-    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("chaos",
                        help="seeded fault-injection soak of the campaign "
@@ -668,8 +580,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise ConfigError(f"--{option.replace('_', '-')} must be "
                                   f"at least {floor}, got {value}")
         # Fail fast on an output file no run could write at its end.
-        for option in ("out", "vectors", "output", "save_table", "trace",
-                       "chrome", "report", "json", "write_baseline"):
+        for option in ("out", "vectors", "output", "save_table", "report",
+                       "json", "write_baseline"):
             path = getattr(args, option, None)
             if path and not os.path.isdir(
                     os.path.dirname(os.path.abspath(path))):

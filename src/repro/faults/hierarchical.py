@@ -434,8 +434,7 @@ class HierarchicalFaultSimulator:
     def prepare(self, words: List[int]) -> TraceContext:
         """One fault-free pass: record ports, the state before every
         cycle and per-block component input streams."""
-        with obs.span("hier.prepare", words=len(words)), \
-                obs.section("sim.hier.prepare"):
+        with obs.section("sim.hier.prepare"):
             return self._prepare(words)
 
     def _prepare(self, words: List[int]) -> TraceContext:

@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro import obs
 from repro.dsp.family import (
     CoreBuild,
     CoreSpec,
@@ -185,75 +184,72 @@ def sweep_point(spec: CoreSpec, config: SweepConfig,
     label = spec.label()
     metrics_ckpt, grade_ckpt, _ = _point_paths(checkpoint_dir, label)
 
-    with obs.span("sweep.point", key=label) as sp:
-        # Structural lint over the swept core (error findings only — the
-        # paper core itself carries benign warning-level tie-offs).
-        report = lint_netlist(build.netlist, min_severity=Severity.ERROR)
-        lint_errors = len(report.findings)
+    # Structural lint over the swept core (error findings only — the
+    # paper core itself carries benign warning-level tie-offs).
+    report = lint_netlist(build.netlist, min_severity=Severity.ERROR)
+    lint_errors = len(report.findings)
 
-        metrics = MetricsCampaign(
-            n_controllability_samples=config.n_controllability_samples,
-            n_observability_good=config.n_observability_good,
-            seed=config.seed, build=build,
-            checkpoint=metrics_ckpt, jobs=jobs, unit_timeout=unit_timeout,
-        )
-        m_outcome = metrics.run(resume=resume, max_units=max_units)
-        if m_outcome.report.interrupted:
-            return {"label": label, "interrupted": True, "stage": "metrics"}
-        table = m_outcome.result
+    metrics = MetricsCampaign(
+        n_controllability_samples=config.n_controllability_samples,
+        n_observability_good=config.n_observability_good,
+        seed=config.seed, build=build,
+        checkpoint=metrics_ckpt, jobs=jobs, unit_timeout=unit_timeout,
+    )
+    m_outcome = metrics.run(resume=resume, max_units=max_units)
+    if m_outcome.report.interrupted:
+        return {"label": label, "interrupted": True, "stage": "metrics"}
+    table = m_outcome.result
 
-        phase1 = run_phase1(table)
-        phase2 = run_phase2(table, phase1, build=build)
-        from repro.selftest.generator import assemble_program
-        program = assemble_program(table, phase1, phase2, build=build)
-        words = expand_program(program, config.n_iterations)
-        golden = run_with_misr(words, build=build)
+    phase1 = run_phase1(table)
+    phase2 = run_phase2(table, phase1, build=build)
+    from repro.selftest.generator import assemble_program
+    program = assemble_program(table, phase1, phase2, build=build)
+    words = expand_program(program, config.n_iterations)
+    golden = run_with_misr(words, build=build)
 
-        universe = DspFaultUniverse(build=build)
-        sim = HierarchicalFaultSimulator(
-            universe=universe, block_size=config.block_size,
-            propagation_window=config.propagation_window,
-        )
-        grading = HierarchicalCampaign(
-            words, simulator=sim,
-            storage_fault_max_cycles=config.storage_fault_max_cycles,
-            checkpoint=grade_ckpt, jobs=jobs, unit_timeout=unit_timeout,
-        )
-        g_outcome = grading.run(resume=resume, max_units=max_units)
-        if g_outcome.report.interrupted:
-            return {"label": label, "interrupted": True, "stage": "grade"}
-        coverage = g_outcome.result.coverage_report(label)
+    universe = DspFaultUniverse(build=build)
+    sim = HierarchicalFaultSimulator(
+        universe=universe, block_size=config.block_size,
+        propagation_window=config.propagation_window,
+    )
+    grading = HierarchicalCampaign(
+        words, simulator=sim,
+        storage_fault_max_cycles=config.storage_fault_max_cycles,
+        checkpoint=grade_ckpt, jobs=jobs, unit_timeout=unit_timeout,
+    )
+    g_outcome = grading.run(resume=resume, max_units=max_units)
+    if g_outcome.report.interrupted:
+        return {"label": label, "interrupted": True, "stage": "grade"}
+    coverage = g_outcome.result.coverage_report(label)
 
-        covered = sum(
-            1 for column in table.columns
-            if any(table.is_covered(row, column) for row in table.rows)
-        )
-        record = {
-            "spec": spec.to_doc(),
-            "label": label,
-            "area": build.area,
-            "n_columns": len(table.columns),
-            "n_covered_columns": covered,
-            "phase1_instructions": len(phase1.selections),
-            "phase2_sequences": len(phase2.sequences),
-            "still_uncovered": len(phase2.still_uncovered),
-            "program_length": len(program.loop_lines),
-            "n_vectors": golden.n_vectors,
-            "signature": golden.signature,
-            "n_faults": coverage.n_faults,
-            "n_detected": coverage.n_detected,
-            "fault_coverage": round(
-                coverage.n_detected / coverage.n_faults, 4)
-            if coverage.n_faults else 0.0,
-            "lint_errors": lint_errors,
-            "campaign": {
-                "metrics": m_outcome.report.counts(),
-                "grade": g_outcome.report.counts(),
-            },
-        }
-        sp.set(area=record["area"], coverage=record["fault_coverage"],
-               vectors=record["n_vectors"])
-        return record
+    covered = sum(
+        1 for column in table.columns
+        if any(table.is_covered(row, column) for row in table.rows)
+    )
+    record = {
+        "spec": spec.to_doc(),
+        "label": label,
+        "area": build.area,
+        "n_columns": len(table.columns),
+        "n_covered_columns": covered,
+        "phase1_instructions": len(phase1.selections),
+        "phase2_sequences": len(phase2.sequences),
+        "still_uncovered": len(phase2.still_uncovered),
+        "program_length": len(program.loop_lines),
+        "n_vectors": golden.n_vectors,
+        "signature": golden.signature,
+        "n_faults": coverage.n_faults,
+        "n_detected": coverage.n_detected,
+        "fault_coverage": round(
+            coverage.n_detected / coverage.n_faults, 4)
+        if coverage.n_faults else 0.0,
+        "lint_errors": lint_errors,
+        "campaign": {
+            "metrics": m_outcome.report.counts(),
+            "grade": g_outcome.report.counts(),
+        },
+    }
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -278,31 +274,30 @@ def run_sweep(config: SweepConfig,
 
     points: List[Dict[str, Any]] = []
     interrupted = False
-    with obs.span("sweep.run", points=len(config.specs)):
-        for spec in config.specs:
-            label = spec.label()
-            _, _, result_path = _point_paths(checkpoint_dir, label)
-            if resume and result_path and os.path.exists(result_path):
-                with open(result_path, encoding="utf-8") as handle:
-                    record = json.load(handle)
-            else:
-                record = sweep_point(
-                    spec, config, checkpoint_dir=checkpoint_dir,
-                    jobs=jobs, unit_timeout=unit_timeout, resume=resume,
-                    max_units=max_units,
-                )
-                if record.get("interrupted"):
-                    interrupted = True
-                    if progress is not None:
-                        progress(label, record)
-                    break
-                if result_path:
-                    with open(result_path, "w", encoding="utf-8") as handle:
-                        json.dump(record, handle, indent=2, sort_keys=True)
-                        handle.write("\n")
-            points.append(record)
-            if progress is not None:
-                progress(label, record)
+    for spec in config.specs:
+        label = spec.label()
+        _, _, result_path = _point_paths(checkpoint_dir, label)
+        if resume and result_path and os.path.exists(result_path):
+            with open(result_path, encoding="utf-8") as handle:
+                record = json.load(handle)
+        else:
+            record = sweep_point(
+                spec, config, checkpoint_dir=checkpoint_dir,
+                jobs=jobs, unit_timeout=unit_timeout, resume=resume,
+                max_units=max_units,
+            )
+            if record.get("interrupted"):
+                interrupted = True
+                if progress is not None:
+                    progress(label, record)
+                break
+            if result_path:
+                with open(result_path, "w", encoding="utf-8") as handle:
+                    json.dump(record, handle, indent=2, sort_keys=True)
+                    handle.write("\n")
+        points.append(record)
+        if progress is not None:
+            progress(label, record)
 
     doc = {
         "schema": SWEEP_SCHEMA,

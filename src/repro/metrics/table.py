@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.dsp.components import ComponentSpec
 from repro.dsp.family import PAPER_BUILD, CoreBuild
 from repro.faults.model import collapse_faults
@@ -155,22 +156,23 @@ def build_metrics_table(
     Sample counts default to values that finish in minutes on a laptop;
     the benchmarks raise them.  ``build`` picks the family point.
     """
-    rows = list(variants) if variants is not None else default_variants()
-    cols = list(columns) if columns is not None else build.all_columns()
-    table = MetricsTable(
-        rows=rows,
-        columns=cols,
-        fault_counts=fault_counts(build),
-    )
-    c_engine = ControllabilityEngine(
-        n_samples=n_controllability_samples, seed=seed, build=build
-    )
-    o_engine = ObservabilityEngine(n_good=n_observability_good, seed=seed + 1,
-                                   build=build)
-    for row in rows:
-        for column, cell in measure_row(c_engine, o_engine, row, cols):
-            table.set_cell(row, column, cell)
-    return table
+    with obs.section("metrics.table"):
+        rows = list(variants) if variants is not None else default_variants()
+        cols = list(columns) if columns is not None else build.all_columns()
+        table = MetricsTable(
+            rows=rows,
+            columns=cols,
+            fault_counts=fault_counts(build),
+        )
+        c_engine = ControllabilityEngine(
+            n_samples=n_controllability_samples, seed=seed, build=build
+        )
+        o_engine = ObservabilityEngine(n_good=n_observability_good,
+                                       seed=seed + 1, build=build)
+        for row in rows:
+            for column, cell in measure_row(c_engine, o_engine, row, cols):
+                table.set_cell(row, column, cell)
+        return table
 
 
 def measure_row(c_engine: ControllabilityEngine,

@@ -1,11 +1,11 @@
-"""Observability: structured tracing, metrics and profiling hooks.
+"""Observability: named counters and profiler sections.
 
 The runtime's hot paths call the module-level hooks below
-(:func:`span`, :func:`incr`, :func:`section`, :func:`point`).  Exactly
-like :mod:`repro.runtime.chaos`, the layer is **inert unless armed**: a
+(:func:`incr`, :func:`section`).  Exactly like
+:mod:`repro.runtime.chaos`, the layer is **inert unless armed**: a
 single module-global session reference is ``None`` by default, every
 hook starts with that one ``is None`` check, and the disabled fast
-path allocates nothing and returns shared no-op singletons.
+path allocates nothing and returns a shared no-op singleton.
 ``tests/test_obs_inert.py`` holds the layer to that contract —
 byte-identical campaign output and near-zero timing delta with the
 session off.
@@ -15,15 +15,13 @@ manager)::
 
     from repro import obs
 
-    session = obs.configure(seed=2004)
+    session = obs.configure()
     ...run a campaign...
-    session.tracer.write_jsonl("trace.jsonl")
+    session.profiler.timings()
     obs.disable()
 
-The three components (each optional):
+The two components (each optional):
 
-* ``tracer`` — nested spans with deterministic ids, JSONL + Chrome
-  trace-event export (:mod:`repro.obs.trace`);
 * ``registry`` — named counters, merged by addition
   (:mod:`repro.obs.metrics`);
 * ``profiler`` — accumulated per-section wall clock
@@ -32,8 +30,8 @@ The three components (each optional):
 
 Pool workers call :func:`export_worker_payload` after each unit and
 ship the result through the result stream; the parent folds it back
-with :func:`merge_worker_payload`.  Span ids are keyed by unit id, so
-a pooled trace matches its serial twin span-for-span.
+with :func:`merge_worker_payload`, so a pooled session holds the same
+counters and section calls as its serial twin.
 """
 
 from __future__ import annotations
@@ -43,24 +41,19 @@ from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
-from repro.obs.trace import Span, Tracer
 
 __all__ = [
-    "MetricsRegistry", "ObsSession", "Profiler", "Span", "Tracer",
+    "MetricsRegistry", "ObsSession", "Profiler",
     "active", "configure", "disable", "enabled",
-    "enabled_session", "span", "point", "incr",
-    "section", "export_worker_payload", "merge_worker_payload",
-    "reset_after_fork",
+    "enabled_session", "incr", "section",
+    "export_worker_payload", "merge_worker_payload", "reset_after_fork",
 ]
 
 
 class ObsSession:
-    """One armed observability session (tracer + registry + profiler)."""
+    """One armed observability session (registry + profiler)."""
 
-    def __init__(self, trace: bool = True, metrics: bool = True,
-                 profile: bool = True, seed: int = 0):
-        self.seed = seed
-        self.tracer: Optional[Tracer] = Tracer(seed) if trace else None
+    def __init__(self, metrics: bool = True, profile: bool = True):
         self.registry: Optional[MetricsRegistry] = \
             MetricsRegistry() if metrics else None
         self.profiler: Optional[Profiler] = Profiler() if profile else None
@@ -70,22 +63,9 @@ class ObsSession:
 _SESSION: Optional[ObsSession] = None
 
 
-class _NullSpan:
-    """Shared no-op span (returned by :func:`span` when disabled)."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
 class _NullSection:
+    """Shared no-op section (returned by :func:`section` when disabled)."""
+
     __slots__ = ()
 
     def __enter__(self) -> "_NullSection":
@@ -95,18 +75,21 @@ class _NullSection:
         return None
 
 
-_NULL_SPAN = _NullSpan()
 _NULL_SECTION = _NullSection()
 
 
 # ---------------------------------------------------------------------
 # session control
-def configure(trace: bool = True, metrics: bool = True,
-              profile: bool = True, seed: int = 0) -> ObsSession:
-    """Arm observability; returns the installed session."""
+def configure(metrics: bool = True, profile: bool = True, *,
+              trace: Any = None, seed: Any = None) -> ObsSession:
+    """Arm observability; returns the installed session.
+
+    ``trace`` and ``seed`` are accepted and ignored: they configured
+    the span tracer, which is gone, and the benchmark harness still
+    passes them.
+    """
     global _SESSION
-    _SESSION = ObsSession(trace=trace, metrics=metrics, profile=profile,
-                          seed=seed)
+    _SESSION = ObsSession(metrics=metrics, profile=profile)
     return _SESSION
 
 
@@ -124,13 +107,11 @@ def enabled() -> bool:
 
 
 @contextlib.contextmanager
-def enabled_session(trace: bool = True, metrics: bool = True,
-                    profile: bool = True, seed: int = 0):
+def enabled_session(metrics: bool = True, profile: bool = True):
     """``with obs.enabled_session() as s: ...`` — arm, then restore."""
     global _SESSION
     previous = _SESSION
-    session = configure(trace=trace, metrics=metrics, profile=profile,
-                        seed=seed)
+    session = configure(metrics=metrics, profile=profile)
     try:
         yield session
     finally:
@@ -139,20 +120,6 @@ def enabled_session(trace: bool = True, metrics: bool = True,
 
 # ---------------------------------------------------------------------
 # hot-path hooks (one ``is None`` check when disabled)
-def span(name: str, key: Any = None, **attrs: Any):
-    """Open a nested span: ``with obs.span("unit", key=uid) as s: ...``"""
-    if _SESSION is None or _SESSION.tracer is None:
-        return _NULL_SPAN
-    return _SESSION.tracer.span(name, key=key, **attrs)
-
-
-def point(name: str, **fields: Any) -> None:
-    """Record a time-series sample (e.g. coverage-vs-time)."""
-    if _SESSION is None or _SESSION.tracer is None:
-        return
-    _SESSION.tracer.point(name, **fields)
-
-
 def incr(name: str, n: int = 1) -> None:
     if _SESSION is None or _SESSION.registry is None:
         return
@@ -169,7 +136,7 @@ def section(name: str):
 # ---------------------------------------------------------------------
 # pool transport
 def export_worker_payload() -> Optional[Dict[str, Any]]:
-    """Drain this process's spans/metrics/timings for the result stream.
+    """Drain this process's metrics/timings for the result stream.
 
     Called by pool workers after each unit; drained state is *removed*
     so every payload is a clean delta.  Returns ``None`` when disabled
@@ -178,8 +145,6 @@ def export_worker_payload() -> Optional[Dict[str, Any]]:
     if _SESSION is None:
         return None
     payload: Dict[str, Any] = {}
-    if _SESSION.tracer is not None:
-        payload["records"] = _SESSION.tracer.drain()
     if _SESSION.registry is not None:
         payload["metrics"] = _SESSION.registry.snapshot()
         _SESSION.registry.reset()
@@ -194,8 +159,6 @@ def merge_worker_payload(payload: Optional[Dict[str, Any]]) -> None:
     every merge operator is associative and commutative)."""
     if _SESSION is None or not payload:
         return
-    if _SESSION.tracer is not None and payload.get("records"):
-        _SESSION.tracer.absorb(payload["records"])
     if _SESSION.registry is not None and payload.get("metrics"):
         _SESSION.registry.merge_snapshot(payload["metrics"])
     if _SESSION.profiler is not None and payload.get("timings"):
@@ -207,8 +170,6 @@ def reset_after_fork() -> None:
     copy-on-write from the parent so payloads only carry worker work."""
     if _SESSION is None:
         return
-    if _SESSION.tracer is not None:
-        _SESSION.tracer.reset_after_fork()
     if _SESSION.registry is not None:
         _SESSION.registry.reset()
     if _SESSION.profiler is not None:

@@ -3,8 +3,8 @@
 ``perf_counter``-based and deliberately simple: a section is a
 ``with`` block that adds its duration (and a call count) to a named
 accumulator.  Sections nest freely; each level accounts its own wall
-clock, so nested totals overlap by design (the report is a where-does
--time-go table, not a flame graph — the tracer owns that).
+clock, so nested totals overlap by design: the report is a
+where-does-time-go table, not a call tree.
 
 Timings are plain dicts (``name -> {"calls", "seconds"}``) so pool
 workers can ship them through the result stream; merge is addition.

@@ -10,7 +10,7 @@ things that cross process boundaries are unit **indices** (parent →
 worker) and JSON-serialisable result **envelopes** (worker → parent).
 An envelope carries the unit's checkpoint record and, when an
 observability session is armed (:mod:`repro.obs`), the worker's drained
-span buffer, metric snapshot and profiler timings.  Campaigns build
+counter snapshot and profiler timings.  Campaigns build
 their simulators before the fork, so no worker compiles an evaluator
 and the parent's ``cache_stats()`` counts every compile.
 

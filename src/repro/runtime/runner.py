@@ -315,15 +315,9 @@ class CampaignRunner:
                 remove_shards(self.store.path)
                 self.store.create(fingerprint)
 
-        campaign_span = obs.span("campaign", jobs=self.jobs,
-                                 units=len(units))
         try:
-            with campaign_span, obs.section("campaign.run"):
-                report = self._run_units(units, completed, max_units,
-                                         warmup)
-                if obs.enabled():
-                    campaign_span.set(**report.counts())
-                return report
+            with obs.section("campaign.run"):
+                return self._run_units(units, completed, max_units, warmup)
         finally:
             if self.store is not None:
                 self.store.close()
@@ -398,10 +392,8 @@ class CampaignRunner:
         return len(self._leaked_threads)
 
     def _run_unit(self, unit: WorkUnit) -> UnitResult:
-        span = obs.span("unit", key=unit.unit_id)
-        with span, obs.section("runner.unit"):
+        with obs.section("runner.unit"):
             result = self._execute_unit(unit)
-            span.set(status=result.status, attempts=result.attempts)
             obs.incr(f"campaign.units.{result.status}")
             return result
 

@@ -88,53 +88,34 @@ class SelfTestGenerator:
     def generate(self, **table_kwargs) -> GeneratedSelfTest:
         """Run metrics → Phase 1 → Phase 2 → program assembly.
 
-        Each stage runs under an observability span/section (inert when
-        no session is armed); Phase 1/2 emit ``selftest.coverage``
-        points — the per-phase coverage-vs-time series that trace
-        exports (``repro grade --trace``) carry.
+        Each stage runs under an observability section (inert when no
+        session is armed); the metrics table times itself as
+        ``metrics.table``.
         """
-        with obs.span("selftest.generate"), \
-                obs.section("selftest.generate"):
+        with obs.section("selftest.generate"):
             return self._generate(**table_kwargs)
 
     def _generate(self, **table_kwargs) -> GeneratedSelfTest:
         if self.table is not None:
             table = self.table
         else:
-            with obs.span("selftest.metrics_table"), \
-                    obs.section("selftest.metrics_table"):
-                table = build_metrics_table(build=self.build,
-                                            **table_kwargs)
+            table = build_metrics_table(build=self.build, **table_kwargs)
 
-        n_columns = len(table.columns)
         c_theta, o_theta = table.c_theta, table.o_theta
         for round_ in range(MAX_THRESHOLD_REDUCTIONS + 1):
             view = table.with_thresholds(c_theta, o_theta)
-            with obs.span("selftest.phase1", key=f"round{round_}") as sp, \
-                    obs.section("selftest.phase1"):
+            with obs.section("selftest.phase1"):
                 phase1 = run_phase1(view)
-                covered1 = n_columns - len(phase1.uncovered)
-                sp.set(round=round_, covered=covered1,
-                       uncovered=len(phase1.uncovered))
-            obs.point("selftest.coverage", phase="phase1", round=round_,
-                      covered=covered1, columns=n_columns)
-            with obs.span("selftest.phase2", key=f"round{round_}") as sp, \
-                    obs.section("selftest.phase2"):
+            with obs.section("selftest.phase2"):
                 phase2 = run_phase2(view, phase1, o_engine=self.o_engine,
                                     build=self.build)
-                covered2 = n_columns - len(phase2.still_uncovered)
-                sp.set(round=round_, covered=covered2,
-                       uncovered=len(phase2.still_uncovered))
-            obs.point("selftest.coverage", phase="phase2", round=round_,
-                      covered=covered2, columns=n_columns)
             if not phase2.still_uncovered:
                 break
             # "If sufficient coverage is not reached, the thresholds can be
             # lowered a limited amount of times."
             c_theta -= THRESHOLD_STEP
             o_theta -= THRESHOLD_STEP
-        with obs.span("selftest.assemble"), \
-                obs.section("selftest.assemble"):
+        with obs.section("selftest.assemble"):
             program = assemble_program(view, phase1, phase2,
                                        build=self.build)
         return GeneratedSelfTest(

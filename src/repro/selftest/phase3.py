@@ -83,8 +83,7 @@ def constraint_study(
     paper's five shifter cases: each single mode excluded, plus "only 00
     and 01".
     """
-    with obs.span("selftest.phase3", key=component), \
-            obs.section("selftest.phase3"):
+    with obs.section("selftest.phase3"):
         return _constraint_study(component, n_patterns, seed)
 
 

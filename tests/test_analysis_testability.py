@@ -216,8 +216,7 @@ def test_analysis_emits_obs_counters():
     a = b.input("a")
     b.output(b.not_(a))
     nl = b.finish()
-    with obs.enabled_session(trace=False, metrics=True,
-                             profile=False) as session:
+    with obs.enabled_session(profile=False) as session:
         analyze_testability(nl)
         counters = session.registry.snapshot()["counters"]
     assert counters.get("analysis.testability.analyses") == 1

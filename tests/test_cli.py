@@ -173,40 +173,38 @@ def test_grade_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
     assert "FAILED: 1 unit(s) quarantined" in captured.err
 
 
-def test_trace_grade_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
-                                                      capsys):
-    """A traced grading campaign exits 1 on a quarantined unit, as an
-    untraced one does; the trace is still written."""
-    quarantine_first_grading_unit(monkeypatch)
-    trace = tmp_path / "t.jsonl"
-    assert main(["grade", "--samples", "4", "--good", "1",
-                 "--iterations", "1", "--trace", str(trace)]) == 1
-    captured = capsys.readouterr()
-    assert "1 quarantined" in captured.out
-    assert "FAILED: 1 unit(s) quarantined" in captured.err
-    assert trace.stat().st_size > 0
-
-
-def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, tmp_path,
-                                                  capsys):
-    """A traced ``grade`` still prints its profile (the section table),
-    and the exit is 1."""
+def test_trace_grade_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
+    """A profiled grading campaign times the quarantined unit too: the
+    ``runner.unit`` row counts every unit of the campaign line, and the
+    exit is 1."""
     quarantine_first_grading_unit(monkeypatch)
     assert main(["grade", "--samples", "4", "--good", "1",
-                 "--iterations", "1",
-                 "--trace", str(tmp_path / "t.jsonl")]) == 1
+                 "--iterations", "1", "--profile"]) == 1
+    out = capsys.readouterr().out
+    units = re.search(r"^campaign: (\d+) units: (\d+) ok, 1 quarantined ",
+                      out, re.MULTILINE)
+    timed = re.search(r"^runner\.unit +(\d+) ", out, re.MULTILINE)
+    assert int(timed.group(1)) == int(units.group(1)) \
+        == int(units.group(2)) + 1
+
+
+def test_profile_fails_when_a_unit_is_quarantined(monkeypatch, capsys):
+    """A profiled grading campaign exits 1 on a quarantined unit, as an
+    unprofiled one does, and still prints its section table."""
+    quarantine_first_grading_unit(monkeypatch)
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1", "--profile"]) == 1
     captured = capsys.readouterr()
     assert "section" in captured.out
+    assert "1 quarantined" in captured.out
     assert "FAILED: 1 unit(s) quarantined" in captured.err
 
 
-def test_profile_reports_how_much_of_tier2_ran_at_gate_level(tmp_path,
-                                                             capsys):
-    """A traced ``grade`` prints the session's profile: the section
+def test_profile_reports_how_much_of_tier2_ran_at_gate_level(capsys):
+    """``grade --profile`` prints the session's profile: the section
     table with mean ms and the tier-2 line."""
     assert main(["grade", "--samples", "4", "--good", "1",
-                 "--iterations", "1",
-                 "--trace", str(tmp_path / "t.jsonl")]) == 0
+                 "--iterations", "1", "--profile"]) == 0
     out = capsys.readouterr().out
     found = re.search(r"^tier 2: (\d+) checks, (\d+) cycles, (\d+) at gate "
                       r"level$", out, re.MULTILINE)
@@ -216,18 +214,39 @@ def test_profile_reports_how_much_of_tier2_ran_at_gate_level(tmp_path,
                      re.MULTILINE)
 
 
+def test_profile_times_the_metrics_table_only_when_measured(tmp_path,
+                                                            capsys):
+    """The measured metrics table is one ``metrics.table`` section call;
+    a table loaded with ``--table`` is not measured, so has no row."""
+    table = tmp_path / "table.json"
+    assert main(["grade", "--samples", "4", "--good", "1",
+                 "--iterations", "1", "--save-table", str(table),
+                 "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^metrics\.table +1 ", out, re.MULTILINE)
+    assert main(["grade", "--table", str(table), "--iterations", "1",
+                 "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^section +calls", out, re.MULTILINE)
+    assert "metrics.table" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["profile"],
     ["trace", "grade"],
     ["trace", "metrics", "--table", "x"],
     ["trace", "metrics", "--save-table", "x"],
     ["trace", "metrics", "--iterations", "2"],
+    ["trace", "metrics"],
+    ["trace", "check", "x"],
+    ["grade", "--chrome", "x"],
+    ["sweep", "--trace", "x"],
 ])
 def test_removed_commands_and_options_exit_2(argv, capsys):
-    """``grade --trace`` replaced ``profile`` and ``trace grade``; the
-    ``trace metrics`` campaign reads no metrics table and expands no
-    program, so argparse rejects those options instead of ignoring
-    them."""
+    """``grade --profile`` replaced the ``profile`` and ``trace``
+    commands and the ``--trace`` and ``--chrome`` span files of
+    ``grade`` and ``sweep``, so argparse rejects them instead of
+    ignoring them."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -390,6 +409,12 @@ def test_testability_rejects_bad_floor(capsys):
                  "--campaigns must be at least 1", id="chaos-campaigns-zero"),
     pytest.param(["chaos", "--seed", "1", "--units", "0"],
                  "--units must be at least 1", id="chaos-units-zero"),
+    pytest.param(["chaos", "--seed", "1", "--probability", "1.0"],
+                 "chaos probability must be in [0, 1)",
+                 id="chaos-probability-one"),
+    pytest.param(["chaos", "--seed", "1", "--max-per-class", "0"],
+                 "chaos max_per_class must be >= 1",
+                 id="chaos-max-per-class-zero"),
     pytest.param(["constraints", "--patterns", "0"], "--patterns must be",
                  id="constraints-patterns-zero"),
     pytest.param(["constraints", "--component", "nosuch"], "'nosuch'",
@@ -420,12 +445,6 @@ def test_testability_rejects_bad_floor(capsys):
     pytest.param(["metrics", "--save-table", "/nonexistent/t.json"],
                  "--save-table '/nonexistent/t.json' is in a directory",
                  id="metrics-save-table-missing-dir"),
-    pytest.param(["grade", "--trace", "/nonexistent/t.jsonl"],
-                 "--trace '/nonexistent/t.jsonl' is in a directory",
-                 id="grade-trace-missing-dir"),
-    pytest.param(["sweep", "--chrome", "/nonexistent/t.json"],
-                 "--chrome '/nonexistent/t.json' is in a directory",
-                 id="sweep-chrome-missing-dir"),
     pytest.param(["chaos", "--seed", "1", "--campaigns", "1", "--units", "1",
                   "--report", "/nonexistent/r.json"],
                  "--report '/nonexistent/r.json' is in a directory",
@@ -440,10 +459,12 @@ def test_testability_rejects_bad_floor(capsys):
 def test_bad_inputs_exit_2_with_one_error_line(argv, message, capsys,
                                                monkeypatch):
     """Each input fails with one ``error:`` line and no traceback, before
-    any metrics warm-up, sweep or analysis starts."""
+    any metrics warm-up, sweep, analysis or soak starts, and before the
+    command prints anything."""
     import repro.__main__ as cli
     import repro.analysis
     import repro.harness.sweeps as sweeps
+    import repro.runtime.chaos as chaos
 
     def no_work(*args, **kwargs):
         raise AssertionError("the command started its work")
@@ -451,8 +472,11 @@ def test_bad_inputs_exit_2_with_one_error_line(argv, message, capsys,
     monkeypatch.setattr(cli, "_measure_or_load", no_work)
     monkeypatch.setattr(sweeps, "run_sweep", no_work)
     monkeypatch.setattr(repro.analysis, "analyze_testability", no_work)
+    monkeypatch.setattr(chaos, "run_soak", no_work)
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
 

@@ -120,7 +120,7 @@ def test_long_flat_grade_repacks_and_matches_golden():
     """Half the lanes are detected well before the end of 1,000 cycles,
     so the grader repacks; the map is still the dense grader's."""
     flat = make_gatelevel_core()
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         result = SeqFaultSimulator(flat).run_sequence({"instr": stream(100)})
     got = (result.n_cycles, len(result.first_detect_cycle),
            len(result.detected), detect_map_digest(result.first_detect_cycle))
@@ -137,7 +137,7 @@ def test_96_cycle_flat_grade_never_repacks(flat_run):
              if c is not None and c < 64}
     never = [f for f, c in golden.first_detect_cycle.items() if c is None]
     faults = list(early) + never[:len(early) // 2]
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         result = SeqFaultSimulator(flat).run_sequence(
             {"instr": stream(10)[:96]}, faults=faults)
     assert 2 * len(early) >= len(faults)  # the live-lane rule alone holds
@@ -343,7 +343,7 @@ def test_one_pass_grader_vs_serial_reference(seed, n_words):
     rng = random.Random((name, seed).__repr__())
     words = [rng.randrange(1 << len(netlist.inputs)) for _ in range(n_words)]
     faults = full_fault_list(netlist)
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         got = SeqFaultSimulator(netlist).run_sequence(
             {"in": words}, faults=faults).first_detect_cycle
     repacks = session.registry.counters.get("sim.seq.repacks")
@@ -381,7 +381,7 @@ def test_repeated_repacks_vs_serial_reference():
     rng = random.Random("counter")
     words = [int(rng.random() < 0.75) for _ in range(600)]
     faults = full_fault_list(netlist)
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         got = SeqFaultSimulator(netlist).run_sequence(
             {"in": words}, faults=faults).first_detect_cycle
     assert session.registry.counters["sim.seq.repacks"] == 2

@@ -153,7 +153,7 @@ def test_observability_records_sections_and_counters():
     obs.disable()
     off = SeqFaultSimulator(nl).run_sequence(stimulus)
     assert obs.export_worker_payload() is None
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         sim = SeqFaultSimulator(nl)
         on = sim.run_sequence(stimulus)
         # Some fault survives, so both calls step all 8 cycles.
@@ -178,7 +178,7 @@ def test_observability_identical_across_a_repack():
     stimulus = {"in": [rng.randrange(16) for _ in range(320)]}
     obs.disable()
     off = SeqFaultSimulator(nl).run_sequence(stimulus)
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         on = SeqFaultSimulator(nl).run_sequence(stimulus)
     assert on.first_detect_cycle == off.first_detect_cycle
     repacks = session.registry.counters["sim.seq.repacks"]
@@ -193,7 +193,7 @@ def test_kernel_recompiles_only_for_uncovered_targets():
     faults = SeqFaultSimulator(nl).fault_list.faults
     half = faults[:len(faults) // 2]
     stimulus = {"in": [1, 2, 3, 4]}
-    with obs.enabled_session(trace=False) as session:
+    with obs.enabled_session() as session:
         sim = SeqFaultSimulator(nl)
         sim.run_sequence(stimulus, faults=half)
         sim.run_sequence(stimulus, faults=half[1:])

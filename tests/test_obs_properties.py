@@ -2,11 +2,10 @@
 
 Three laws the layer's correctness rests on:
 
-* **Span trees always balance.**  Whatever nested mix of clean exits,
-  ``Exception`` raises and :class:`~repro.runtime.chaos.ChaosKill`
-  (a ``BaseException``) a workload produces, every entered span is
-  recorded exactly once, the thread-local stack ends empty, and the
-  recorded tree is referentially intact.
+* **Every section exit is recorded.**  Whatever nested mix of clean
+  exits, ``Exception`` raises and
+  :class:`~repro.runtime.chaos.ChaosKill` (a ``BaseException``) a
+  workload produces, every entered section records exactly one call.
 
 * **Metric merges are associative and commutative.**  Counter
   snapshots merge to the same aggregate regardless of grouping or
@@ -21,13 +20,12 @@ Three laws the layer's correctness rests on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.schema import validate_span_record
-from repro.obs.trace import Tracer
 from repro.runtime.chaos import ChaosKill
 
 # ----------------------------------------------------------------------
-# Span balance under exceptions and ChaosKill
+# Section calls under exceptions and ChaosKill
 # ----------------------------------------------------------------------
 #: A workload is a tree: leaves act ("ok" returns, "raise" throws an
 #: Exception, "kill" throws a BaseException), inner nodes nest children.
@@ -38,8 +36,8 @@ WORKLOADS = st.recursive(
 )
 
 
-def _walk(tracer, node, entered):
-    with tracer.span("node"):
+def _walk(node, entered):
+    with obs.section("node"):
         entered[0] += 1
         if node == "raise":
             raise ValueError("injected failure")
@@ -47,35 +45,18 @@ def _walk(tracer, node, entered):
             raise ChaosKill("injected kill")
         if isinstance(node, list):
             for child in node:
-                _walk(tracer, child, entered)
+                _walk(child, entered)
 
 
 @given(workload=WORKLOADS)
-def test_span_trees_always_balance(workload):
-    tracer = Tracer(seed=7)
+def test_every_section_exit_is_recorded(workload):
     entered = [0]
-    raised = False
-    try:
-        _walk(tracer, workload, entered)
-    except (ValueError, ChaosKill):
-        raised = True
-    assert tracer.depth() == 0
-    spans = [r for r in tracer.records if r["kind"] == "span"]
-    assert len(spans) == entered[0]      # every entry produced one exit
-    for record in spans:
-        assert validate_span_record(record) == []
-    ids = {record["id"] for record in spans}
-    assert len(ids) == len(spans)        # sequence-keyed ids are unique
-    for record in spans:                 # referential integrity
-        assert record["parent"] == tracer.root_id \
-            or record["parent"] in ids
-    if raised:
-        # The failing span (and everything it unwound through) is marked.
-        assert any(record.get("attrs", {}).get("error")
-                   in ("ValueError", "ChaosKill") for record in spans)
-    else:
-        assert not any("error" in record.get("attrs", {})
-                       for record in spans)
+    with obs.enabled_session() as session:
+        try:
+            _walk(workload, entered)
+        except (ValueError, ChaosKill):
+            pass
+    assert session.profiler.timings()["node"]["calls"] == entered[0]
 
 
 # ----------------------------------------------------------------------

@@ -487,8 +487,7 @@ def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
         return {"i": i}
 
     def totals(jobs, path):
-        with obs.enabled_session(trace=False, metrics=True,
-                                 profile=False, seed=1) as session:
+        with obs.enabled_session(profile=False) as session:
             units = [WorkUnit(unit_id=f"w{i}", run=lambda i=i: work(i))
                      for i in range(10)]
             CampaignRunner(checkpoint=path, jobs=jobs).run(units)
@@ -500,46 +499,6 @@ def test_pooled_obs_metrics_equal_serial_totals(tmp_path):
     assert serial["counters"]["work.weight"] == 45
     assert serial["counters"]["campaign.units.ok"] == 10
     assert pooled["counters"] == serial["counters"]
-
-
-@needs_fork
-@pytest.mark.parametrize("killed_unit", [None, 0],
-                         ids=["no-death", "worker-killed"])
-def test_pooled_unit_span_ids_equal_serial(tmp_path, killed_unit):
-    """Span ids are keyed by unit id, not by process: a unit graded in
-    a pool worker gets the span id (and parent) it has serially, and so
-    do the units graded after a worker died (``killed_unit`` SIGKILLs
-    its worker, and the parent finishes it serially).  Each unit takes
-    a little time, so every live worker grades some of them."""
-    import os
-    import signal
-    import time
-
-    from repro import obs
-
-    parent = os.getpid()
-
-    def work(i):
-        if i == killed_unit and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(0.02)
-        return {"i": i}
-
-    def unit_spans(jobs, path):
-        with obs.enabled_session(trace=True, metrics=False,
-                                 profile=False, seed=3) as session:
-            units = [WorkUnit(unit_id=f"w{i}", run=lambda i=i: work(i))
-                     for i in range(8)]
-            CampaignRunner(checkpoint=path, jobs=jobs).run(units)
-            return [r for r in session.tracer.records
-                    if r["kind"] == "span" and r["name"] == "unit"]
-
-    serial = unit_spans(1, str(tmp_path / "s.jsonl"))
-    pooled = unit_spans(2, str(tmp_path / "p.jsonl"))
-    assert len(serial) == 8
-    assert {(r["id"], r["parent"]) for r in pooled} \
-        == {(r["id"], r["parent"]) for r in serial}
-    assert len({r["pid"] for r in pooled}) > 1
 
 
 @needs_fork

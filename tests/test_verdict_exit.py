@@ -297,7 +297,7 @@ def test_tier2_recorded_words_match_gate_level(hier):
     """Every tier-2 start of every combinational fault, on each point."""
     for spec, sim, ctx, replay in hier:
         starts = observed = rejoined_then_observed = 0
-        with obs.enabled_session(trace=False, profile=False) as session:
+        with obs.enabled_session(profile=False) as session:
             for name, fault, rec, bits, excited, idx, limit in comb_starts(
                     sim, ctx, sim.max_continuous_starts):
                 t = rec["cycles"][idx]
